@@ -360,8 +360,7 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
     q = _require_regular(tower.base)
     grid = _parse_grid(args.grid, q)
     target, target_files = _parse_target(args.target, tower.base, Path(args.spec).parent)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    report = tower_convergence(tower, target, grid, jobs=jobs)
+    report = tower_convergence(tower, target, grid)
     outdir = Path(args.out)
     write_convergence_report(report, outdir)
     inputs = _hash_inputs([args.spec] + [str(p) for p in target_files])
@@ -421,9 +420,9 @@ def _cmd_l2_torus(args) -> tuple[dict, int]:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         lines = ["re,im,value_re,value_im"]
-        for u in grid.points:
-            value = l2_zeta_abelian(base, volt, u)
-            lines.append(f"{u.real!r},{u.imag!r},{value.real!r},{value.imag!r}")
+        values = l2_zeta_abelian(base, volt, grid.array)
+        for u, value in zip(grid.points, values):
+            lines.append(f"{u.real!r},{u.imag!r},{float(value.real)!r},{float(value.imag)!r}")
         out.write_text("\n".join(lines) + "\n")
         summary["out"] = args.out
         summary["grid"] = grid.describe()
@@ -552,7 +551,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", required=True, help="constant:<value> or torus:<voltage-file>")
     p.add_argument("--grid", required=True, help="disk:<radius>:<resolution>:<margin>")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
     p.add_argument("--size-cap", type=int, default=None, dest="size_cap")
     p.set_defaults(handler=_cmd_tower_run)
 

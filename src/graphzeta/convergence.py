@@ -11,7 +11,6 @@ checks the finite/L2 determinant identity for tree covers.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -124,12 +123,11 @@ def tower_convergence(
     tower: Tower,
     target: "L2Zeta | Callable[[complex], complex]",
     grid: GridSpec,
-    jobs: int | None = None,
 ) -> ConvergenceReport:
     """Per-level sup of |normalized zeta - target| over the grid.
 
-    jobs bounds the worker threads used to evaluate the target; the
-    result does not depend on it.
+    An L2Zeta target is evaluated on all grid points in one call; any
+    other callable, point by point.
     """
     points = grid.array
     if len(points) == 0:
@@ -141,11 +139,8 @@ def tower_convergence(
             f"grid q = {grid.q} does not match the tower base (regular: "
             f"{info.is_regular}, q = {info.q})"
         )
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            target_values = np.asarray(
-                list(pool.map(lambda u: complex(target(u)), points))
-            )
+    if isinstance(target, L2Zeta):
+        target_values = np.broadcast_to(target.evaluate(points), points.shape)
     else:
         target_values = np.asarray([complex(target(u)) for u in points])
     levels = []
@@ -221,12 +216,11 @@ def write_convergence_report(report: ConvergenceReport, outdir: "str | Path") ->
     summary = outdir / "summary.json"
     summary.write_text(json.dumps(report.summary_dict(), sort_keys=True, indent=2) + "\n")
     written.append(summary)
-    points = report.grid.array
     for level in report.levels:
         path = outdir / f"errors_N{level.index}.csv"
         lines = ["re,im,abs_error"]
-        for u, err in zip(points, level.errors):
-            lines.append(f"{u.real!r},{u.imag!r},{err!r}")
+        for u, err in zip(report.grid.points, level.errors):
+            lines.append(f"{u.real!r},{u.imag!r},{float(err)!r}")
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
     c_path = outdir / "set_c.csv"

@@ -213,12 +213,16 @@ def _finish_level(base: MultiGraph, graph: MultiGraph, index: int) -> TowerLevel
 
 
 def cyclic_tower(
-    base: MultiGraph, shifts: Sequence[int], orders: Sequence[int]
+    base: MultiGraph,
+    shifts: Sequence[int],
+    orders: Sequence[int],
+    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> Tower:
     """Covers over Z/n for a divisibility chain of orders starting at 1.
 
     The integer voltages are reduced modulo each order, so the levels are
-    the finite quotients of the single Z-cover the shifts describe.
+    the finite quotients of the single Z-cover the shifts describe. A
+    level over `size_cap` vertices raises ResourceError before it is built.
     """
     orders = [int(n) for n in orders]
     if not orders or orders[0] != 1:
@@ -229,7 +233,12 @@ def cyclic_tower(
     if len(shifts) != base.edge_count:
         raise InputError(f"{len(shifts)} shifts for {base.edge_count} edges")
     levels = [TowerLevel(base, 1, base.is_connected, base.component_count)]
-    for n in orders[1:]:
+    for step, n in enumerate(orders[1:]):
+        if base.vertex_count * n > size_cap:
+            raise ResourceError(
+                f"cyclic tower level {step + 2} needs {base.vertex_count * n} vertices, "
+                f"over the cap of {size_cap}"
+            )
         volt = VoltageAssignment.cyclic(shifts, n).reduced((n,))
         levels.append(_finish_level(base, derived_graph(base, volt), n))
     increasing = all(b > a for a, b in zip(orders, orders[1:]))
@@ -401,8 +410,9 @@ def tower_from_spec(
     """Tower spec: {"base": graph-file, "kind": "cyclic"|"homology", ...}.
 
     Cyclic towers need "voltages" (one integer per base edge) and
-    "orders"; homology towers need "p" and "depth" and accept "size_cap".
-    Relative base paths resolve against `base_dir`.
+    "orders"; homology towers need "p" and "depth". Both accept
+    "size_cap", which the `size_cap` argument overrides. Relative base
+    paths resolve against `base_dir`.
     """
     if "base" not in doc or "kind" not in doc:
         raise InputError('tower spec needs "base" and "kind"')
@@ -411,14 +421,17 @@ def tower_from_spec(
         base_path = Path(base_dir) / base_path
     base = load_graph(base_path)
     kind = doc["kind"]
+    try:
+        cap = size_cap if size_cap is not None else int(doc.get("size_cap", DEFAULT_SIZE_CAP))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f'tower spec "size_cap" must be an integer: {exc}') from exc
     if kind == "cyclic":
         if "voltages" not in doc or "orders" not in doc:
             raise InputError('cyclic tower spec needs "voltages" and "orders"')
-        return cyclic_tower(base, doc["voltages"], doc["orders"])
+        return cyclic_tower(base, doc["voltages"], doc["orders"], cap)
     if kind == "homology":
         if "p" not in doc or "depth" not in doc:
             raise InputError('homology tower spec needs "p" and "depth"')
-        cap = size_cap if size_cap is not None else int(doc.get("size_cap", DEFAULT_SIZE_CAP))
         return homology_tower(base, int(doc["p"]), int(doc["depth"]), cap)
     raise InputError(f'unknown tower kind {kind!r} (expected "cyclic" or "homology")')
 

@@ -22,12 +22,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covers import VoltageAssignment
-from .errors import DomainError, InputError, NumericError, UnsupportedError
+from .errors import DomainError, InputError, ResourceError, UnsupportedError
 from .graphs import MultiGraph, SpectrumData, regularity
 from .region import distance_to_C, omega_contains
 
 QUADRATURE_TOL = 1e-10
-QUADRATURE_CAP = 2**14
+NODE_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -136,80 +136,92 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
 # torus quadrature
 
 
-def _grid_log_det(sym: TorusSymbol, q: int, u: complex, m: int) -> complex:
-    """Periodic trapezoid value of the log-determinant integral at m^k nodes."""
+def _node_eigenvalues(sym: TorusSymbol, m: int):
+    """Eigenvalues of the symbol at the m^k trapezoid nodes, one block of
+    nodes (rows) at a time, so that a block's matrices hold about 4e6 entries."""
     k = sym.rank
     axes = 2.0 * np.pi * np.arange(m) / m
     total = m**k
     block = max(1024, 4_000_000 // max(1, sym.vertex_count**2))
-    acc = 0.0 + 0.0j
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total))
         coords = np.unravel_index(idx, (m,) * k)
         thetas = np.column_stack([axes[c] for c in coords])
-        lams = sym.eigenvalue_samples(thetas)
-        w = 1.0 - lams * u + q * u * u
-        acc += np.sum(np.log(w))
-    return complex(acc / total)
+        yield sym.eigenvalue_samples(thetas)
 
 
-def l2_log_det(
-    sym: TorusSymbol,
-    q: int,
-    u: complex,
-    points: int = 16,
-    tol: float = QUADRATURE_TOL,
-    cap: int = QUADRATURE_CAP,
-    adaptive: bool = True,
-) -> complex:
+def _grid_log_det(sym: TorusSymbol, q: int, us: list[complex], m: int) -> list[complex]:
+    """Periodic trapezoid values of the log-determinant integral at m^k
+    nodes, one per point of `us`, all sharing each block of eigenvalues."""
+    total = m**sym.rank
+    acc = [0.0 + 0.0j] * len(us)
+    for lams in _node_eigenvalues(sym, m):
+        for i, u in enumerate(us):
+            acc[i] += np.sum(np.log(1.0 - lams * u + q * u * u))
+    return [complex(a / total) for a in acc]
+
+
+def l2_log_det(sym: TorusSymbol, q: int, u):
     """Normalized trace of log(I - d(t) u + q u^2) over the torus.
 
-    Starts from `points` nodes per dimension and doubles until two
-    successive values agree within `tol`; raises NumericError if the cap
-    on nodes per dimension is reached first. The evaluation point must lie
-    inside the open region bounded by C and at least 1e-12 away from it.
+    `u` is a point or an array of points; a point gives a complex, an array
+    an array of the same shape. Each point starts from 16 nodes per
+    dimension and doubles until two successive values agree within
+    QUADRATURE_TOL; converged points drop out, the others share each
+    refinement's node eigenvalues. Raises ResourceError, naming a point
+    that has not converged, when the next doubling would pass NODE_BUDGET
+    nodes in total. Every point must lie inside the open region bounded by
+    C and at least 1e-12 away from it.
     """
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise InputError("q must be an integer >= 1")
-    if points < 4:
-        raise InputError("need at least 4 quadrature points per dimension")
-    u = complex(u)
-    if not omega_contains(q, u, 0.0) or distance_to_C(q, u) <= 1e-12:
+    us = np.asarray(u, dtype=complex)
+    inside = np.asarray(omega_contains(q, us, 0.0)) & (np.asarray(distance_to_C(q, us)) > 1e-12)
+    if not inside.all():
         raise DomainError(
-            f"u = {u} is outside the open region bounded by C (or within 1e-12 of it)"
+            f"u = {complex(us[~inside][0])} is outside the open region bounded by C "
+            "(or within 1e-12 of it)"
         )
-    m = points
-    value = _grid_log_det(sym, q, u, m)
-    if not adaptive:
-        return value
-    while True:
-        if 2 * m > cap:
-            raise NumericError(
-                f"torus quadrature did not converge within {cap} points per dimension"
+    points = us.ravel().tolist()
+    values = [np.nan] * len(points)
+    changes = [np.nan] * len(points)
+    active = list(range(len(points)))
+    m = 16
+    while active:
+        if m**sym.rank > NODE_BUDGET:
+            i = active[0]
+            raise ResourceError(
+                f"torus quadrature at u = {points[i]} needs more than {NODE_BUDGET} "
+                f"nodes (next refinement {m}^{sym.rank}, last change {changes[i]:.3g})"
             )
+        refined = _grid_log_det(sym, q, [points[i] for i in active], m)
+        for i, value in zip(active, refined):
+            changes[i] = abs(value - values[i])
+            values[i] = value
+        active = [i for i in active if not changes[i] < QUADRATURE_TOL]
         m *= 2
-        refined = _grid_log_det(sym, q, u, m)
-        if abs(refined - value) < tol:
-            return refined
-        value = refined
+    if us.ndim == 0:
+        return values[0]
+    return np.array(values, dtype=complex).reshape(us.shape)
 
 
-def l2_zeta_abelian(
-    base: MultiGraph,
-    volt: VoltageAssignment,
-    u: complex,
-    points: int = 16,
-    tol: float = QUADRATURE_TOL,
-    cap: int = QUADRATURE_CAP,
-) -> complex:
-    """The L2 zeta value (1 - u^2)^(-chi) * exp(torus log-determinant)."""
+def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
+    """The L2 zeta value (1 - u^2)^(-chi) * exp(torus log-determinant) at a
+    point (a complex) or an array of points (an array of the same shape)."""
     info = regularity(base)
     if not info.is_regular or info.q is None or info.q < 1:
         raise UnsupportedError("the L2 zeta function is computed for regular bases")
-    sym = torus_symbol(base, volt)
-    u = complex(u)
-    log_det = l2_log_det(sym, info.q, u, points=points, tol=tol, cap=cap)
-    return (1.0 - u * u) ** (-base.euler_characteristic) * np.exp(log_det)
+    us = np.asarray(u, dtype=complex)
+    log_dets = np.ravel(l2_log_det(torus_symbol(base, volt), info.q, us)).tolist()
+    chi = base.euler_characteristic
+    # point by point: numpy's vectorized complex product can round the last
+    # bit differently from the scalar one
+    values = [
+        (1.0 - z * z) ** (-chi) * np.exp(d) for z, d in zip(us.ravel().tolist(), log_dets)
+    ]
+    if us.ndim == 0:
+        return complex(values[0])
+    return np.array(values, dtype=complex).reshape(us.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +292,15 @@ def l2_series_oracle(
 
 @dataclass(frozen=True)
 class L2Zeta:
-    """An L2 zeta function as an evaluator plus the base invariants."""
+    """An L2 zeta function as an evaluator plus the base invariants.
+
+    `evaluate` takes a point or an array of points; a constant function
+    may return one value for every array.
+    """
 
     chi_base: int
     q: int
-    evaluate: Callable[[complex], complex]
+    evaluate: Callable
     description: str = "L2 zeta"
 
     def __call__(self, u: complex) -> complex:
@@ -316,13 +332,7 @@ def tree_l2_reference(base: MultiGraph | None = None) -> L2Zeta:
     )
 
 
-def torus_l2(
-    base: MultiGraph,
-    volt: VoltageAssignment,
-    points: int = 16,
-    tol: float = QUADRATURE_TOL,
-    cap: int = QUADRATURE_CAP,
-) -> L2Zeta:
+def torus_l2(base: MultiGraph, volt: VoltageAssignment) -> L2Zeta:
     """The quadrature-backed L2 zeta of the Z^k cover given by `volt`."""
     info = regularity(base)
     if not info.is_regular or info.q is None or info.q < 1:
@@ -330,7 +340,7 @@ def torus_l2(
     return L2Zeta(
         chi_base=base.euler_characteristic,
         q=info.q,
-        evaluate=lambda u: l2_zeta_abelian(base, volt, u, points=points, tol=tol, cap=cap),
+        evaluate=lambda u: l2_zeta_abelian(base, volt, u),
         description=f"torus quadrature, rank {volt.rank}",
     )
 
@@ -344,16 +354,7 @@ def symbol_spectral_cdf(
     quotients; mass is the base's vertex count.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    k = sym.rank
-    m = points_per_dim
-    axes = 2.0 * np.pi * np.arange(m) / m
-    total = m**k
-    block = max(1024, 4_000_000 // max(1, sym.vertex_count**2))
     counts = np.zeros(len(lambdas))
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total))
-        coords = np.unravel_index(idx, (m,) * k)
-        thetas = np.column_stack([axes[c] for c in coords])
-        samples = np.sort(sym.eigenvalue_samples(thetas).ravel())
-        counts += np.searchsorted(samples, lambdas, side="right")
-    return counts / total
+    for lams in _node_eigenvalues(sym, points_per_dim):
+        counts += np.searchsorted(np.sort(lams.ravel()), lambdas, side="right")
+    return counts / points_per_dim**sym.rank

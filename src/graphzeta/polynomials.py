@@ -57,18 +57,6 @@ class IntPolynomial:
                 out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
 
-    def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def divide_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact division over the integers; raises ValueError if not exact."""
         if divisor.coefficients == (0,):

@@ -11,8 +11,6 @@ without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -68,33 +66,6 @@ def omega_contains(q: int, u, margin: float = 0.0) -> "bool | np.ndarray":
     else:
         inside = (np.abs(z) <= radius - margin) & (dist >= margin)
     return bool(inside) if np.isscalar(u) or inside.shape == () else inside
-
-
-def distance_to_negative_ray(w) -> "float | np.ndarray":
-    """Distance from w to the ray (-inf, 0], the branch cut of the principal log."""
-    z = np.asarray(w, dtype=complex)
-    d = np.where(z.real <= 0.0, np.abs(z.imag), np.abs(z))
-    return float(d) if np.isscalar(w) or d.shape == () else d
-
-
-@dataclass(frozen=True)
-class RegionOmega:
-    """The open region bounded by C for a fixed q."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_q(self.q)
-
-    @property
-    def disk_radius(self) -> float:
-        return self.q ** -0.5
-
-    def contains(self, u, margin: float = 0.0):
-        return omega_contains(self.q, u, margin)
-
-    def distance_to_boundary(self, u):
-        return distance_to_C(self.q, u)
 
 
 def set_c_polyline(q: int, points_per_part: int = 256) -> list[tuple[str, complex]]:

@@ -189,6 +189,29 @@ def test_tower_run_torus_target(workdir, capsys):
     assert sups[-1] < sups[0]
 
 
+def test_csv_fields_are_plain_numbers(workdir, capsys):
+    (workdir / "vz1.json").write_text(json.dumps({"voltages": [1, 0], "rank": 1}))
+    (workdir / "tower_l.json").write_text(
+        json.dumps(
+            {"base": "b2.json", "kind": "cyclic", "voltages": [1, 0], "orders": [1, 2]}
+        )
+    )
+    grid = "disk:0.15:5:0.02"
+    tower_args = ["--target", "torus:vz1.json", "--grid", grid, "--out", str(workdir / "run")]
+    assert run(["tower", "run", "--spec", str(workdir / "tower_l.json")] + tower_args) == 0
+    values = workdir / "values.csv"
+    l2_args = ["--voltages", str(workdir / "v2.json"), "--grid", grid, "--out", str(values)]
+    assert run(["l2", "torus", "--base", str(workdir / "b2.json")] + l2_args) == 0
+    capsys.readouterr()
+    files = sorted((workdir / "run").glob("errors_N*.csv")) + [values]
+    assert len(files) == 3
+    for path in files:
+        rows = path.read_text().strip().splitlines()[1:]
+        assert rows
+        for row in rows:
+            [float(field) for field in row.split(",")]
+
+
 def test_l2_torus_eval(workdir, capsys):
     code = run(
         [
@@ -262,7 +285,24 @@ def test_exit_codes(workdir, capsys):
         )
         == 2
     )
-    capsys.readouterr()
+    # the cap covers cyclic towers too: level 3 of the loop tower has 4 vertices
+    assert (
+        run(
+            [
+                "tower",
+                "build",
+                "--spec",
+                str(workdir / "tower.json"),
+                "--out",
+                str(workdir / "tc"),
+                "--size-cap",
+                "2",
+            ]
+        )
+        == 2
+    )
+    assert "4 vertices" in capsys.readouterr().err
+    assert not (workdir / "tc").exists()
 
 
 def test_size_cap_env(workdir, capsys, monkeypatch):

@@ -61,15 +61,6 @@ def test_cyclic_tower_converges_to_tree_reference():
     assert report.levels[0].argmax in grid.points
 
 
-def test_convergence_respects_jobs_parameter():
-    tower = cyclic_tower(LOOP, (1,), (1, 2, 4))
-    grid = GridSpec(q=1, radius=0.4, resolution=7)
-    target = tree_l2_reference(LOOP)
-    seq = tower_convergence(tower, target, grid)
-    par = tower_convergence(tower, target, grid, jobs=4)
-    assert seq.sup_errors == par.sup_errors
-
-
 def test_lattice_tower_converges_to_torus_target():
     tower = lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 4, 8))
     grid = GridSpec(q=3, radius=0.2, resolution=7, margin=0.03)

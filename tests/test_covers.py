@@ -181,3 +181,13 @@ def test_tower_spec_loading(tmp_path):
     bad.write_text(json.dumps({"base": "loop.json", "kind": "mystery"}))
     with pytest.raises(InputError):
         load_tower_spec(bad)
+    # a spec's own size cap reaches cyclic towers, and must be an integer
+    for cap, error in ((2, ResourceError), ("big", InputError)):
+        spec.write_text(
+            json.dumps(
+                {"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2, 4],
+                 "size_cap": cap}
+            )
+        )
+        with pytest.raises(error):
+            load_tower_spec(spec)

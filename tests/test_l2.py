@@ -13,13 +13,14 @@ import pytest
 from graphzeta import (
     DomainError,
     InputError,
-    NumericError,
+    ResourceError,
     UnsupportedError,
     VoltageAssignment,
     bouquet_graph,
     cycle_graph,
     empirical_cdf,
     equivariant_walk_counts,
+    l2,
     l2_log_det,
     l2_series_oracle,
     l2_zeta_abelian,
@@ -31,7 +32,7 @@ from graphzeta import (
     tree_l2_reference,
 )
 
-from corpus import B2, LOOP
+from corpus import B2, K4, LOOP
 
 VZ = VoltageAssignment.free(((1,),), rank=1)
 VZ2 = VoltageAssignment.free(((1, 0), (0, 1)), rank=2)
@@ -204,7 +205,24 @@ def test_symbol_cdf_against_counting_oracle():
     assert np.allclose(got, oracle, atol=1e-12)
 
 
-def test_quadrature_cap_raises():
+def test_quadrature_node_budget_raises(monkeypatch):
+    # 0.01 converges at 32^2 nodes, the point near the slit needs more
     sym = torus_symbol(B2, VZ2)
-    with pytest.raises(NumericError):
-        l2_log_det(sym, 3, 0.1, points=4, tol=1e-30, cap=8)
+    monkeypatch.setattr(l2, "NODE_BUDGET", 32**2)
+    with pytest.raises(ResourceError, match=r"u = \(0\.4\+0\.01j\).*64\^2"):
+        l2_log_det(sym, 3, np.array([0.01, 0.4 + 0.01j]))
+
+
+def test_array_evaluation_matches_scalar_evaluation():
+    k4_rank3 = VoltageAssignment.free(((0, 0, 0),) * 3 + ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    cases = [
+        (B2, VZ2, np.array([[0.1 + 0.05j, 0.4 + 0.01j], [-0.4 - 0.01j, 0.0]])),
+        (K4, k4_rank3, np.array([0.1 + 0.1j, 0.47 + 0.02j])),
+    ]
+    for base, volt, us in cases:
+        values = l2_zeta_abelian(base, volt, us)
+        assert values.shape == us.shape
+        for u, value in zip(us.ravel(), values.ravel()):
+            scalar = l2_zeta_abelian(base, volt, complex(u))
+            assert type(scalar) is complex
+            assert value == scalar, u
