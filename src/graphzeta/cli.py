@@ -175,7 +175,7 @@ def _require_regular(g) -> int:
 
 def _cmd_zeta_compute(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
-    z = zeta_function(g, exact=args.exact)
+    z = zeta_function(g)
     info = z.q_info
     summary = {
         "command": "zeta compute",
@@ -207,7 +207,7 @@ def _cmd_zeta_compute(args) -> tuple[dict, int]:
                 _manifest_for_file(out),
                 "zeta compute",
                 summary["inputs"],
-                {"exact": bool(args.exact)},
+                {},
             )
         )
     return summary, 0
@@ -506,7 +506,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--eval", default=None, help="complex evaluation point")
     p.add_argument("--emit", default=None, help="write coefficients to this JSON file")
-    p.add_argument("--exact", action="store_true", help="use the exact elimination path")
+    p.add_argument("--exact", action="store_true", help="accepted and ignored")
     p.set_defaults(handler=_cmd_zeta_compute)
 
     p = zeta_sub.add_parser("zeros", help="all zeros with distance to the set C")

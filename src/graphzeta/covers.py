@@ -11,7 +11,7 @@ covers sharing one base, with level indices N_1 = 1 | N_2 | N_3 | ...
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from pathlib import Path
 from typing import Sequence
@@ -220,40 +220,25 @@ def cyclic_tower(
 ) -> Tower:
     """Covers over Z/n for a divisibility chain of orders starting at 1.
 
-    The integer voltages are reduced modulo each order, so the levels are
-    the finite quotients of the single Z-cover the shifts describe. A
-    level over `size_cap` vertices raises ResourceError before it is built.
+    The rank-1 case of `lattice_tower`: the integer voltages are reduced
+    modulo each order, so the levels are the finite quotients of the single
+    Z-cover the shifts describe.
     """
-    orders = [int(n) for n in orders]
-    if not orders or orders[0] != 1:
-        raise InputError("orders must start at 1 (the base level)")
-    for a, b in zip(orders, orders[1:]):
-        if b % a:
-            raise InputError(f"orders must form a divisibility chain ({a} !| {b})")
-    if len(shifts) != base.edge_count:
-        raise InputError(f"{len(shifts)} shifts for {base.edge_count} edges")
-    levels = [TowerLevel(base, 1, base.is_connected, base.component_count)]
-    for step, n in enumerate(orders[1:]):
-        if base.vertex_count * n > size_cap:
-            raise ResourceError(
-                f"cyclic tower level {step + 2} needs {base.vertex_count * n} vertices, "
-                f"over the cap of {size_cap}"
-            )
-        volt = VoltageAssignment.cyclic(shifts, n).reduced((n,))
-        levels.append(_finish_level(base, derived_graph(base, volt), n))
-    increasing = all(b > a for a, b in zip(orders, orders[1:]))
-    return Tower(
-        base=base,
-        levels=tuple(levels),
-        provenance=f"cyclic covers, shifts {list(map(int, shifts))}, orders {orders}",
-        limit_verified=increasing,
-    )
+    tower = lattice_tower(base, [(s,) for s in shifts], orders, size_cap)
+    shifts, orders = [int(s) for s in shifts], [int(n) for n in orders]
+    return replace(tower, provenance=f"cyclic covers, shifts {shifts}, orders {orders}")
 
 
 def lattice_tower(
-    base: MultiGraph, voltages: Sequence[Sequence[int]], orders: Sequence[int]
+    base: MultiGraph,
+    voltages: Sequence[Sequence[int]],
+    orders: Sequence[int],
+    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> Tower:
-    """Covers over (Z/n)^k for a chain of n, the finite quotients of a Z^k cover."""
+    """Covers over (Z/n)^k for a chain of n, the finite quotients of a Z^k cover.
+
+    A level over `size_cap` vertices raises ResourceError before it is built.
+    """
     volt_free = VoltageAssignment.free(voltages)
     k = volt_free.rank
     orders = [int(n) for n in orders]
@@ -267,7 +252,12 @@ def lattice_tower(
             f"{len(volt_free.voltages)} voltages for {base.edge_count} edges"
         )
     levels = [TowerLevel(base, 1, base.is_connected, base.component_count)]
-    for n in orders[1:]:
+    for step, n in enumerate(orders[1:]):
+        if base.vertex_count * n**k > size_cap:
+            raise ResourceError(
+                f"tower level {step + 2} needs {base.vertex_count * n**k} vertices, "
+                f"over the cap of {size_cap}"
+            )
         volt = volt_free.reduced((n,) * k)
         levels.append(_finish_level(base, derived_graph(base, volt), n**k))
     increasing = all(b > a for a, b in zip(orders, orders[1:]))
@@ -279,7 +269,7 @@ def lattice_tower(
     )
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -321,7 +311,7 @@ def homology_tower(
     graph. Level sizes grow fast; the construction stops with a
     ResourceError naming the offending level once the cap would be passed.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     if depth < 0:
         raise InputError("depth must be >= 0")

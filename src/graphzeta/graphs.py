@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -151,12 +151,13 @@ def regularity(g: MultiGraph) -> RegularityInfo:
     return RegularityInfo(is_regular, q, degrees, g.euler_characteristic)
 
 
-@cache
+@lru_cache(maxsize=16)
 def spectrum(g: MultiGraph) -> SpectrumData:
     """Eigenvalues of the adjacency matrix via the dense symmetric solver.
 
     Eigenvalues come back sorted ascending. Solver failure is reported as a
-    NumericError rather than a partial spectrum.
+    NumericError rather than a partial spectrum. Results are memoized for
+    the last 16 graphs.
     """
     try:
         eigs = np.linalg.eigvalsh(g.adjacency)

@@ -17,19 +17,21 @@ region bounded by the set C.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, UnsupportedError
+from .covers import is_prime
+from .errors import DomainError, InputError, NumericError, ResourceError, UnsupportedError
 from .graphs import MultiGraph, RegularityInfo, regularity, spectrum
 from .polynomials import IntPolynomial
 from .region import distance_to_C, omega_contains
 
 _CUT_MARGIN = 1e-12  # points this close to C (hence to a branch cut) are rejected
-_EXACT_VERTEX_CAP = 64
+MODULAR_VERTEX_CAP = 256  # the modular determinant route refuses larger graphs
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def _det_samples(g: MultiGraph, us: np.ndarray) -> np.ndarray:
     qdiag = np.asarray(g.degree_sequence, dtype=np.float64) - 1.0
     eye = np.eye(g.vertex_count)
     out = np.empty(len(us), dtype=complex)
-    chunk = max(1, 2_000_000 // max(1, g.vertex_count**2))
+    chunk = max(1, 500_000 // max(1, g.vertex_count**2))
     for start in range(0, len(us), chunk):
         block = us[start : start + chunk]
         mats = (
@@ -98,14 +100,12 @@ def _interpolated_det_poly(g: MultiGraph) -> IntPolynomial:
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
     samples = _det_samples(g, nodes)
     if not np.all(np.isfinite(samples)):
-        raise NumericError("determinant samples overflowed; retry with exact=True")
+        raise NumericError("determinant samples overflowed")
     # samples[k] = p(w^k) with w = exp(2i pi / n), so the forward
     # transform divided by n inverts the evaluation
     raw = np.fft.fft(samples) / n
     if np.max(np.abs(raw.imag)) > 0.25 or np.max(np.abs(raw.real - np.rint(raw.real))) > 0.25:
-        raise NumericError(
-            "interpolated coefficients are too far from integers; retry with exact=True"
-        )
+        raise NumericError("interpolated coefficients are too far from integers")
     coeffs = [int(round(c)) for c in raw.real[: degree_bound + 1]]
     if any(abs(c) > 0.25 for c in raw.real[degree_bound + 1 :]):
         raise NumericError("interpolation produced spurious high-order terms")
@@ -122,10 +122,7 @@ def _verify_det_poly(g: MultiGraph, poly: IntPolynomial) -> None:
     direct = _det_samples(g, fresh)
     residual = np.max(np.abs(poly(fresh) - direct))
     if residual >= 1e-6:
-        raise NumericError(
-            f"interpolated determinant residual {residual:.3g} exceeds 1e-6; "
-            "retry with exact=True"
-        )
+        raise NumericError(f"interpolated determinant residual {residual:.3g} exceeds 1e-6")
     info = regularity(g)
     if info.is_regular and info.q is not None and info.q >= 0:
         eigs = spectrum(g).eigenvalues
@@ -135,88 +132,97 @@ def _verify_det_poly(g: MultiGraph, poly: IntPolynomial) -> None:
             raise NumericError("determinant disagrees with the eigenvalue factorization")
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _hessenberg_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """det(x I - mat) modulo each prime, one lane per prime, ascending powers of x.
 
-
-def _exact_det_poly(g: MultiGraph) -> IntPolynomial:
-    v = g.vertex_count
-    if v > _EXACT_VERTEX_CAP:
-        raise InputError(
-            f"exact determinant supports at most {_EXACT_VERTEX_CAP} vertices (got {v})"
-        )
-    adj = [[int(round(x)) for x in row] for row in g.adjacency]
-    qdiag = [d - 1 for d in g.degree_sequence]
-    ts = list(range(-v, v + 1))
-    values = []
-    for t in ts:
-        mat = [
-            [
-                (1 if i == j else 0) - adj[i][j] * t + (qdiag[i] * t * t if i == j else 0)
-                for j in range(v)
-            ]
-            for i in range(v)
-        ]
-        values.append(_bareiss_det(mat))
-    # Newton divided differences, then expansion; all arithmetic exact.
-    dd = [Fraction(val) for val in values]
-    for level in range(1, len(ts)):
-        for i in range(len(ts) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (ts[i] - ts[i - level])
-    coeffs = [dd[-1]]
-    for i in range(len(ts) - 2, -1, -1):
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for p, c in enumerate(coeffs):
-            new[p] += -ts[i] * c
-            new[p + 1] += c
-        new[0] += dd[i]
-        coeffs = new
-    if any(c.denominator != 1 for c in coeffs):
-        raise NumericError("exact interpolation produced non-integer coefficients")
-    return IntPolynomial(tuple(int(c) for c in coeffs))
-
-
-@cache
-def det_poly(g: MultiGraph, exact: bool = False) -> IntPolynomial:
-    """Exact integer coefficients of det(I - A u + Q u^2).
-
-    The default path samples the determinant on roots of unity,
-    interpolates by FFT, rounds to integers, and verifies the result by
-    re-evaluation (plus the eigenvalue factorization when the graph is
-    regular). If rounding is unstable for very large graphs it raises
-    NumericError; `exact=True` switches to fraction-free elimination at
-    integer sample points, exact for up to 64 vertices.
+    A similarity transform to upper Hessenberg form h, then the recurrence
+    of Cohen, "A Course in Computational Algebraic Number Theory", Algorithm
+    2.2.9. Every value that is multiplied is first reduced into [0, p) with
+    p < 2^26, so a product is below 2^52, and an einsum adds at most
+    n <= 2 * MODULAR_VERTEX_CAP = 512 of them, below 2^61: no int64 product
+    or sum can overflow.
     """
-    if exact:
-        return _exact_det_poly(g)
-    return _interpolated_det_poly(g)
+    n = mat.shape[0]
+    lanes = np.arange(len(primes))
+    p1, p2 = primes[:, None], primes[:, None, None]
+    h = mat[None, :, :] % p2
+    for j in range(n - 2):
+        # pivot: the first row below the subdiagonal with a nonzero entry in column j
+        piv = j + 1 + np.argmax(h[:, j + 1 :, j] != 0, axis=1)
+        h[lanes, j + 1], h[lanes, piv] = h[lanes, piv], h[lanes, j + 1]
+        h[lanes, :, j + 1], h[lanes, :, piv] = h[lanes, :, piv], h[lanes, :, j + 1]
+        pivots = zip(h[:, j + 1, j].tolist(), primes.tolist())
+        inv = np.array([pow(x, -1, p) if x else 0 for x, p in pivots], dtype=np.int64)
+        # rows i > j + 1 lose mult_i times row j + 1; column j + 1 gains mult_i times column i
+        mult = h[:, j + 2 :, j] * inv[:, None] % p1
+        block = h[:, j + 2 :, j:]
+        block -= mult[:, :, None] * h[:, None, j + 1, j:]
+        block %= p2
+        h[:, :, j + 1] = (h[:, :, j + 1] + np.einsum("pij,pj->pi", h[:, :, j + 2 :], mult)) % p1
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    scale = np.ones((len(primes), n), dtype=np.int64)
+    for m in range(1, n + 1):
+        # p_m = x p_{m-1} - sum_{k < m} h[k, m-1] scale_k p_k, scale_k = prod_{k < r < m} h[r, r-1]
+        scale[:, : m - 1] = scale[:, : m - 1] * h[:, m - 1, m - 2, None] % p1
+        w = scale[:, :m] * h[:, :m, m - 1] % p1
+        polys[:, m, 1:] = polys[:, m - 1, :-1]
+        polys[:, m, :m] = (polys[:, m, :m] - np.einsum("pk,pkc->pc", w, polys[:, :m, :m])) % p1
+    return polys[:, n]
 
 
-def zeta_function(g: MultiGraph, exact: bool = False) -> ZetaFunction:
+def _modular_det_poly(g: MultiGraph) -> IntPolynomial:
+    """det(I - A u + Q u^2) = det(I - u L) with L = [[A, -Q], [I, 0]], exactly.
+
+    The coefficient of u^j is that of x^(2v - j) in det(x I - L), taken
+    modulo primes whose product exceeds twice the bound prod_i max(2, 2 deg_i)
+    on every coefficient (Hadamard's inequality on the rows at |u| = 1) and
+    lifted to symmetric residues by the Chinese remainder theorem.
+    """
+    v = g.vertex_count
+    if v > MODULAR_VERTEX_CAP:
+        raise ResourceError(
+            f"exact determinant route takes at most {MODULAR_VERTEX_CAP} vertices, got {v}"
+        )
+    bound = 2 * math.prod(max(2, 2 * d) for d in g.degree_sequence)
+    primes, modulus, candidate = [], 1, 2**26 - 1
+    while modulus <= bound:
+        if is_prime(candidate):
+            primes.append(candidate)
+            modulus *= candidate
+        candidate -= 2
+    q = np.diag(np.asarray(g.degree_sequence) - 1)
+    lin = np.block([[g.adjacency, -q], [np.eye(v), np.zeros((v, v))]]).astype(np.int64)
+    residues = _hessenberg_charpoly(lin, np.asarray(primes, dtype=np.int64))
+    weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    lifted = [sum(int(r) * w for r, w in zip(res, weights)) % modulus for res in residues.T[::-1]]
+    return IntPolynomial(tuple(c - modulus if 2 * c > modulus else c for c in lifted))
+
+
+def det_poly(g: MultiGraph, exact: bool = False) -> IntPolynomial:
+    """Exact integer coefficients of det(I - A u + Q u^2), memoized for 16 graphs.
+
+    FFT interpolation on roots of unity, verified by re-evaluation (and by
+    the eigenvalue factorization for regular graphs); where that fails, as
+    for cubic graphs from about 40 vertices, the characteristic polynomial
+    of a linearization modulo primes, which raises ResourceError over
+    MODULAR_VERTEX_CAP vertices. `exact` is accepted and ignored.
+    """
+    return _det_poly(g)
+
+
+@lru_cache(maxsize=16)
+def _det_poly(g: MultiGraph) -> IntPolynomial:
+    try:
+        return _interpolated_det_poly(g)
+    except NumericError:
+        return _modular_det_poly(g)
+
+
+def zeta_function(g: MultiGraph) -> ZetaFunction:
     return ZetaFunction(
         chi=g.euler_characteristic,
-        det_poly=det_poly(g, exact),
+        det_poly=det_poly(g),
         q_info=regularity(g),
         source=g,
     )
@@ -429,11 +435,11 @@ def euler_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(-n_m, m) for m, n_m in enumerate(closed_walk_counts(g, terms), 1))
 
 
-def zeta_log_coeffs(g: MultiGraph, terms: int, exact: bool = False) -> tuple[Fraction, ...]:
+def zeta_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
     """The same coefficients from the closed form (1-u^2)^(-chi) det(...)."""
     if terms < 1:
         raise InputError("terms must be >= 1")
-    poly = det_poly(g, exact)
+    poly = det_poly(g)
     if poly.coefficients[0] != 1:
         raise NumericError("determinant polynomial must have constant coefficient 1")
     logs = list(poly.log_series(terms))

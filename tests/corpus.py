@@ -3,7 +3,8 @@
 Closed-form families (cycles, complete, bouquet, Petersen) plus seeded
 configuration-model cubic multigraphs. The configuration model pairs
 stubs uniformly, so every sample is exactly 3-regular even when it picks
-up loops or doubled edges.
+up loops or doubled edges. `det_at` is the determinant oracle: Bareiss
+elimination on the integer matrix I - A t + Q t^2.
 """
 
 import random
@@ -35,3 +36,37 @@ RANDOM_CUBIC = [
 ]
 
 REGULAR_CORPUS = [K4, PETERSEN, B2, CYCLES[3], CYCLES[5], CYCLES[8]] + RANDOM_CUBIC
+
+# FFT interpolation of det_poly cannot round this graph's coefficients
+CUBIC48 = random_regular(48, 3, 0)
+
+
+def bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination; every division is exact."""
+    n = len(m)
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def det_at(g: MultiGraph, t: int) -> int:
+    """det(I - A t + Q t^2) at an integer t, exactly."""
+    deg, adj = g.degree_sequence, g.adjacency
+    v = g.vertex_count
+    return bareiss_det(
+        [
+            [(i == j) * (1 + (deg[i] - 1) * t * t) - int(adj[i, j]) * t for j in range(v)]
+            for i in range(v)
+        ]
+    )

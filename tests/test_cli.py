@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from graphzeta import bouquet_graph, complete_graph, cycle_graph, save_graph
+from graphzeta import IntPolynomial, bouquet_graph, complete_graph, cycle_graph, save_graph, zeta
 from graphzeta.cli import run
+from graphzeta.zeta import _det_poly
 
-from corpus import K4
+from corpus import CUBIC48, K4, det_at
 
 
 @pytest.fixture()
@@ -57,6 +58,26 @@ def test_zeta_compute(workdir, capsys):
     assert str(workdir / "k4.json") in manifest["inputs"]
 
 
+def test_zeta_compute_where_fft_interpolation_fails(workdir, capsys):
+    save_graph(CUBIC48, workdir / "cubic48.json")
+    for extra in ([], ["--exact"]):  # --exact is accepted and changes nothing
+        emit = workdir / "cubic48_poly.json"
+        argv = ["zeta", "compute", "--graph", str(workdir / "cubic48.json"), "--emit", str(emit)]
+        assert run(argv + extra) == 0
+        assert summary_of(capsys)["det_poly_degree"] == 96
+        poly = IntPolynomial(tuple(json.loads(emit.read_text())))
+        assert [poly(t) for t in (-1, 2, 3)] == [det_at(CUBIC48, t) for t in (-1, 2, 3)]
+
+
+def test_modular_route_vertex_cap(workdir, capsys, monkeypatch):
+    save_graph(CUBIC48, workdir / "cubic48.json")
+    monkeypatch.setattr(zeta, "MODULAR_VERTEX_CAP", 40)
+    _det_poly.cache_clear()
+    assert run(["zeta", "compute", "--graph", str(workdir / "cubic48.json")]) == 2
+    err = capsys.readouterr().err
+    assert "at most 40 vertices, got 48" in err
+
+
 def test_zeta_zeros_check(workdir, capsys):
     out = workdir / "zeros.csv"
     code = run(
@@ -81,6 +102,13 @@ def test_zeta_functional_check(workdir, capsys):
     assert code == 0
     doc = summary_of(capsys)
     assert doc["pass"] is True and doc["max_relative_residual"] < 1e-9
+
+
+def test_functional_check_reuses_the_memoized_determinant(workdir, capsys):
+    _det_poly.cache_clear()
+    assert run(["zeta", "functional-check", "--graph", str(workdir / "k4.json")]) == 0
+    info = _det_poly.cache_info()
+    assert info.misses == 1 and info.hits >= 99
 
 
 def test_cover_build(workdir, capsys):

@@ -22,6 +22,7 @@ from graphzeta import (
     validate_cover,
     voltage_from_json,
 )
+from graphzeta.zeta import _modular_det_poly
 
 from corpus import B2, K4, LOOP
 
@@ -91,7 +92,7 @@ def test_cover_spectrum_contains_base_spectrum():
 def test_cover_det_poly_divisible_by_base():
     volt = VoltageAssignment.cyclic((1, 2, 0, 1, 1, 0), 4)
     cover = derived_graph(K4, volt)
-    assert det_poly(K4, exact=True).divides(det_poly(cover, exact=True))
+    assert _modular_det_poly(K4).divides(_modular_det_poly(cover))
 
 
 def test_cyclic_tower_structure():
@@ -100,6 +101,7 @@ def test_cyclic_tower_structure():
     assert [lvl.graph.vertex_count for lvl in tower.levels] == [1, 2, 4, 8]
     assert tower.levels[0].graph == LOOP
     assert tower.limit_verified
+    assert tower.provenance == "cyclic covers, shifts [1], orders [1, 2, 4, 8]"
     with pytest.raises(InputError):
         cyclic_tower(LOOP, (1,), (2, 4))  # must start at the base
     with pytest.raises(InputError):
@@ -111,6 +113,15 @@ def test_lattice_tower_structure():
     assert tower.indices == (1, 4, 16)
     assert [lvl.graph.vertex_count for lvl in tower.levels] == [1, 4, 16]
     assert tower.limit_verified
+
+
+def test_lattice_tower_respects_size_cap():
+    # the (Z/1000)^2 level would have 10^6 vertices; nothing is built
+    too_big = "level 3 needs 1000000 vertices, over the cap of 10000"
+    with pytest.raises(ResourceError, match=too_big):
+        lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 1000))
+    with pytest.raises(ResourceError, match="16 vertices, over the cap of 15"):
+        lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 4), size_cap=15)
 
 
 def test_homology_tower_bouquet_sizes():

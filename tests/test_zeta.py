@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from graphzeta import (
     DomainError,
     InputError,
+    NumericError,
     UnsupportedError,
     bouquet_graph,
     build_graph,
@@ -26,15 +27,31 @@ from graphzeta import (
     normalized_zeta,
     nth_root_det,
     path_graph,
+    spectrum,
     transfer_operator,
     zeta_eval,
     zeta_function,
     zeta_log_coeffs,
     zeta_zeros,
 )
-from graphzeta.zeta import closed_walk_counts
+from graphzeta.zeta import (
+    _det_poly,
+    _interpolated_det_poly,
+    _modular_det_poly,
+    closed_walk_counts,
+)
 
-from corpus import CYCLES, K4, PETERSEN, RANDOM_CUBIC, REGULAR_CORPUS
+from corpus import (
+    B2,
+    CUBIC48,
+    CYCLES,
+    K4,
+    LOOP,
+    PETERSEN,
+    RANDOM_CUBIC,
+    REGULAR_CORPUS,
+    det_at,
+)
 
 
 def convolve(a, b):
@@ -51,7 +68,7 @@ def test_k4_det_poly_matches_factored_form():
     for _ in range(3):
         expected = convolve(expected, [1, 1, 2])
     assert det_poly(K4).to_list() == expected
-    assert det_poly(K4, exact=True).to_list() == expected
+    assert _modular_det_poly(K4).to_list() == expected
 
 
 def test_k4_det_poly_frozen():
@@ -73,7 +90,41 @@ def test_bouquet_det_poly():
 
 def test_exact_and_interpolated_paths_agree():
     for g in [PETERSEN, path_graph(4)] + RANDOM_CUBIC[:2]:
-        assert det_poly(g).to_list() == det_poly(g, exact=True).to_list()
+        assert _interpolated_det_poly(g).to_list() == _modular_det_poly(g).to_list()
+
+
+def test_modular_route_matches_bareiss_oracle():
+    edge_cases = [
+        build_graph(1, []),  # a single vertex with no edges
+        build_graph(3, [(0, 1), (1, 1)]),  # vertex 2 is isolated
+        path_graph(5),  # degree-1 ends
+        build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]),  # loops, a double edge
+        build_graph(7, K4.edges + ((4, 5), (5, 6), (6, 4))),  # K4 beside a triangle
+    ]
+    for g in [K4, PETERSEN, B2, LOOP, *CYCLES.values(), *RANDOM_CUBIC, *edge_cases]:
+        p = _modular_det_poly(g)
+        v = g.vertex_count
+        # 2v + 1 integer points determine a polynomial of degree at most 2v
+        assert p.degree <= 2 * v
+        assert [p(t) for t in range(-v, v + 1)] == [det_at(g, t) for t in range(-v, v + 1)]
+
+
+def test_det_poly_falls_back_to_the_modular_route():
+    with pytest.raises(NumericError):
+        _interpolated_det_poly(CUBIC48)
+    p = det_poly(CUBIC48)
+    assert p.degree == 96 and p.coefficients[0] == 1
+    for t in (-2, -1, 2, 3):
+        assert p(t) == det_at(CUBIC48, t)
+
+
+def test_memos_are_bounded_and_ignore_exact():
+    assert det_poly(K4, exact=True) is det_poly(K4)
+    for memo in (_det_poly, spectrum):
+        for n in range(3, 3 + memo.cache_info().maxsize + 4):
+            memo(cycle_graph(n))
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize
 
 
 def brute_force_closed_nb_walks(g, length):
@@ -288,7 +339,7 @@ def test_det_poly_is_relabeling_invariant(data):
     n, edges, perm = data
     g = build_graph(n, edges)
     h = build_graph(n, [(perm[x], perm[y]) for x, y in edges])
-    assert det_poly(g, exact=True).to_list() == det_poly(h, exact=True).to_list()
+    assert _modular_det_poly(g).to_list() == _modular_det_poly(h).to_list()
 
 
 def test_large_graph_uses_interpolation_and_matches_eigenvalues():
