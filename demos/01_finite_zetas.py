@@ -37,7 +37,7 @@ def main():
         print(f"  C{n}:", det_poly(cycle_graph(n)).to_list())
 
     print("\n== all zeros of a regular graph lie on the set C ==")
-    report = zeta_zeros(zeta_function(complete_graph(4)))
+    report = zeta_zeros(complete_graph(4))
     for zero in report.zeros:
         print(f"  u = {zero.value:.6f}  multiplicity {zero.multiplicity}"
               f"  dist to C = {zero.distance:.2e}")

@@ -41,7 +41,7 @@ def main():
     tower = cyclic_tower(loop, (1,), (1, 2, 4, 8, 16))
     for lvl in tower.levels:
         print(f"  index {lvl.index:>3}: {lvl.graph.vertex_count} vertices,"
-              f" connected: {lvl.connected}")
+              f" connected: {lvl.graph.is_connected}")
     print("  limit verified:", tower.limit_verified)
 
     print("\n== discrete torus tower over the 2-loop bouquet ==")

@@ -50,7 +50,7 @@ def main():
 
     print("\n== spectral distribution of the line: the arcsine law ==")
     lambdas = np.linspace(-1.5, 1.5, 7)
-    got = symbol_spectral_cdf(sym, lambdas, points_per_dim=4096)
+    got = symbol_spectral_cdf(sym, lambdas)
     arcsine = 0.5 + np.arcsin(lambdas / 2.0) / np.pi
     for lam, f, a in zip(lambdas, got, arcsine):
         print(f"  F({lam:+.2f}) = {f:.4f}  arcsine {a:.4f}")

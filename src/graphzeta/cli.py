@@ -4,8 +4,8 @@ Subcommand groups: zeta (compute, zeros, euler-check, functional-check),
 cover (build), tower (build, run), l2 (torus, cdf), deitmar (check).
 Every run prints a one-line JSON summary to stdout and, whenever files are
 written, drops a manifest recording input hashes, tolerances and grid
-parameters next to them. Exit codes: 0 success, 1 input error, 2 numeric
-or resource error (including failed checks).
+parameters next to them. Exit codes: 0 success, 2 for a failed check,
+otherwise the `exit_code` of the error raised (tabulated in errors.py).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .convergence import (
-    ConvergenceReport,
     GridSpec,
     deitmar_residual,
     tower_convergence,
@@ -35,15 +35,8 @@ from .covers import (
     load_tower_spec,
     load_voltages,
 )
-from .errors import (
-    DomainError,
-    GraphZetaError,
-    InputError,
-    NumericError,
-    ResourceError,
-    UnsupportedError,
-)
-from .graphs import load_graph, regularity, save_graph, spectrum
+from .errors import GraphZetaError, InputError, ResourceError
+from .graphs import load_graph, regular_q, regularity, save_graph, spectrum
 from .l2 import L2Zeta, empirical_cdf, l2_zeta_abelian, torus_l2
 from .zeta import (
     euler_log_coeffs,
@@ -121,9 +114,6 @@ def _parse_grid(text: str, q: int) -> GridSpec:
 
 def _parse_target(text: str, base, spec_dir: Path) -> tuple[L2Zeta, list[Path]]:
     """Returns the target evaluator and any files it depends on."""
-    info = regularity(base)
-    if not info.is_regular or info.q is None or info.q < 1:
-        raise InputError("targets are defined for regular bases only")
     if text.startswith("constant:"):
         try:
             value = complex(text.split(":", 1)[1])
@@ -131,7 +121,7 @@ def _parse_target(text: str, base, spec_dir: Path) -> tuple[L2Zeta, list[Path]]:
             raise InputError(f"malformed constant target {text!r}") from exc
         target = L2Zeta(
             chi_base=base.euler_characteristic,
-            q=info.q,
+            q=regular_q(base),
             evaluate=lambda u, v=value: v,
             description=f"constant {text.split(':', 1)[1]}",
         )
@@ -162,13 +152,6 @@ def _size_cap(args) -> int | None:
     return None
 
 
-def _require_regular(g) -> int:
-    info = regularity(g)
-    if not info.is_regular or info.q is None or info.q < 1:
-        raise InputError("this command needs a regular graph with q >= 1")
-    return info.q
-
-
 # ---------------------------------------------------------------------------
 # handlers; each returns (summary-dict, exit-code)
 
@@ -176,7 +159,7 @@ def _require_regular(g) -> int:
 def _cmd_zeta_compute(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
     z = zeta_function(g)
-    info = z.q_info
+    info = regularity(g)
     summary = {
         "command": "zeta compute",
         "graph": args.graph,
@@ -215,7 +198,7 @@ def _cmd_zeta_compute(args) -> tuple[dict, int]:
 
 def _cmd_zeta_zeros(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
-    report = zeta_zeros(zeta_function(g))
+    report = zeta_zeros(g)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["re,im,multiplicity,dist_to_C"]
@@ -268,7 +251,7 @@ def _cmd_zeta_euler_check(args) -> tuple[dict, int]:
 
 def _cmd_zeta_functional_check(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
-    q = _require_regular(g)
+    q = regular_q(g)
     rng = random.Random(args.seed)
     worst = 0.0
     tested = 0
@@ -301,6 +284,11 @@ def _cmd_cover_build(args) -> tuple[dict, int]:
     volt = load_voltages(args.voltages)
     if not volt.is_finite:
         raise InputError("cover build needs a finite voltage group (orders)")
+    cap = _size_cap(args)
+    cap = DEFAULT_SIZE_CAP if cap is None else cap
+    size = base.vertex_count * math.prod(volt.orders)
+    if size > cap:
+        raise ResourceError(f"the cover needs {size} vertices, over the cap of {cap}")
     cover = derived_graph(base, volt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -336,7 +324,7 @@ def _cmd_tower_build(args) -> tuple[dict, int]:
         "provenance": tower.provenance,
         "indices": list(tower.indices),
         "sizes": [level.graph.vertex_count for level in tower.levels],
-        "connected": [level.connected for level in tower.levels],
+        "connected": [level.graph.is_connected for level in tower.levels],
         "levels": level_files,
     }
     (outdir / "tower.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -357,7 +345,7 @@ def _cmd_tower_build(args) -> tuple[dict, int]:
 
 def _cmd_tower_run(args) -> tuple[dict, int]:
     tower = load_tower_spec(args.spec, _size_cap(args))
-    q = _require_regular(tower.base)
+    q = regular_q(tower.base)
     grid = _parse_grid(args.grid, q)
     target, target_files = _parse_target(args.target, tower.base, Path(args.spec).parent)
     report = tower_convergence(tower, target, grid)
@@ -382,7 +370,7 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
             outdir / "manifest.json",
             "tower run",
             inputs,
-            {"target": args.target, "grid": grid.describe(), "jobs_independent": True},
+            {"target": args.target, "grid": grid.describe()},
         )
     )
     return summary, 0
@@ -390,7 +378,7 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
 
 def _cmd_l2_torus(args) -> tuple[dict, int]:
     base = load_graph(args.base)
-    q = _require_regular(base)
+    q = regular_q(base)
     volt = load_voltages(args.voltages)
     if volt.is_finite:
         raise InputError("l2 torus needs a free abelian voltage file (rank k)")
@@ -469,7 +457,7 @@ def _cmd_l2_cdf(args) -> tuple[dict, int]:
 
 def _cmd_deitmar_check(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
-    q = _require_regular(g)
+    q = regular_q(g)
     if args.grid is not None:
         grid = _parse_grid(args.grid, q)
     else:
@@ -595,15 +583,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         summary, code = args.handler(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (InputError, DomainError, UnsupportedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GraphZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     print(json.dumps(summary, sort_keys=True))
     return code
 

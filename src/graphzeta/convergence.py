@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covers import Tower
-from .errors import DomainError, InputError, UnsupportedError
-from .graphs import MultiGraph, regularity, spectrum
+from .errors import DomainError, InputError
+from .graphs import MultiGraph, regular_q, spectrum
 from .l2 import L2Zeta, SpectralCDF, empirical_cdf
-from .region import omega_contains, set_c_polyline
+from .region import check_q, omega_contains, set_c_polyline
 from .zeta import det_poly, normalized_zeta, zeta_eval, zeta_function
 
 
@@ -42,8 +42,7 @@ class GridSpec:
     margin: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, (int, np.integer)) or self.q < 1:
-            raise InputError("q must be an integer >= 1")
+        check_q(self.q)
         if not 0.0 < self.radius < self.q ** -0.5:
             raise InputError(
                 f"grid radius must lie in (0, q^(-1/2)) = (0, {self.q ** -0.5:.6g})"
@@ -119,30 +118,17 @@ class ConvergenceReport:
         return doc
 
 
-def tower_convergence(
-    tower: Tower,
-    target: "L2Zeta | Callable[[complex], complex]",
-    grid: GridSpec,
-) -> ConvergenceReport:
-    """Per-level sup of |normalized zeta - target| over the grid.
-
-    An L2Zeta target is evaluated on all grid points in one call; any
-    other callable, point by point.
-    """
+def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> ConvergenceReport:
+    """Per-level sup of |normalized zeta - target| over the grid; the target
+    is evaluated on all grid points in one call."""
     points = grid.array
     if len(points) == 0:
         raise InputError("the grid contains no admissible points")
     chi_base = tower.base.euler_characteristic
-    info = regularity(tower.base)
-    if not info.is_regular or info.q != grid.q:
-        raise InputError(
-            f"grid q = {grid.q} does not match the tower base (regular: "
-            f"{info.is_regular}, q = {info.q})"
-        )
-    if isinstance(target, L2Zeta):
-        target_values = np.broadcast_to(target.evaluate(points), points.shape)
-    else:
-        target_values = np.asarray([complex(target(u)) for u in points])
+    q = regular_q(tower.base)
+    if q != grid.q:
+        raise InputError(f"grid q = {grid.q} does not match the tower base's q = {q}")
+    target_values = np.broadcast_to(target.evaluate(points), points.shape)
     levels = []
     for level in tower.levels:
         values = normalized_zeta(level.graph, level.index, chi_base, points)
@@ -156,11 +142,10 @@ def tower_convergence(
                 errors=errors,
             )
         )
-    description = getattr(target, "description", None) or "user-supplied target"
     return ConvergenceReport(
         levels=tuple(levels),
         grid=grid,
-        target_description=description,
+        target_description=target.description,
         limit_verified=tower.limit_verified,
     )
 
@@ -190,13 +175,11 @@ def deitmar_residual(base: MultiGraph, u) -> "float | np.ndarray":
     the finite zeta equals the determinant ratio; the residual should
     vanish to near machine precision inside the region.
     """
-    info = regularity(base)
-    if not info.is_regular or info.q is None or info.q < 1:
-        raise UnsupportedError("the determinant identity is checked for regular graphs")
+    q = regular_q(base)
     if not base.is_connected:
         raise InputError("the determinant identity needs a connected base")
     us = np.asarray(u, dtype=complex)
-    if not np.all(omega_contains(info.q, us, 0.0)):
+    if not np.all(omega_contains(q, us)):
         raise DomainError("evaluation point outside the open region bounded by C")
     z = zeta_function(base)
     chi = base.euler_characteristic

@@ -10,14 +10,13 @@ covers sharing one base, with level indices N_1 = 1 | N_2 | N_3 | ...
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError, NumericError, ResourceError
-from .graphs import MultiGraph, build_graph, load_graph
+from .graphs import MultiGraph, build_graph, load_graph, read_json
 
 DEFAULT_SIZE_CAP = 10_000
 
@@ -165,8 +164,6 @@ def validate_cover(
 class TowerLevel:
     graph: MultiGraph
     index: int
-    connected: bool
-    component_count: int
 
 
 @dataclass(frozen=True)
@@ -199,17 +196,6 @@ class Tower:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(level.index for level in self.levels)
-
-
-def _finish_level(base: MultiGraph, graph: MultiGraph, index: int) -> TowerLevel:
-    if not validate_cover(graph, base, covering_projection(base, graph)):
-        raise NumericError("internal error: derived graph failed cover validation")
-    return TowerLevel(
-        graph=graph,
-        index=index,
-        connected=graph.is_connected,
-        component_count=graph.component_count,
-    )
 
 
 def cyclic_tower(
@@ -251,15 +237,17 @@ def lattice_tower(
         raise InputError(
             f"{len(volt_free.voltages)} voltages for {base.edge_count} edges"
         )
-    levels = [TowerLevel(base, 1, base.is_connected, base.component_count)]
+    levels = [TowerLevel(base, 1)]
     for step, n in enumerate(orders[1:]):
         if base.vertex_count * n**k > size_cap:
             raise ResourceError(
                 f"tower level {step + 2} needs {base.vertex_count * n**k} vertices, "
                 f"over the cap of {size_cap}"
             )
-        volt = volt_free.reduced((n,) * k)
-        levels.append(_finish_level(base, derived_graph(base, volt), n**k))
+        cover = derived_graph(base, volt_free.reduced((n,) * k))
+        if not validate_cover(cover, base, covering_projection(base, cover)):
+            raise NumericError("internal error: derived graph failed cover validation")
+        levels.append(TowerLevel(cover, n**k))
     increasing = all(b > a for a, b in zip(orders, orders[1:]))
     return Tower(
         base=base,
@@ -317,14 +305,14 @@ def homology_tower(
         raise InputError("depth must be >= 0")
     if not base.is_connected:
         raise InputError("homology towers need a connected base")
-    levels = [TowerLevel(base, 1, True, 1)]
+    levels = [TowerLevel(base, 1)]
     proj_to_base = list(range(base.vertex_count))
     current = base
     index = 1
     for step in range(depth):
         rank = current.edge_count - current.vertex_count + 1
         if rank == 0:
-            levels.append(TowerLevel(current, index, current.is_connected, 1))
+            levels.append(TowerLevel(current, index))
             continue
         growth = p**rank
         next_size = current.vertex_count * growth
@@ -353,9 +341,7 @@ def homology_tower(
             raise NumericError("internal error: composed projection is not a covering")
         index *= growth
         current = nxt
-        levels.append(
-            TowerLevel(current, index, current.is_connected, current.component_count)
-        )
+        levels.append(TowerLevel(current, index))
     return Tower(
         base=base,
         levels=tuple(levels),
@@ -385,13 +371,7 @@ def voltage_from_json(doc: dict) -> VoltageAssignment:
 
 
 def load_voltages(path: "str | Path") -> VoltageAssignment:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise InputError(f"voltage file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"voltage file {path} is not valid JSON: {exc}") from exc
-    return voltage_from_json(doc)
+    return voltage_from_json(read_json(path, "voltage file"))
 
 
 def tower_from_spec(
@@ -427,10 +407,4 @@ def tower_from_spec(
 
 
 def load_tower_spec(path: "str | Path", size_cap: int | None = None) -> Tower:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise InputError(f"tower spec not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"tower spec {path} is not valid JSON: {exc}") from exc
-    return tower_from_spec(doc, Path(path).parent, size_cap)
+    return tower_from_spec(read_json(path, "tower spec"), Path(path).parent, size_cap)

@@ -2,25 +2,40 @@
 
 InputError, UnsupportedError and DomainError signal problems with what the
 caller asked for; NumericError and ResourceError signal that a computation
-could not be completed reliably. The command line maps the first group to
-exit code 1 and the second to exit code 2.
+could not be completed reliably. Each class carries the exit code the
+command line returns for it:
+
+    GraphZetaError    2
+    InputError        1
+    UnsupportedError  1
+    DomainError       1
+    NumericError      2
+    ResourceError     2
 """
 
 
 class GraphZetaError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class InputError(GraphZetaError, ValueError):
     """Malformed or inconsistent input data or arguments."""
+
+    exit_code = 1
 
 
 class UnsupportedError(GraphZetaError, ValueError):
     """The operation is not defined for the given object (e.g. irregular graph)."""
 
+    exit_code = 1
+
 
 class DomainError(GraphZetaError, ValueError):
     """The evaluation point lies outside the operation's domain."""
+
+    exit_code = 1
 
 
 class NumericError(GraphZetaError, RuntimeError):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, UnsupportedError
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,19 @@ def regularity(g: MultiGraph) -> RegularityInfo:
     return RegularityInfo(is_regular, q, degrees, g.euler_characteristic)
 
 
+def regular_q(g: MultiGraph) -> int:
+    """q = degree - 1 of a (q+1)-regular graph with q >= 1, the graphs that
+    zeros, N-th roots, L2 zetas and the functional equation are defined for;
+    UnsupportedError for any other graph."""
+    q = regularity(g).q
+    if q is None or q < 1:
+        raise UnsupportedError(
+            f"{g.name or 'the graph'} is not (q+1)-regular with q >= 1 "
+            f"(degrees {sorted(set(g.degree_sequence))})"
+        )
+    return q
+
+
 @lru_cache(maxsize=16)
 def spectrum(g: MultiGraph) -> SpectrumData:
     """Eigenvalues of the adjacency matrix via the dense symmetric solver.
@@ -230,11 +243,16 @@ def save_graph(g: MultiGraph, path: "str | Path") -> None:
     Path(path).write_text(json.dumps(graph_to_json(g), sort_keys=True) + "\n")
 
 
-def load_graph(path: "str | Path") -> MultiGraph:
+def read_json(path: "str | Path", what: str):
+    """The JSON document in a file; InputError, naming `what`, when the file
+    cannot be read (missing, a directory, no permission) or is not valid JSON."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise InputError(f"graph file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"graph file {path} is not valid JSON: {exc}") from exc
-    return graph_from_json(doc)
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid text encoding
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_graph(path: "str | Path") -> MultiGraph:
+    return graph_from_json(read_json(path, "graph file"))

@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .covers import VoltageAssignment
-from .errors import DomainError, InputError, ResourceError, UnsupportedError
-from .graphs import MultiGraph, SpectrumData, regularity
-from .region import distance_to_C, omega_contains
+from .errors import DomainError, InputError, ResourceError
+from .graphs import MultiGraph, SpectrumData, regular_q
+from .region import check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
 NODE_BUDGET = 2**22
+CDF_POINTS_PER_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,6 @@ class TorusSymbol:
         for x, y, freq, coeff in self.terms:
             out[:, x, y] += coeff * np.exp(1j * (thetas @ np.asarray(freq, dtype=float)))
         return out
-
-    def matrix(self, theta: Sequence[float]) -> np.ndarray:
-        return self.matrices(np.asarray(theta, dtype=float)[None, :])[0]
 
     def eigenvalue_samples(self, thetas: np.ndarray) -> np.ndarray:
         """Real eigenvalues at each theta row; shape (m, vertex_count)."""
@@ -173,15 +171,8 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     nodes in total. Every point must lie inside the open region bounded by
     C and at least 1e-12 away from it.
     """
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise InputError("q must be an integer >= 1")
     us = np.asarray(u, dtype=complex)
-    inside = np.asarray(omega_contains(q, us, 0.0)) & (np.asarray(distance_to_C(q, us)) > 1e-12)
-    if not inside.all():
-        raise DomainError(
-            f"u = {complex(us[~inside][0])} is outside the open region bounded by C "
-            "(or within 1e-12 of it)"
-        )
+    require_inside(q, us)
     points = us.ravel().tolist()
     values = [np.nan] * len(points)
     changes = [np.nan] * len(points)
@@ -208,11 +199,9 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
 def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
     """The L2 zeta value (1 - u^2)^(-chi) * exp(torus log-determinant) at a
     point (a complex) or an array of points (an array of the same shape)."""
-    info = regularity(base)
-    if not info.is_regular or info.q is None or info.q < 1:
-        raise UnsupportedError("the L2 zeta function is computed for regular bases")
+    q = regular_q(base)
     us = np.asarray(u, dtype=complex)
-    log_dets = np.ravel(l2_log_det(torus_symbol(base, volt), info.q, us)).tolist()
+    log_dets = np.ravel(l2_log_det(torus_symbol(base, volt), q, us)).tolist()
     chi = base.euler_characteristic
     # point by point: numpy's vectorized complex product can round the last
     # bit differently from the scalar one
@@ -263,8 +252,7 @@ def l2_series_oracle(
     that 40-ish terms reach full double precision. Independent of the
     quadrature route.
     """
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise InputError("q must be an integer >= 1")
+    check_q(q)
     if terms < 1:
         raise InputError("terms must be >= 1")
     u = complex(u)
@@ -306,24 +294,16 @@ class L2Zeta:
     def __call__(self, u: complex) -> complex:
         return complex(self.evaluate(complex(u)))
 
-    def det_pi(self, u: complex) -> complex:
-        """The L2 determinant (1 - u^2)^chi * Z(u)."""
-        u = complex(u)
-        return (1.0 - u * u) ** self.chi_base * self(u)
-
 
 def tree_l2_reference(base: MultiGraph | None = None) -> L2Zeta:
     """The constant-1 L2 zeta of a regular tree cover.
 
-    Passing the base graph records its chi and q so that det_pi returns
-    (1 - u^2)^chi; with no base the reference is the bare constant.
+    Passing the base graph records its chi and q; with no base the
+    reference is the bare constant with chi = 0 and q = 1.
     """
     chi, q = 0, 1
     if base is not None:
-        info = regularity(base)
-        if not info.is_regular or info.q is None or info.q < 1:
-            raise UnsupportedError("tree reference needs a regular base")
-        chi, q = base.euler_characteristic, info.q
+        chi, q = base.euler_characteristic, regular_q(base)
     return L2Zeta(
         chi_base=chi,
         q=q,
@@ -334,27 +314,23 @@ def tree_l2_reference(base: MultiGraph | None = None) -> L2Zeta:
 
 def torus_l2(base: MultiGraph, volt: VoltageAssignment) -> L2Zeta:
     """The quadrature-backed L2 zeta of the Z^k cover given by `volt`."""
-    info = regularity(base)
-    if not info.is_regular or info.q is None or info.q < 1:
-        raise UnsupportedError("the L2 zeta function is computed for regular bases")
     return L2Zeta(
         chi_base=base.euler_characteristic,
-        q=info.q,
+        q=regular_q(base),
         evaluate=lambda u: l2_zeta_abelian(base, volt, u),
         description=f"torus quadrature, rank {volt.rank}",
     )
 
 
-def symbol_spectral_cdf(
-    sym: TorusSymbol, lambdas: np.ndarray, points_per_dim: int = 512
-) -> np.ndarray:
+def symbol_spectral_cdf(sym: TorusSymbol, lambdas: np.ndarray) -> np.ndarray:
     """F(lam) = average over the torus of #{eigenvalues of d(t) <= lam}.
 
     The limit of the empirical spectral distributions of the finite
-    quotients; mass is the base's vertex count.
+    quotients; mass is the base's vertex count. The average is taken over
+    CDF_POINTS_PER_DIM^k trapezoid nodes on the k-torus.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     counts = np.zeros(len(lambdas))
-    for lams in _node_eigenvalues(sym, points_per_dim):
+    for lams in _node_eigenvalues(sym, CDF_POINTS_PER_DIM):
         counts += np.searchsorted(np.sort(lams.ravel()), lambdas, side="right")
-    return counts / points_per_dim**sym.rank
+    return counts / CDF_POINTS_PER_DIM**sym.rank

@@ -34,19 +34,6 @@ class IntPolynomial:
             acc = acc * u + c
         return acc
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        n = max(len(a), len(b))
-        return IntPolynomial(
-            tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-        )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coefficients, other.coefficients
         out = [0] * (len(a) + len(b) - 1)
@@ -104,7 +91,3 @@ class IntPolynomial:
 
     def to_list(self) -> list[int]:
         return list(self.coefficients)
-
-    @classmethod
-    def from_list(cls, coeffs: Sequence[int]) -> "IntPolynomial":
-        return cls(tuple(int(c) for c in coeffs))

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError
+
+_CUT_MARGIN = 1e-12  # points this close to C, hence to a branch cut, take no logs
+_POLYLINE_POINTS = 256
 
 
-def _check_q(q: int) -> None:
+def check_q(q: int) -> None:
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise InputError("q must be an integer >= 1")
 
@@ -29,7 +32,7 @@ def _segment_distance(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.nd
 
 def slit_distance(q: int, u) -> "float | np.ndarray":
     """Distance to the real slits [-1, -1/q] and [1/q, 1]."""
-    _check_q(q)
+    check_q(q)
     z = np.asarray(u, dtype=complex)
     x, y = z.real, z.imag
     d = np.minimum(
@@ -41,7 +44,7 @@ def slit_distance(q: int, u) -> "float | np.ndarray":
 
 def distance_to_C(q: int, u) -> "float | np.ndarray":
     """Distance to the boundary set C (circle plus slits)."""
-    _check_q(q)
+    check_q(q)
     z = np.asarray(u, dtype=complex)
     circle = np.abs(np.abs(z) - q ** -0.5)
     d = np.minimum(circle, slit_distance(q, z))
@@ -55,7 +58,7 @@ def omega_contains(q: int, u, margin: float = 0.0) -> "bool | np.ndarray":
     margin > 0 the point must satisfy |u| <= q^(-1/2) - margin and keep
     distance >= margin from the real slits.
     """
-    _check_q(q)
+    check_q(q)
     if margin < 0:
         raise InputError("margin must be >= 0")
     z = np.asarray(u, dtype=complex)
@@ -68,21 +71,33 @@ def omega_contains(q: int, u, margin: float = 0.0) -> "bool | np.ndarray":
     return bool(inside) if np.isscalar(u) or inside.shape == () else inside
 
 
-def set_c_polyline(q: int, points_per_part: int = 256) -> list[tuple[str, complex]]:
+def require_inside(q: int, u) -> None:
+    """DomainError naming the first of the points `u` that is not inside the
+    open region bounded by C and more than 1e-12 away from C, where
+    logarithms of the determinant factors are safe to take."""
+    us = np.asarray(u, dtype=complex)
+    inside = np.asarray(omega_contains(q, us)) & (np.asarray(distance_to_C(q, us)) > _CUT_MARGIN)
+    if not inside.all():
+        raise DomainError(
+            f"u = {complex(us[~inside][0])} is outside the open region bounded by C "
+            f"(or within {_CUT_MARGIN} of it)"
+        )
+
+
+def set_c_polyline(q: int) -> list[tuple[str, complex]]:
     """Discretized polyline of C for plotting: circle and the two slits."""
-    _check_q(q)
-    if points_per_part < 2:
-        raise InputError("points_per_part must be >= 2")
+    check_q(q)
+    n = _POLYLINE_POINTS
     out: list[tuple[str, complex]] = []
     radius = q ** -0.5
-    for k in range(points_per_part + 1):
-        phi = 2.0 * np.pi * k / points_per_part
+    for k in range(n + 1):
+        phi = 2.0 * np.pi * k / n
         out.append(("circle", complex(radius * np.cos(phi), radius * np.sin(phi))))
     for part, a, b in (
         ("slit_pos", 1.0 / q, 1.0),
         ("slit_neg", -1.0, -1.0 / q),
     ):
-        for k in range(points_per_part):
-            t = a + (b - a) * k / max(points_per_part - 1, 1)
+        for k in range(n):
+            t = a + (b - a) * k / (n - 1)
             out.append((part, complex(t, 0.0)))
     return out

@@ -25,28 +25,21 @@ from functools import lru_cache
 import numpy as np
 
 from .covers import is_prime
-from .errors import DomainError, InputError, NumericError, ResourceError, UnsupportedError
-from .graphs import MultiGraph, RegularityInfo, regularity, spectrum
+from .errors import DomainError, InputError, NumericError, ResourceError
+from .graphs import MultiGraph, regular_q, regularity, spectrum
 from .polynomials import IntPolynomial
-from .region import distance_to_C, omega_contains
+from .region import distance_to_C, require_inside
 
-_CUT_MARGIN = 1e-12  # points this close to C (hence to a branch cut) are rejected
 MODULAR_VERTEX_CAP = 256  # the modular determinant route refuses larger graphs
+_GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
 
 @dataclass(frozen=True)
 class ZetaFunction:
-    """chi, the integer determinant polynomial, and regularity data.
-
-    `source` remembers the graph the polynomial came from so that zeros can
-    be located through the eigenvalue route instead of polynomial
-    root-finding.
-    """
+    """chi and the integer determinant polynomial."""
 
     chi: int
     det_poly: IntPolynomial
-    q_info: RegularityInfo
-    source: MultiGraph | None = None
 
     def __call__(self, u):
         return zeta_eval(self, u)
@@ -220,12 +213,7 @@ def _det_poly(g: MultiGraph) -> IntPolynomial:
 
 
 def zeta_function(g: MultiGraph) -> ZetaFunction:
-    return ZetaFunction(
-        chi=g.euler_characteristic,
-        det_poly=det_poly(g),
-        q_info=regularity(g),
-        source=g,
-    )
+    return ZetaFunction(chi=g.euler_characteristic, det_poly=det_poly(g))
 
 
 def zeta_eval(z: ZetaFunction, u):
@@ -241,26 +229,23 @@ def zeta_eval(z: ZetaFunction, u):
 # zeros
 
 
-def zeta_zeros(z: ZetaFunction, group_tol: float = 1e-8) -> ZeroReport:
-    """All zeros with multiplicity, for regular graphs only.
+def zeta_zeros(g: MultiGraph) -> ZeroReport:
+    """All zeros of Z(g, u) with multiplicity, for (q+1)-regular graphs only.
 
     Each adjacency eigenvalue lam contributes the roots of
     q u^2 - lam u + 1 via the quadratic formula; a negative Euler
     characteristic adds zeros at +-1 from the (1 - u^2) prefactor. The
-    report records every zero's distance to the set C.
+    report records every zero's distance to the set C. The determinant
+    polynomial is never computed.
     """
-    info = z.q_info
-    if not info.is_regular or info.q is None or info.q < 1:
-        raise UnsupportedError("zeros are located only for regular graphs with q >= 1")
-    if z.source is None:
-        raise InputError("this ZetaFunction does not carry its source graph")
-    q = info.q
-    eigs = spectrum(z.source).eigenvalues
-    bound = max(1.0, float(spectrum(z.source).spectral_bound))
+    q = regular_q(g)
+    chi = g.euler_characteristic
+    spec = spectrum(g)
+    eigs, bound = spec.eigenvalues, max(1.0, float(spec.spectral_bound))
     # group equal eigenvalues so multiplicities carry through the formula
     groups: list[tuple[float, int]] = []
     for lam in eigs:
-        if groups and abs(lam - groups[-1][0]) <= group_tol * bound:
+        if groups and abs(lam - groups[-1][0]) <= _GROUP_TOL * bound:
             groups[-1] = (groups[-1][0], groups[-1][1] + 1)
         else:
             groups.append((float(lam), 1))
@@ -273,13 +258,13 @@ def zeta_zeros(z: ZetaFunction, group_tol: float = 1e-8) -> ZeroReport:
             root = cmath.sqrt(complex(disc))
             raw.append(((lam + root) / (2.0 * q), mult))
             raw.append(((lam - root) / (2.0 * q), mult))
-    if z.chi < 0:
-        raw.append((1.0 + 0.0j, -z.chi))
-        raw.append((-1.0 + 0.0j, -z.chi))
+    if chi < 0:
+        raw.append((1.0 + 0.0j, -chi))
+        raw.append((-1.0 + 0.0j, -chi))
     raw.sort(key=lambda item: (item[0].real, item[0].imag))
     merged: list[tuple[complex, int]] = []
     for value, mult in raw:
-        if merged and abs(value - merged[-1][0]) <= group_tol:
+        if merged and abs(value - merged[-1][0]) <= _GROUP_TOL:
             merged[-1] = (merged[-1][0], merged[-1][1] + mult)
         else:
             merged.append((value, mult))
@@ -294,22 +279,6 @@ def zeta_zeros(z: ZetaFunction, group_tol: float = 1e-8) -> ZeroReport:
 # analytic roots inside the region
 
 
-def _require_regular_q(g: MultiGraph) -> int:
-    info = regularity(g)
-    if not info.is_regular or info.q is None or info.q < 1:
-        raise UnsupportedError("operation requires a regular graph with q >= 1")
-    return info.q
-
-
-def _gate_omega(q: int, us: np.ndarray) -> None:
-    if not np.all(omega_contains(q, us, 0.0)):
-        raise DomainError("evaluation point outside the open region bounded by C")
-    if np.min(distance_to_C(q, us)) <= _CUT_MARGIN:
-        raise DomainError(
-            f"evaluation point within {_CUT_MARGIN} of the set C; refusing to take logs"
-        )
-
-
 def nth_root_det(g: MultiGraph, n: int, u):
     """The analytic N-th root prod_lam exp(log(1 - lam u + q u^2) / N).
 
@@ -320,9 +289,9 @@ def nth_root_det(g: MultiGraph, n: int, u):
     """
     if n < 1:
         raise InputError("root order must be >= 1")
-    q = _require_regular_q(g)
+    q = regular_q(g)
     us = np.asarray(u, dtype=complex)
-    _gate_omega(q, us)
+    require_inside(q, us)
     eigs = spectrum(g).eigenvalues
     flat = us.reshape(-1)
     w = 1.0 - eigs[None, :] * flat[:, None] + q * (flat**2)[:, None]
@@ -347,7 +316,7 @@ def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
 
 def functional_equation_sides(g: MultiGraph, u: complex) -> tuple[complex, complex]:
     """LHS = Z(1/(q u)); RHS = ((1-u^2)/(q^2 u^2 - 1))^chi q^(v-2e) u^(-2e) Z(u)."""
-    q = _require_regular_q(g)
+    q = regular_q(g)
     u = complex(u)
     if abs(u) < 1e-12:
         raise DomainError("functional equation is undefined at u = 0")

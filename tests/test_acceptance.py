@@ -31,7 +31,6 @@ from graphzeta import (
     torus_symbol,
     tower_convergence,
     tree_l2_reference,
-    zeta_function,
     zeta_log_coeffs,
     zeta_zeros,
 )
@@ -116,9 +115,9 @@ def test_02_euler_log_matches_determinant_log():
 def test_03_zeros_on_c():
     with criterion(3, "all zeros lie on the set C", budget=5.0):
         for g in CORPUS:
-            report = zeta_zeros(zeta_function(g))
+            report = zeta_zeros(g)
             assert report.max_distance < 1e-8, (g.name, report.max_distance)
-        for z in zeta_zeros(zeta_function(K4)).zeros:
+        for z in zeta_zeros(K4).zeros:
             if abs(z.value.imag) > 1e-9:
                 assert abs(abs(z.value) - 2.0**-0.5) < 1e-10
 

@@ -1,10 +1,21 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from graphzeta import IntPolynomial, bouquet_graph, complete_graph, cycle_graph, save_graph, zeta
+from graphzeta import (
+    IntPolynomial,
+    bouquet_graph,
+    cli,
+    complete_graph,
+    cycle_graph,
+    errors,
+    path_graph,
+    save_graph,
+    zeta,
+)
 from graphzeta.cli import run
 from graphzeta.zeta import _det_poly
 
@@ -91,6 +102,17 @@ def test_zeta_zeros_check(workdir, capsys):
     assert len(lines) == 1 + doc["distinct_zeros"]
 
 
+def test_zeta_zeros_needs_no_determinant(workdir, capsys, monkeypatch):
+    # the zeros come from the spectrum, so a graph the determinant routes
+    # refuse still has them
+    save_graph(CUBIC48, workdir / "cubic48.json")
+    monkeypatch.setattr(zeta, "MODULAR_VERTEX_CAP", 40)
+    _det_poly.cache_clear()
+    graph, out = str(workdir / "cubic48.json"), str(workdir / "z.csv")
+    assert run(["zeta", "zeros", "--graph", graph, "--out", out]) == 0
+    assert summary_of(capsys)["zero_count"] == 96 + 2 * abs(CUBIC48.euler_characteristic)
+
+
 def test_zeta_euler_check(workdir, capsys):
     code = run(["zeta", "euler-check", "--graph", str(workdir / "k4.json"), "--terms", "8"])
     assert code == 0
@@ -132,6 +154,21 @@ def test_cover_build(workdir, capsys):
     assert json.loads(out.read_text())["vertices"] == 6
 
 
+def test_cover_build_size_cap(workdir, capsys, monkeypatch):
+    (workdir / "vc.json").write_text(json.dumps({"voltages": [1], "orders": [6]}))
+    (workdir / "vbig.json").write_text(json.dumps({"voltages": [1], "orders": [10001]}))
+    out = workdir / "cover.json"
+    argv = ["cover", "build", "--base", str(workdir / "loop.json"), "--out", str(out)]
+    # the default cap of 10000 vertices, then ZETA_SIZE_CAP
+    monkeypatch.delenv("ZETA_SIZE_CAP", raising=False)
+    assert run(argv + ["--voltages", str(workdir / "vbig.json")]) == 2
+    assert "10001 vertices" in capsys.readouterr().err
+    monkeypatch.setenv("ZETA_SIZE_CAP", "2")
+    assert run(argv + ["--voltages", str(workdir / "vc.json")]) == 2
+    assert "6 vertices, over the cap of 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tower_build_and_run(workdir, capsys):
     built = workdir / "built"
     assert run(["tower", "build", "--spec", str(workdir / "tower.json"), "--out", str(built)]) == 0
@@ -162,7 +199,8 @@ def test_tower_build_and_run(workdir, capsys):
     sups = [lvl["sup_error"] for lvl in doc["levels"]]
     assert sups == sorted(sups, reverse=True)
     assert (outdir / "summary.json").exists()
-    assert (outdir / "manifest.json").exists()
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert set(manifest["parameters"]) == {"target", "grid"}
 
     # rerun lands byte-identical outputs
     before = {p.name: p.read_bytes() for p in outdir.iterdir()}
@@ -331,6 +369,43 @@ def test_exit_codes(workdir, capsys):
     )
     assert "4 vertices" in capsys.readouterr().err
     assert not (workdir / "tc").exists()
+
+
+IRREGULAR_COMMANDS = {
+    "zeta zeros": ["zeta", "zeros", "--graph", "p3.json", "--out", "zeros.csv"],
+    "zeta functional-check": ["zeta", "functional-check", "--graph", "p3.json"],
+    "l2 torus": ["l2", "torus", "--base", "p3.json", "--voltages", "vp3.json", "--eval", "0.1"],
+    "tower run": ["tower", "run", "--spec", "tower_p3.json", "--target", "constant:1",
+                  "--grid", "disk:0.5:5:0.02", "--out", "run"],
+    "deitmar check": ["deitmar", "check", "--graph", "p3.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(IRREGULAR_COMMANDS))
+def test_irregular_graph_exits_1(workdir, capsys, monkeypatch, command):
+    save_graph(path_graph(3), workdir / "p3.json")
+    (workdir / "vp3.json").write_text(json.dumps({"voltages": [1, 0], "rank": 1}))
+    (workdir / "tower_p3.json").write_text(
+        json.dumps({"base": "p3.json", "kind": "cyclic", "voltages": [1, 0], "orders": [1, 2]})
+    )
+    monkeypatch.chdir(workdir)
+    assert run(IRREGULAR_COMMANDS[command]) == 1
+    assert "is not (q+1)-regular with q >= 1" in capsys.readouterr().err
+
+
+def test_exit_codes_match_the_errors_docstring(capsys, monkeypatch):
+    table = dict(re.findall(r"^ +(\w+Error) +(\d)$", errors.__doc__, re.M))
+    base = errors.GraphZetaError
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, base)]
+    assert table == {c.__name__: str(c.exit_code) for c in classes}
+    for cls in classes:
+
+        def fail(path, cls=cls):
+            raise cls("raised on purpose")
+
+        monkeypatch.setattr(cli, "load_graph", fail)
+        assert run(["zeta", "compute", "--graph", "g.json"]) == cls.exit_code
+        assert "raised on purpose" in capsys.readouterr().err
 
 
 def test_size_cap_env(workdir, capsys, monkeypatch):

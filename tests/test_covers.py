@@ -128,7 +128,7 @@ def test_homology_tower_bouquet_sizes():
     tower = homology_tower(B2, 2, 2)
     assert [lvl.graph.vertex_count for lvl in tower.levels] == [1, 4, 128]
     assert tower.indices == (1, 4, 128)
-    assert all(lvl.connected for lvl in tower.levels)
+    assert all(lvl.graph.is_connected for lvl in tower.levels)
     assert tower.limit_verified
 
 

@@ -110,6 +110,10 @@ def test_load_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError):
         load_graph(bad)
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    for unreadable in (tmp_path, tmp_path / "binary.json"):
+        with pytest.raises(InputError):
+            load_graph(unreadable)
     with pytest.raises(InputError):
         graph_from_json({"edges": [[0, 1]]})
 

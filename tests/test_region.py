@@ -65,7 +65,7 @@ def test_bad_q():
 
 
 def test_set_c_polyline():
-    pts = set_c_polyline(2, points_per_part=64)
+    pts = set_c_polyline(2)
     parts = {p for p, _ in pts}
     assert parts == {"circle", "slit_pos", "slit_neg"}
     # every sampled point lies on C

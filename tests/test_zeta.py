@@ -50,6 +50,7 @@ from corpus import (
     PETERSEN,
     RANDOM_CUBIC,
     REGULAR_CORPUS,
+    bareiss_det,
     det_at,
 )
 
@@ -116,6 +117,23 @@ def test_det_poly_falls_back_to_the_modular_route():
     assert p.degree == 96 and p.coefficients[0] == 1
     for t in (-2, -1, 2, 3):
         assert p(t) == det_at(CUBIC48, t)
+
+
+def test_bass_identity_checks_det_poly():
+    # Bass: det(I - t T) = (1 - t^2)^(-chi) det(I - A t + Q t^2), with T the
+    # oriented-edge transfer operator; the power goes to whichever side keeps
+    # both sides integral
+    loops_and_double_edge = build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)])
+    for g in REGULAR_CORPUS + [loops_and_double_edge, path_graph(4)]:
+        t_mat, chi, p = transfer_operator(g), g.euler_characteristic, det_poly(g)
+        for t in (-2, -1, 2, 3):
+            edge_det = bareiss_det(
+                [[(a == b) - t * x for b, x in enumerate(row)] for a, row in enumerate(t_mat)]
+            )
+            if chi < 0:
+                assert edge_det == (1 - t * t) ** -chi * p(t)
+            else:
+                assert edge_det * (1 - t * t) ** chi == p(t)
 
 
 def test_memos_are_bounded_and_ignore_exact():
@@ -215,7 +233,7 @@ def test_zeta_eval_vectorized():
 
 
 def test_k4_zeros_frozen():
-    report = zeta_zeros(zeta_function(K4))
+    report = zeta_zeros(K4)
     zs = {(round(z.value.real, 9), round(z.value.imag, 9)): z.multiplicity for z in report.zeros}
     s7 = 7.0 ** 0.5 / 4.0
     assert zs == {
@@ -234,14 +252,14 @@ def test_k4_zeros_frozen():
 
 def test_zero_count_matches_degree():
     for g in [K4, PETERSEN, CYCLES[5]]:
-        report = zeta_zeros(zeta_function(g))
+        report = zeta_zeros(g)
         total = sum(z.multiplicity for z in report.zeros)
         assert total == det_poly(g).degree - 2 * g.euler_characteristic
 
 
 def test_zeros_need_regular_graph():
     with pytest.raises(UnsupportedError):
-        zeta_zeros(zeta_function(path_graph(3)))
+        zeta_zeros(path_graph(3))
 
 
 def test_nth_root_frozen_value():
