@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError, NumericError, ResourceError
-from .graphs import MultiGraph, build_graph, load_graph, read_json
+from .graphs import MultiGraph, build_graph, json_int, load_graph, read_json
 
 DEFAULT_SIZE_CAP = 10_000
 
@@ -355,19 +355,22 @@ def homology_tower(
 
 
 def voltage_from_json(doc: dict) -> VoltageAssignment:
-    """Voltage file: {"voltages": [[..], ..], "orders": [n, ..]} or {"rank": k}."""
-    if "voltages" not in doc:
-        raise InputError('voltage JSON needs a "voltages" key')
+    """Voltage file: {"voltages": [[..], ..], "orders": [n, ..]} or {"rank": k};
+    with neither, a free assignment of the rank of its first voltage."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("voltages"), list):
+        raise InputError('voltage JSON needs a "voltages" list')
     voltages = doc["voltages"]
-    if voltages and isinstance(voltages[0], (int, float)):
+    if voltages and not isinstance(voltages[0], list):
         voltages = [[v] for v in voltages]
-    if "orders" in doc:
-        return VoltageAssignment.product(voltages, doc["orders"])
-    if "rank" in doc:
-        return VoltageAssignment.free(voltages, int(doc["rank"]))
-    if voltages:
-        return VoltageAssignment.free(voltages)
-    raise InputError('voltage JSON needs "orders" or "rank"')
+    try:
+        voltages = [[json_int(c, "a voltage") for c in sigma] for sigma in voltages]
+        if "orders" in doc:
+            orders = [json_int(n, "a cyclic order") for n in doc["orders"]]
+            return VoltageAssignment.product(voltages, orders)
+    except TypeError as exc:  # a voltage or the orders not a list
+        raise InputError(f"malformed voltage JSON: {exc}") from exc
+    rank = json_int(doc["rank"], "rank") if "rank" in doc else None
+    return VoltageAssignment.free(voltages, rank)
 
 
 def load_voltages(path: "str | Path") -> VoltageAssignment:
@@ -391,18 +394,16 @@ def tower_from_spec(
         base_path = Path(base_dir) / base_path
     base = load_graph(base_path)
     kind = doc["kind"]
-    try:
-        cap = size_cap if size_cap is not None else int(doc.get("size_cap", DEFAULT_SIZE_CAP))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f'tower spec "size_cap" must be an integer: {exc}') from exc
+    if size_cap is None:
+        size_cap = json_int(doc.get("size_cap", DEFAULT_SIZE_CAP), 'tower spec "size_cap"')
     if kind == "cyclic":
         if "voltages" not in doc or "orders" not in doc:
             raise InputError('cyclic tower spec needs "voltages" and "orders"')
-        return cyclic_tower(base, doc["voltages"], doc["orders"], cap)
+        return cyclic_tower(base, doc["voltages"], doc["orders"], size_cap)
     if kind == "homology":
         if "p" not in doc or "depth" not in doc:
             raise InputError('homology tower spec needs "p" and "depth"')
-        return homology_tower(base, int(doc["p"]), int(doc["depth"]), cap)
+        return homology_tower(base, *(json_int(doc[key], key) for key in ("p", "depth")), size_cap)
     raise InputError(f'unknown tower kind {kind!r} (expected "cyclic" or "homology")')
 
 

@@ -228,15 +228,21 @@ def graph_to_json(g: MultiGraph) -> dict:
     return doc
 
 
+def json_int(value, what: str) -> int:
+    """An int or integral float from a JSON document; else InputError naming `what`."""
+    if isinstance(value, float) and value.is_integer() or type(value) is int:
+        return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def graph_from_json(doc: dict) -> MultiGraph:
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputError('graph JSON needs "vertices" and "edges" keys')
     try:
-        vertices = int(doc["vertices"])
-        edges = [(int(e[0]), int(e[1])) for e in doc["edges"]]
-    except (TypeError, ValueError, IndexError) as exc:
+        edges = [(json_int(x, "an edge end"), json_int(y, "an edge end")) for x, y in doc["edges"]]
+    except (TypeError, ValueError) as exc:  # edges or an edge that is not a list of two
         raise InputError(f"malformed graph JSON: {exc}") from exc
-    return build_graph(vertices, edges, doc.get("name"))
+    return build_graph(json_int(doc["vertices"], "vertices"), edges, doc.get("name"))
 
 
 def save_graph(g: MultiGraph, path: "str | Path") -> None:

@@ -242,36 +242,34 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     return counts
 
 
-def l2_series_oracle(
-    sym: TorusSymbol, q: int, u: complex, terms: int = 40
-) -> complex:
+def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
     """Truncated series for the torus log-determinant, valid for small |u|.
 
     Expands log(I - (d u - q u^2 I)) and takes normalized traces, which
     reduces to exact closed-walk counts; requires |u| < 1 / (2 (q + 1)) so
     that 40-ish terms reach full double precision. Independent of the
-    quadrature route.
+    quadrature route. `u` is a point (giving a complex) or an array of
+    points (giving an array of that shape); the walks are counted once.
     """
     check_q(q)
     if terms < 1:
         raise InputError("terms must be >= 1")
-    u = complex(u)
-    limit = 1.0 / (2.0 * (q + 1.0))
-    if abs(u) >= limit:
-        raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(u):.6g})")
+    us = np.asarray(u, dtype=complex)
+    points, limit = us.ravel().tolist(), 1.0 / (2.0 * (q + 1.0))
+    for z in points:
+        if abs(z) >= limit:
+            raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(z):.6g})")
     walks = equivariant_walk_counts(sym, terms)
-    total = 0.0 + 0.0j
-    for m in range(1, terms + 1):
-        inner = 0.0 + 0.0j
-        for j in range(m + 1):
-            inner += (
-                math.comb(m, j)
-                * (u**j)
-                * ((-q * u * u) ** (m - j))
-                * float(walks[j])
-            )
-        total -= inner / m
-    return total
+    values = []
+    for z in points:
+        total = 0.0 + 0.0j
+        for m in range(1, terms + 1):
+            inner = 0.0 + 0.0j
+            for j in range(m + 1):
+                inner += math.comb(m, j) * (z**j) * ((-q * z * z) ** (m - j)) * float(walks[j])
+            total -= inner / m
+        values.append(total)
+    return values[0] if us.ndim == 0 else np.array(values, dtype=complex).reshape(us.shape)
 
 
 # ---------------------------------------------------------------------------

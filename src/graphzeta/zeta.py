@@ -9,9 +9,9 @@ of the classical Euler-product convention, and it is a polynomial:
 where A is the adjacency matrix (loops count 2 on the diagonal), Q is the
 diagonal matrix of degree - 1, and chi is the Euler characteristic. The
 determinant polynomial has exact integer coefficients; this module computes
-it exactly, evaluates the zeta function, locates its zeros for regular
-graphs, and provides analytic N-th roots of the determinant inside the
-region bounded by the set C.
+them as a characteristic polynomial modulo primes, evaluates the zeta
+function, locates its zeros for regular graphs, and provides analytic N-th
+roots of the determinant inside the region bounded by the set C.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .graphs import MultiGraph, regular_q, regularity, spectrum
 from .polynomials import IntPolynomial
 from .region import distance_to_C, require_inside
 
-MODULAR_VERTEX_CAP = 256  # the modular determinant route refuses larger graphs
+ORDER_CAP = 512  # largest matrix order the determinant kernel takes
+_PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
 
@@ -68,63 +69,6 @@ class ZeroReport:
 # determinant polynomial
 
 
-def _det_samples(g: MultiGraph, us: np.ndarray) -> np.ndarray:
-    """det(I - A u + Q u^2) at the given complex points, evaluated in chunks."""
-    a = g.adjacency
-    qdiag = np.asarray(g.degree_sequence, dtype=np.float64) - 1.0
-    eye = np.eye(g.vertex_count)
-    out = np.empty(len(us), dtype=complex)
-    chunk = max(1, 500_000 // max(1, g.vertex_count**2))
-    for start in range(0, len(us), chunk):
-        block = us[start : start + chunk]
-        mats = (
-            eye[None, :, :]
-            - a[None, :, :] * block[:, None, None]
-            + np.diag(qdiag)[None, :, :] * (block**2)[:, None, None]
-        )
-        out[start : start + chunk] = np.linalg.det(mats)
-    return out
-
-
-def _interpolated_det_poly(g: MultiGraph) -> IntPolynomial:
-    v = g.vertex_count
-    degree_bound = 2 * v
-    n = 1 << max(2, (degree_bound + 1).bit_length())
-    nodes = np.exp(2j * np.pi * np.arange(n) / n)
-    samples = _det_samples(g, nodes)
-    if not np.all(np.isfinite(samples)):
-        raise NumericError("determinant samples overflowed")
-    # samples[k] = p(w^k) with w = exp(2i pi / n), so the forward
-    # transform divided by n inverts the evaluation
-    raw = np.fft.fft(samples) / n
-    if np.max(np.abs(raw.imag)) > 0.25 or np.max(np.abs(raw.real - np.rint(raw.real))) > 0.25:
-        raise NumericError("interpolated coefficients are too far from integers")
-    coeffs = [int(round(c)) for c in raw.real[: degree_bound + 1]]
-    if any(abs(c) > 0.25 for c in raw.real[degree_bound + 1 :]):
-        raise NumericError("interpolation produced spurious high-order terms")
-    poly = IntPolynomial(tuple(coeffs))
-    _verify_det_poly(g, poly)
-    return poly
-
-
-def _verify_det_poly(g: MultiGraph, poly: IntPolynomial) -> None:
-    """Residual check at fresh points; regular graphs get an eigenvalue cross-check."""
-    max_q = max(1, max(g.degree_sequence) - 1)
-    r = 0.3 / max_q**0.5
-    fresh = r * np.exp(2j * np.pi * (np.arange(7) + 0.37) / 7)
-    direct = _det_samples(g, fresh)
-    residual = np.max(np.abs(poly(fresh) - direct))
-    if residual >= 1e-6:
-        raise NumericError(f"interpolated determinant residual {residual:.3g} exceeds 1e-6")
-    info = regularity(g)
-    if info.is_regular and info.q is not None and info.q >= 0:
-        eigs = spectrum(g).eigenvalues
-        prod = np.prod(1.0 - eigs[None, :] * fresh[:, None] + info.q * fresh[:, None] ** 2, axis=1)
-        scale = np.maximum(1.0, np.abs(prod))
-        if np.max(np.abs(poly(fresh) - prod) / scale) >= 1e-8:
-            raise NumericError("determinant disagrees with the eigenvalue factorization")
-
-
 def _hessenberg_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """det(x I - mat) modulo each prime, one lane per prime, ascending powers of x.
 
@@ -132,8 +76,8 @@ def _hessenberg_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
     of Cohen, "A Course in Computational Algebraic Number Theory", Algorithm
     2.2.9. Every value that is multiplied is first reduced into [0, p) with
     p < 2^26, so a product is below 2^52, and an einsum adds at most
-    n <= 2 * MODULAR_VERTEX_CAP = 512 of them, below 2^61: no int64 product
-    or sum can overflow.
+    n <= ORDER_CAP = 512 of them, below 2^61: no int64 product or sum can
+    overflow.
     """
     n = mat.shape[0]
     lanes = np.arange(len(primes))
@@ -142,8 +86,9 @@ def _hessenberg_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
     for j in range(n - 2):
         # pivot: the first row below the subdiagonal with a nonzero entry in column j
         piv = j + 1 + np.argmax(h[:, j + 1 :, j] != 0, axis=1)
-        h[lanes, j + 1], h[lanes, piv] = h[lanes, piv], h[lanes, j + 1]
-        h[lanes, :, j + 1], h[lanes, :, piv] = h[lanes, :, piv], h[lanes, :, j + 1]
+        if np.any(piv != j + 1):
+            h[lanes, j + 1], h[lanes, piv] = h[lanes, piv], h[lanes, j + 1]
+            h[lanes, :, j + 1], h[lanes, :, piv] = h[lanes, :, piv], h[lanes, :, j + 1]
         pivots = zip(h[:, j + 1, j].tolist(), primes.tolist())
         inv = np.array([pow(x, -1, p) if x else 0 for x, p in pivots], dtype=np.int64)
         # rows i > j + 1 lose mult_i times row j + 1; column j + 1 gains mult_i times column i
@@ -164,52 +109,72 @@ def _hessenberg_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return polys[:, n]
 
 
-def _modular_det_poly(g: MultiGraph) -> IntPolynomial:
-    """det(I - A u + Q u^2) = det(I - u L) with L = [[A, -Q], [I, 0]], exactly.
-
-    The coefficient of u^j is that of x^(2v - j) in det(x I - L), taken
-    modulo primes whose product exceeds twice the bound prod_i max(2, 2 deg_i)
-    on every coefficient (Hadamard's inequality on the rows at |u| = 1) and
-    lifted to symmetric residues by the Chinese remainder theorem.
-    """
-    v = g.vertex_count
-    if v > MODULAR_VERTEX_CAP:
-        raise ResourceError(
-            f"exact determinant route takes at most {MODULAR_VERTEX_CAP} vertices, got {v}"
-        )
-    bound = 2 * math.prod(max(2, 2 * d) for d in g.degree_sequence)
-    primes, modulus, candidate = [], 1, 2**26 - 1
-    while modulus <= bound:
-        if is_prime(candidate):
-            primes.append(candidate)
-            modulus *= candidate
-        candidate -= 2
-    q = np.diag(np.asarray(g.degree_sequence) - 1)
-    lin = np.block([[g.adjacency, -q], [np.eye(v), np.zeros((v, v))]]).astype(np.int64)
-    residues = _hessenberg_charpoly(lin, np.asarray(primes, dtype=np.int64))
+def _charpoly(g: MultiGraph, mat: np.ndarray, bound: int) -> list[int]:
+    """det(x I - mat) in ascending powers of x, for an integer matrix of g whose
+    coefficients are at most `bound`: residues modulo primes with a product
+    over 2 * bound, lifted to symmetric residues by Chinese remaindering."""
+    if mat.shape[0] > ORDER_CAP:
+        raise ResourceError(f"exact determinant route takes matrices of order at most "
+                            f"{ORDER_CAP}; {g.vertex_count} vertices need {mat.shape[0]}")
+    primes, modulus = [], 1
+    while modulus <= 2 * bound:
+        if len(primes) == len(_PRIMES):
+            p = _PRIMES[-1] - 2 if _PRIMES else 2**26 - 1
+            while not is_prime(p):
+                p -= 2
+            _PRIMES.append(p)
+        primes.append(_PRIMES[len(primes)])
+        modulus *= primes[-1]
+    residues = _hessenberg_charpoly(mat, np.asarray(primes, dtype=np.int64))
     weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
-    lifted = [sum(int(r) * w for r, w in zip(res, weights)) % modulus for res in residues.T[::-1]]
-    return IntPolynomial(tuple(c - modulus if 2 * c > modulus else c for c in lifted))
+    lifted = [sum(int(r) * w for r, w in zip(res, weights)) % modulus for res in residues.T]
+    return [c - modulus if 2 * c > modulus else c for c in lifted]
+
+
+def _regular_det_poly(g: MultiGraph, q: int) -> IntPolynomial:
+    """u^v chi_A((1 + q u^2) / u) = sum_r a_r (1 + q u^2)^r u^(v - r), with
+    chi_A = sum_r a_r x^r; each a_r sums principal minors of A, so Hadamard's
+    inequality gives |a_r| <= prod_i (1 + ||A_i||_2)."""
+    v, a = g.vertex_count, g.adjacency.astype(np.int64)
+    # 1 + ceil(sqrt(s)) = isqrt(s - 1) + 2 for s >= 1
+    bound = math.prod(math.isqrt(s - 1) + 2 if s else 1 for s in (a * a).sum(axis=1).tolist())
+    coeffs = [0] * (2 * v + 1)
+    binom = [1]  # binom[k] = C(r, k) q^k, the coefficient of u^(2k) in (1 + q u^2)^r
+    for r, a_r in enumerate(_charpoly(g, a, bound)):
+        for k, b in enumerate(binom):
+            coeffs[v - r + 2 * k] += a_r * b
+        binom = [1] + [x + q * y for x, y in zip(binom[1:], binom)] + [q * binom[-1]]
+    return IntPolynomial(tuple(coeffs))
+
+
+def _linearized_det_poly(g: MultiGraph) -> IntPolynomial:
+    """det(I - u L), L = [[A, -Q], [I, 0]], reversed from det(x I - L). Every
+    coefficient is at most max |det(I - A u + Q u^2)| on |u| = 1, which
+    Hadamard's inequality bounds by row norms there: off the diagonal A_ij,
+    on it 1 + A_ii + |d_i - 1| (a vertex of degree 0 has Q_ii = -1)."""
+    v, a = g.vertex_count, g.adjacency.astype(np.int64)
+    qdiag = np.asarray(g.degree_sequence, dtype=np.int64) - 1
+    row_sq = (a * a).sum(axis=1) - np.diag(a) ** 2 + (1 + np.diag(a) + np.abs(qdiag)) ** 2
+    bound = math.prod(math.isqrt(s - 1) + 1 for s in row_sq.tolist())  # ceil(sqrt(s)), s >= 1
+    lin = np.block([[a, -np.diag(qdiag)], [np.eye(v, dtype=np.int64), np.zeros_like(a)]])
+    return IntPolynomial(tuple(_charpoly(g, lin, bound)[::-1]))
 
 
 def det_poly(g: MultiGraph, exact: bool = False) -> IntPolynomial:
     """Exact integer coefficients of det(I - A u + Q u^2), memoized for 16 graphs.
 
-    FFT interpolation on roots of unity, verified by re-evaluation (and by
-    the eigenvalue factorization for regular graphs); where that fails, as
-    for cubic graphs from about 40 vertices, the characteristic polynomial
-    of a linearization modulo primes, which raises ResourceError over
-    MODULAR_VERTEX_CAP vertices. `exact` is accepted and ignored.
+    The characteristic polynomial, modulo primes, of A for a regular graph
+    and of the 2v x 2v linearization [[A, -Q], [I, 0]] for any other. Raises
+    ResourceError for a matrix of order over ORDER_CAP = 512: a regular graph
+    of more than 512 vertices, another of more than 256. `exact` is ignored.
     """
     return _det_poly(g)
 
 
 @lru_cache(maxsize=16)
 def _det_poly(g: MultiGraph) -> IntPolynomial:
-    try:
-        return _interpolated_det_poly(g)
-    except NumericError:
-        return _modular_det_poly(g)
+    info = regularity(g)
+    return _regular_det_poly(g, info.q) if info.is_regular else _linearized_det_poly(g)
 
 
 def zeta_function(g: MultiGraph) -> ZetaFunction:

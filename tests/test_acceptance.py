@@ -34,7 +34,7 @@ from graphzeta import (
     zeta_log_coeffs,
     zeta_zeros,
 )
-from graphzeta.zeta import _modular_det_poly
+from graphzeta.zeta import _linearized_det_poly
 
 from corpus import B2, CYCLES, K4, LOOP, PETERSEN, RANDOM_CUBIC
 
@@ -102,7 +102,7 @@ def test_01_cycle_covers_exact():
             assert cover.euler_characteristic == 0
             expected = [0] * (2 * n + 1)
             expected[0], expected[n], expected[2 * n] = 1, -2, 1
-            assert _modular_det_poly(cover).to_list() == expected
+            assert _linearized_det_poly(cover).to_list() == expected
             assert det_poly(cover).to_list() == expected
 
 
@@ -213,10 +213,9 @@ def test_10_series_matches_quadrature():
                 u = complex(*rng.uniform(-limit, limit, 2))
                 if 0.05 * limit < abs(u) <= 0.97 * limit:
                     pts.append(u)
-            for u in pts:
-                series = l2_series_oracle(sym, q, u, terms=60)
-                quad = l2_log_det(sym, q, u)
-                assert abs(series - quad) < 1e-8, (q, u)
+            series = l2_series_oracle(sym, q, pts, terms=60)
+            quad = l2_log_det(sym, q, pts)
+            assert np.max(np.abs(series - quad)) < 1e-8, q
         assert abs(l2_log_det(torus_symbol(LOOP, VZ), 1, 0.5)) < 1e-10
 
 
@@ -231,7 +230,7 @@ def test_11_determinant_identity():
 def test_12_structural_invariants():
     with criterion(12, "structural invariants of the determinant polynomials", budget=10.0):
         for g in CORPUS:
-            p = _modular_det_poly(g)
+            p = det_poly(g)
             if g.is_connected:
                 assert p(1) == 0, g.name
             if is_bipartite(g):
@@ -253,4 +252,4 @@ def test_12_structural_invariants():
                 hit = min(range(len(cover_eigs)), key=lambda i: abs(cover_eigs[i] - lam))
                 assert abs(cover_eigs[hit] - lam) < 1e-9, (base.name, lam)
                 cover_eigs.pop(hit)
-            assert _modular_det_poly(base).divides(_modular_det_poly(cover)), base.name
+            assert det_poly(base).divides(det_poly(cover)), base.name

@@ -19,7 +19,7 @@ from graphzeta import (
 from graphzeta.cli import run
 from graphzeta.zeta import _det_poly
 
-from corpus import CUBIC48, K4, det_at
+from corpus import CUBIC48, K4, det_at, factorization_error, random_regular
 
 
 @pytest.fixture()
@@ -81,12 +81,21 @@ def test_zeta_compute_where_fft_interpolation_fails(workdir, capsys):
 
 
 def test_modular_route_vertex_cap(workdir, capsys, monkeypatch):
+    # the cap is on matrix order: v for a regular graph, 2v for any other
+    save_graph(path_graph(257), workdir / "p257.json")
+    assert run(["zeta", "compute", "--graph", str(workdir / "p257.json")]) == 2
+    assert "257 vertices" in capsys.readouterr().err
+    cubic260, emit = random_regular(260, 3, 1), workdir / "cubic260_poly.json"
+    save_graph(cubic260, workdir / "cubic260.json")
+    argv = ["zeta", "compute", "--graph", str(workdir / "cubic260.json"), "--emit", str(emit)]
+    assert run(argv) == 0
+    assert factorization_error(cubic260, IntPolynomial(tuple(json.loads(emit.read_text())))) < 1e-8
     save_graph(CUBIC48, workdir / "cubic48.json")
-    monkeypatch.setattr(zeta, "MODULAR_VERTEX_CAP", 40)
+    monkeypatch.setattr(zeta, "ORDER_CAP", 40)
     _det_poly.cache_clear()
     assert run(["zeta", "compute", "--graph", str(workdir / "cubic48.json")]) == 2
     err = capsys.readouterr().err
-    assert "at most 40 vertices, got 48" in err
+    assert "order at most 40" in err and "48 vertices" in err
 
 
 def test_zeta_zeros_check(workdir, capsys):
@@ -106,7 +115,7 @@ def test_zeta_zeros_needs_no_determinant(workdir, capsys, monkeypatch):
     # the zeros come from the spectrum, so a graph the determinant routes
     # refuse still has them
     save_graph(CUBIC48, workdir / "cubic48.json")
-    monkeypatch.setattr(zeta, "MODULAR_VERTEX_CAP", 40)
+    monkeypatch.setattr(zeta, "ORDER_CAP", 40)
     _det_poly.cache_clear()
     graph, out = str(workdir / "cubic48.json"), str(workdir / "z.csv")
     assert run(["zeta", "zeros", "--graph", graph, "--out", out]) == 0
@@ -369,6 +378,14 @@ def test_exit_codes(workdir, capsys):
     )
     assert "4 vertices" in capsys.readouterr().err
     assert not (workdir / "tc").exists()
+    # a voltage that is not an integer: input error, not a traceback or a truncation
+    for bad in ("a", 1.5):
+        (workdir / "bad_v.json").write_text(json.dumps({"voltages": [[bad]], "orders": [2]}))
+        argv = ["cover", "build", "--base", str(workdir / "loop.json"),
+                "--voltages", str(workdir / "bad_v.json"), "--out", str(workdir / "c.json")]
+        assert run(argv) == 1
+        assert f"a voltage must be an integer, got {bad!r}" in capsys.readouterr().err
+    assert not (workdir / "c.json").exists()
 
 
 IRREGULAR_COMMANDS = {

@@ -114,8 +114,11 @@ def test_quadrature_matches_series_on_lattices():
         (torus_symbol(B2, VZ2), 3, [0.05, -0.06, 0.04 + 0.04j, 0.12]),
     ]
     for sym, q, us in cases:
-        for u in us:
+        # one call for all points gives what one call per point gives
+        batch = l2_series_oracle(sym, q, np.array(us))
+        for u, value in zip(us, batch):
             series = l2_series_oracle(sym, q, u)
+            assert type(series) is complex and series == value
             quad = l2_log_det(sym, q, u)
             assert quad == pytest.approx(series, abs=1e-8), (q, u)
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from graphzeta import (
     DomainError,
     InputError,
-    NumericError,
     UnsupportedError,
     bouquet_graph,
     build_graph,
@@ -34,12 +33,7 @@ from graphzeta import (
     zeta_log_coeffs,
     zeta_zeros,
 )
-from graphzeta.zeta import (
-    _det_poly,
-    _interpolated_det_poly,
-    _modular_det_poly,
-    closed_walk_counts,
-)
+from graphzeta.zeta import _det_poly, _linearized_det_poly, closed_walk_counts
 
 from corpus import (
     B2,
@@ -52,6 +46,8 @@ from corpus import (
     REGULAR_CORPUS,
     bareiss_det,
     det_at,
+    factorization_error,
+    random_regular,
 )
 
 
@@ -69,7 +65,7 @@ def test_k4_det_poly_matches_factored_form():
     for _ in range(3):
         expected = convolve(expected, [1, 1, 2])
     assert det_poly(K4).to_list() == expected
-    assert _modular_det_poly(K4).to_list() == expected
+    assert _linearized_det_poly(K4).to_list() == expected
 
 
 def test_k4_det_poly_frozen():
@@ -89,9 +85,11 @@ def test_bouquet_det_poly():
     assert det_poly(bouquet_graph(2)).to_list() == [1, -4, 3]
 
 
-def test_exact_and_interpolated_paths_agree():
-    for g in [PETERSEN, path_graph(4)] + RANDOM_CUBIC[:2]:
-        assert _interpolated_det_poly(g).to_list() == _modular_det_poly(g).to_list()
+def test_linearizations_agree_on_regular_graphs():
+    # det_poly expands the characteristic polynomial of A for these; the
+    # 2v x 2v linearization is the route every other graph takes
+    for g in REGULAR_CORPUS:
+        assert det_poly(g).to_list() == _linearized_det_poly(g).to_list(), g.name
 
 
 def test_modular_route_matches_bareiss_oracle():
@@ -101,18 +99,18 @@ def test_modular_route_matches_bareiss_oracle():
         path_graph(5),  # degree-1 ends
         build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]),  # loops, a double edge
         build_graph(7, K4.edges + ((4, 5), (5, 6), (6, 4))),  # K4 beside a triangle
+        build_graph(4, [(0, 1), (2, 3)]),  # 1-regular: q = 0
+        build_graph(3, []),  # no edges: 0-regular, q = -1
     ]
     for g in [K4, PETERSEN, B2, LOOP, *CYCLES.values(), *RANDOM_CUBIC, *edge_cases]:
-        p = _modular_det_poly(g)
+        p = det_poly(g)
         v = g.vertex_count
         # 2v + 1 integer points determine a polynomial of degree at most 2v
         assert p.degree <= 2 * v
         assert [p(t) for t in range(-v, v + 1)] == [det_at(g, t) for t in range(-v, v + 1)]
 
 
-def test_det_poly_falls_back_to_the_modular_route():
-    with pytest.raises(NumericError):
-        _interpolated_det_poly(CUBIC48)
+def test_det_poly_beyond_float_precision_matches_bareiss():
     p = det_poly(CUBIC48)
     assert p.degree == 96 and p.coefficients[0] == 1
     for t in (-2, -1, 2, 3):
@@ -357,13 +355,9 @@ def test_det_poly_is_relabeling_invariant(data):
     n, edges, perm = data
     g = build_graph(n, edges)
     h = build_graph(n, [(perm[x], perm[y]) for x, y in edges])
-    assert _modular_det_poly(g).to_list() == _modular_det_poly(h).to_list()
+    assert det_poly(g).to_list() == det_poly(h).to_list()
 
 
-def test_large_graph_uses_interpolation_and_matches_eigenvalues():
-    g = complete_graph(9)
-    p = det_poly(g)
-    eigs = np.linalg.eigvalsh(g.adjacency)
-    u = 0.05 + 0.02j
-    direct = np.prod(1.0 - eigs * u + 7.0 * u * u)
-    assert p(u) == pytest.approx(direct, rel=1e-9)
+def test_det_poly_matches_eigenvalue_factorization():
+    for g in REGULAR_CORPUS + [complete_graph(9), CUBIC48, random_regular(256, 3, 7)]:
+        assert factorization_error(g, det_poly(g)) < 1e-8, g.name
