@@ -36,8 +36,8 @@ from .covers import (
     load_voltages,
 )
 from .errors import GraphZetaError, InputError, ResourceError
-from .graphs import load_graph, regular_q, regularity, save_graph, spectrum
-from .l2 import L2Zeta, empirical_cdf, l2_zeta_abelian, torus_l2
+from .graphs import load_graph, regular_q, regularity, save_graph
+from .l2 import L2Zeta, empirical_cdf, l2_zeta_abelian, level_spectrum, torus_l2
 from .zeta import (
     euler_log_coeffs,
     functional_equation_sides,
@@ -358,8 +358,13 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
         "target": args.target,
         "grid": grid.describe(),
         "levels": [
-            {"index": level.index, "sup_error": level.sup_error}
-            for level in report.levels
+            {
+                "index": row.index,
+                "sup_error": row.sup_error,
+                "vertices": level.graph.vertex_count,
+                "characters": math.prod(level.voltages.orders),
+            }
+            for row, level in zip(report.levels, tower.levels)
         ],
         "flags": report.summary_dict()["flags"],
         "out": args.out,
@@ -433,7 +438,7 @@ def _cmd_l2_cdf(args) -> tuple[dict, int]:
     files = []
     masses = []
     for level in tower.levels:
-        cdf = empirical_cdf(spectrum(level.graph), level.index)
+        cdf = empirical_cdf(level_spectrum(level), level.index)
         path = outdir / f"cdf_N{level.index}.csv"
         lines = ["lambda,F"]
         for lam, val in cdf.to_rows():

@@ -20,10 +20,10 @@ import numpy as np
 
 from .covers import Tower
 from .errors import DomainError, InputError
-from .graphs import MultiGraph, regular_q, spectrum
-from .l2 import L2Zeta, SpectralCDF, empirical_cdf
-from .region import check_q, omega_contains, set_c_polyline
-from .zeta import det_poly, normalized_zeta, zeta_eval, zeta_function
+from .graphs import MultiGraph, regular_q
+from .l2 import L2Zeta, SpectralCDF, empirical_cdf, level_spectrum
+from .region import check_q, omega_contains, require_inside, set_c_polyline
+from .zeta import _normalized_values, det_poly, zeta_eval, zeta_function
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ class ConvergenceReport:
 
 def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> ConvergenceReport:
     """Per-level sup of |normalized zeta - target| over the grid; the target
-    is evaluated on all grid points in one call."""
+    is evaluated on all grid points in one call, and each level's zeta from
+    its character spectrum (`level_spectrum`)."""
     points = grid.array
     if len(points) == 0:
         raise InputError("the grid contains no admissible points")
@@ -128,10 +129,11 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     q = regular_q(tower.base)
     if q != grid.q:
         raise InputError(f"grid q = {grid.q} does not match the tower base's q = {q}")
+    require_inside(q, points)
     target_values = np.broadcast_to(target.evaluate(points), points.shape)
     levels = []
     for level in tower.levels:
-        values = normalized_zeta(level.graph, level.index, chi_base, points)
+        values = _normalized_values(level_spectrum(level), q, level.index, chi_base, points)
         errors = np.abs(values - target_values)
         worst = int(np.argmax(errors))
         levels.append(
@@ -163,7 +165,7 @@ def cdf_convergence(
     target_values = np.asarray(target(lams), dtype=float)
     out = []
     for level in tower.levels:
-        cdf = empirical_cdf(spectrum(level.graph), level.index)
+        cdf = empirical_cdf(level_spectrum(level), level.index)
         out.append(float(np.max(np.abs(cdf(lams) - target_values))))
     return out
 

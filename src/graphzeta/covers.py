@@ -10,6 +10,7 @@ covers sharing one base, with level indices N_1 = 1 | N_2 | N_3 | ...
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from pathlib import Path
@@ -54,6 +55,11 @@ class VoltageAssignment:
     @classmethod
     def cyclic(cls, shifts: Sequence[int], order: int) -> "VoltageAssignment":
         return cls(tuple((int(s),) for s in shifts), (int(order),), 1)
+
+    @classmethod
+    def trivial(cls, edge_count: int) -> "VoltageAssignment":
+        """The order-1 assignment: the cover it derives is the graph itself."""
+        return cls(((0,),) * edge_count, (1,), 1)
 
     @classmethod
     def free(cls, voltages: Sequence[Sequence[int]], rank: int | None = None) -> "VoltageAssignment":
@@ -162,8 +168,18 @@ def validate_cover(
 
 @dataclass(frozen=True)
 class TowerLevel:
+    """A level of a tower and the cover it is.
+
+    `graph` is the derived graph of `parent` under the finite `voltages`,
+    and `index` its degree over the tower base. The parent is the base for
+    lattice levels and the level below for homology levels; the base level
+    is the trivial order-1 cover of itself.
+    """
+
     graph: MultiGraph
     index: int
+    parent: MultiGraph
+    voltages: VoltageAssignment
 
 
 @dataclass(frozen=True)
@@ -190,6 +206,11 @@ class Tower:
             g = level.graph
             if g.vertex_count != level.index * self.base.vertex_count:
                 raise InputError("level size must be index * base size")
+            volt = level.voltages
+            if not volt.is_finite or len(volt.voltages) != level.parent.edge_count:
+                raise InputError("a level's voltages must be finite, one per parent edge")
+            if g.vertex_count != level.parent.vertex_count * math.prod(volt.orders):
+                raise InputError("level size must be parent size * voltage group order")
             if g.euler_characteristic != level.index * self.base.euler_characteristic:
                 raise InputError("level Euler characteristic must scale with the index")
 
@@ -237,17 +258,18 @@ def lattice_tower(
         raise InputError(
             f"{len(volt_free.voltages)} voltages for {base.edge_count} edges"
         )
-    levels = [TowerLevel(base, 1)]
+    levels = [TowerLevel(base, 1, base, VoltageAssignment.trivial(base.edge_count))]
     for step, n in enumerate(orders[1:]):
         if base.vertex_count * n**k > size_cap:
             raise ResourceError(
                 f"tower level {step + 2} needs {base.vertex_count * n**k} vertices, "
                 f"over the cap of {size_cap}"
             )
-        cover = derived_graph(base, volt_free.reduced((n,) * k))
+        volt = volt_free.reduced((n,) * k)
+        cover = derived_graph(base, volt)
         if not validate_cover(cover, base, covering_projection(base, cover)):
             raise NumericError("internal error: derived graph failed cover validation")
-        levels.append(TowerLevel(cover, n**k))
+        levels.append(TowerLevel(cover, n**k, base, volt))
     increasing = all(b > a for a, b in zip(orders, orders[1:]))
     return Tower(
         base=base,
@@ -305,14 +327,16 @@ def homology_tower(
         raise InputError("depth must be >= 0")
     if not base.is_connected:
         raise InputError("homology towers need a connected base")
-    levels = [TowerLevel(base, 1)]
+    levels = [TowerLevel(base, 1, base, VoltageAssignment.trivial(base.edge_count))]
     proj_to_base = list(range(base.vertex_count))
     current = base
     index = 1
     for step in range(depth):
         rank = current.edge_count - current.vertex_count + 1
         if rank == 0:
-            levels.append(TowerLevel(current, index))
+            levels.append(
+                TowerLevel(current, index, current, VoltageAssignment.trivial(current.edge_count))
+            )
             continue
         growth = p**rank
         next_size = current.vertex_count * growth
@@ -340,8 +364,8 @@ def homology_tower(
         if not validate_cover(nxt, base, proj_to_base):
             raise NumericError("internal error: composed projection is not a covering")
         index *= growth
+        levels.append(TowerLevel(nxt, index, current, volt))
         current = nxt
-        levels.append(TowerLevel(current, index))
     return Tower(
         base=base,
         levels=tuple(levels),
@@ -397,9 +421,12 @@ def tower_from_spec(
     if size_cap is None:
         size_cap = json_int(doc.get("size_cap", DEFAULT_SIZE_CAP), 'tower spec "size_cap"')
     if kind == "cyclic":
-        if "voltages" not in doc or "orders" not in doc:
-            raise InputError('cyclic tower spec needs "voltages" and "orders"')
-        return cyclic_tower(base, doc["voltages"], doc["orders"], size_cap)
+        fields = []
+        for key in ("voltages", "orders"):
+            if not isinstance(doc.get(key), list):
+                raise InputError(f'cyclic tower spec needs a "{key}" list')
+            fields.append([json_int(x, f'an entry of tower spec "{key}"') for x in doc[key]])
+        return cyclic_tower(base, *fields, size_cap)
     if kind == "homology":
         if "p" not in doc or "depth" not in doc:
             raise InputError('homology tower spec needs "p" and "depth"')

@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .covers import VoltageAssignment
+from .covers import TowerLevel, VoltageAssignment
 from .errors import DomainError, InputError, ResourceError
-from .graphs import MultiGraph, SpectrumData, regular_q
+from .graphs import MultiGraph, regular_q
 from .region import check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
@@ -53,7 +53,7 @@ class SpectralCDF:
         return [(float(x), float(v)) for x, v in zip(self.jump_points, self.values)]
 
 
-def empirical_cdf(s: SpectrumData, n: int) -> SpectralCDF:
+def empirical_cdf(eigenvalues: np.ndarray, n: int) -> SpectralCDF:
     """Eigenvalue counting function with mass (number of eigenvalues) / n.
 
     For a tower level of index n over a one-vertex base the total mass is 1;
@@ -61,7 +61,7 @@ def empirical_cdf(s: SpectrumData, n: int) -> SpectralCDF:
     """
     if n < 1:
         raise InputError("normalization must be >= 1")
-    points, counts = np.unique(np.asarray(s.eigenvalues, dtype=float), return_counts=True)
+    points, counts = np.unique(np.asarray(eigenvalues, dtype=float), return_counts=True)
     values = np.cumsum(counts) / float(n)
     points.setflags(write=False)
     values.setflags(write=False)
@@ -146,6 +146,26 @@ def _node_eigenvalues(sym: TorusSymbol, m: int):
         coords = np.unravel_index(idx, (m,) * k)
         thetas = np.column_stack([axes[c] for c in coords])
         yield sym.eigenvalue_samples(thetas)
+
+
+def level_spectrum(level: TowerLevel) -> np.ndarray:
+    """Adjacency eigenvalues of a tower level, sorted ascending and read-only,
+    from the characters of its voltage group.
+
+    Over (Z/n)^k the adjacency of the derived graph splits into the n^k
+    twisted matrices A_chi[x, y] = sum over parent edges x -> y of
+    chi(sigma_e) (Stark and Terras); these are the parent's torus symbol at
+    the nodes 2 pi j / n, so the spectrum is their union and the level's
+    graph is never diagonalized.
+    """
+    volt = level.voltages
+    n = volt.orders[0]
+    if any(m != n for m in volt.orders):
+        raise InputError(f"level spectra need equal cyclic orders, got {volt.orders}")
+    sym = torus_symbol(level.parent, VoltageAssignment.free(volt.voltages, volt.rank))
+    eigs = np.sort(np.concatenate([lams.ravel() for lams in _node_eigenvalues(sym, n)]))
+    eigs.setflags(write=False)
+    return eigs
 
 
 def _grid_log_det(sym: TorusSymbol, q: int, us: list[complex], m: int) -> list[complex]:

@@ -257,10 +257,7 @@ def nth_root_det(g: MultiGraph, n: int, u):
     q = regular_q(g)
     us = np.asarray(u, dtype=complex)
     require_inside(q, us)
-    eigs = spectrum(g).eigenvalues
-    flat = us.reshape(-1)
-    w = 1.0 - eigs[None, :] * flat[:, None] + q * (flat**2)[:, None]
-    values = np.exp(np.sum(np.log(w), axis=1) / n).reshape(us.shape)
+    values = _normalized_values(spectrum(g).eigenvalues, q, n, 0, us)
     return complex(values) if us.shape == () else values
 
 
@@ -270,9 +267,23 @@ def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
         raise InputError(
             f"chi({g.name or 'level'}) = {g.euler_characteristic} != {n} * {chi_base}"
         )
+    if n < 1:
+        raise InputError("root order must be >= 1")
+    q = regular_q(g)
     us = np.asarray(u, dtype=complex)
-    value = (1.0 - us * us) ** (-chi_base) * nth_root_det(g, n, us)
+    require_inside(q, us)
+    value = _normalized_values(spectrum(g).eigenvalues, q, n, chi_base, us)
     return complex(value) if us.shape == () else value
+
+
+def _normalized_values(eigs: np.ndarray, q: int, n: int, chi_base: int, us: np.ndarray):
+    """(1 - u^2)^(-chi_base) prod_lam exp(log(1 - lam u + q u^2) / n) at the
+    points `us` (an array of any shape, checked by the caller to lie inside
+    the region), for the adjacency eigenvalues `eigs` of a level of index n."""
+    flat = us.reshape(-1)
+    w = 1.0 - eigs[None, :] * flat[:, None] + q * (flat**2)[:, None]
+    values = np.exp(np.sum(np.log(w), axis=1) / n).reshape(us.shape)
+    return (1.0 - us * us) ** (-chi_base) * values
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,16 @@ def test_tower_build_and_run(workdir, capsys):
     doc = summary_of(capsys)
     sups = [lvl["sup_error"] for lvl in doc["levels"]]
     assert sups == sorted(sups, reverse=True)
+    # each level's size and the number of twisted matrices behind its spectrum
+    assert [(lvl["vertices"], lvl["characters"]) for lvl in doc["levels"]] == [
+        (1, 1), (2, 2), (4, 4), (8, 8)
+    ]
     assert (outdir / "summary.json").exists()
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert set(manifest["parameters"]) == {"target", "grid"}
+    for name in ("summary.json", "manifest.json"):
+        text = (outdir / name).read_text()
+        assert '"vertices"' not in text and '"characters"' not in text
 
     # rerun lands byte-identical outputs
     before = {p.name: p.read_bytes() for p in outdir.iterdir()}
@@ -386,6 +393,16 @@ def test_exit_codes(workdir, capsys):
         assert run(argv) == 1
         assert f"a voltage must be an integer, got {bad!r}" in capsys.readouterr().err
     assert not (workdir / "c.json").exists()
+    # a cyclic tower spec entry that is not an integer: input error naming the field
+    for key, value in (("orders", [1, "a"]), ("voltages", ["x"])):
+        spec = {"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2]}
+        spec[key] = value
+        (workdir / "bad_t.json").write_text(json.dumps(spec))
+        argv = ["tower", "build", "--spec", str(workdir / "bad_t.json"), "--out", str(workdir / "bt")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f'tower spec "{key}" must be an integer, got {value[-1]!r}' in err
+    assert not (workdir / "bt").exists()
 
 
 IRREGULAR_COMMANDS = {

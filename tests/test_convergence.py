@@ -12,7 +12,9 @@ from graphzeta import (
     cyclic_tower,
     deitmar_residual,
     empirical_cdf,
+    homology_tower,
     lattice_tower,
+    normalized_zeta,
     omega_contains,
     path_graph,
     spectrum,
@@ -70,6 +72,23 @@ def test_lattice_tower_converges_to_torus_target():
     assert errs[-1] < 0.05
 
 
+def test_tower_errors_match_dense_normalized_zeta():
+    # the character route against normalized_zeta on each level graph
+    shifts = (1, 0, 2, -1, 0, 1)
+    torus = torus_l2(K4, VoltageAssignment.free([(s,) for s in shifts]))
+    grid = GridSpec(q=2, radius=0.5, resolution=8, margin=0.05)
+    cases = (
+        (cyclic_tower(K4, shifts, (1, 2, 4, 8, 16)), torus),
+        (homology_tower(K4, 3, 1), tree_l2_reference(K4)),
+    )
+    for tower, target in cases:
+        report = tower_convergence(tower, target, grid)
+        target_values = target.evaluate(grid.array)
+        for level, row in zip(tower.levels, report.levels):
+            dense = normalized_zeta(level.graph, level.index, K4.euler_characteristic, grid.array)
+            assert np.max(np.abs(row.errors - np.abs(dense - target_values))) < 1e-12
+
+
 def test_tower_convergence_validates_grid():
     tower = cyclic_tower(LOOP, (1,), (1, 2))
     with pytest.raises(InputError):
@@ -92,7 +111,7 @@ def test_cdf_convergence_to_arcsine():
 
 def test_cdf_convergence_accepts_spectral_cdf_target():
     tower = cyclic_tower(LOOP, (1,), (1, 2, 4))
-    target = empirical_cdf(spectrum(tower.levels[-1].graph), 4)
+    target = empirical_cdf(spectrum(tower.levels[-1].graph).eigenvalues, 4)
     sups = cdf_convergence(tower, target, np.linspace(-1.9, 1.9, 21))
     assert sups[-1] == pytest.approx(0.0, abs=1e-12)
 

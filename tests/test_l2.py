@@ -16,14 +16,20 @@ from graphzeta import (
     ResourceError,
     UnsupportedError,
     VoltageAssignment,
+    TowerLevel,
     bouquet_graph,
     cycle_graph,
+    cyclic_tower,
+    derived_graph,
     empirical_cdf,
     equivariant_walk_counts,
     l2,
     l2_log_det,
     l2_series_oracle,
     l2_zeta_abelian,
+    homology_tower,
+    lattice_tower,
+    level_spectrum,
     path_graph,
     spectrum,
     symbol_spectral_cdf,
@@ -32,7 +38,7 @@ from graphzeta import (
     tree_l2_reference,
 )
 
-from corpus import B2, K4, LOOP
+from corpus import B2, K4, LOOP, PETERSEN
 
 VZ = VoltageAssignment.free(((1,),), rank=1)
 VZ2 = VoltageAssignment.free(((1, 0), (0, 1)), rank=2)
@@ -173,7 +179,7 @@ def test_tree_reference():
 
 def test_empirical_cdf_counting():
     s = spectrum(cycle_graph(4))  # eigenvalues -2, 0, 0, 2
-    cdf = empirical_cdf(s, 4)
+    cdf = empirical_cdf(s.eigenvalues, 4)
     # query between jumps; the jumps themselves carry eigensolver noise
     assert cdf(-3.0) == 0.0
     assert cdf(-1.0) == pytest.approx(0.25)
@@ -185,7 +191,7 @@ def test_empirical_cdf_counting():
 
 
 def test_empirical_cdf_vectorized():
-    cdf = empirical_cdf(spectrum(cycle_graph(6)), 6)
+    cdf = empirical_cdf(spectrum(cycle_graph(6)).eigenvalues, 6)
     lam = np.array([-3.0, 0.5, 3.0])
     out = cdf(lam)
     assert out.shape == (3,)
@@ -225,3 +231,52 @@ def test_array_evaluation_matches_scalar_evaluation():
             scalar = l2_zeta_abelian(base, volt, complex(u))
             assert type(scalar) is complex
             assert value == scalar, u
+
+
+# ---------------------------------------------------------------------------
+# level spectra from characters, against dense eigvalsh of the level graph
+
+K4_SHIFTS = (1, 0, 2, -1, 0, 1)
+K4_RANK2 = ((1, 0), (0, 1), (0, 0), (1, 1), (0, 0), (2, -1))
+PETERSEN_SHIFTS = (1, 0, -1, 2, 0, 0, 1, 1, -2, 0, 1, 0, 0, -1, 1)
+LEVEL_TOWERS = {
+    "base": lambda: cyclic_tower(PETERSEN, PETERSEN_SHIFTS, (1,)),
+    "cyclic K4": lambda: cyclic_tower(K4, K4_SHIFTS, (1, 2, 4, 8, 16, 64)),
+    "cyclic Petersen": lambda: cyclic_tower(PETERSEN, PETERSEN_SHIFTS, (1, 3, 6, 12, 24)),
+    "rank-2 K4 lattice": lambda: lattice_tower(K4, K4_RANK2, (1, 2, 4, 8, 16)),
+    "K4 mod-7 homology": lambda: homology_tower(K4, 7, 1),
+    "B2 mod-2 homology": lambda: homology_tower(B2, 2, 2),
+    "rank-0 homology step": lambda: homology_tower(path_graph(3), 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_TOWERS))
+def test_level_spectrum_matches_dense_eigvalsh(name):
+    tower = LEVEL_TOWERS[name]()
+    for level in tower.levels:
+        got = level_spectrum(level)
+        dense = np.sort(np.linalg.eigvalsh(level.graph.adjacency))
+        assert got.shape == dense.shape
+        assert not got.flags.writeable
+        assert np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got - dense)) < 1e-10
+
+
+def test_level_parents():
+    # the top level of the B2 mod-2 tower is a (Z/2)^5 cover of level 2, not of the base
+    levels = homology_tower(B2, 2, 2).levels
+    assert [lvl.graph.vertex_count for lvl in levels] == [1, 4, 128]
+    assert levels[0].parent is B2 and levels[0].voltages.orders == (1,)
+    assert levels[1].parent is B2 and levels[1].voltages.orders == (2, 2)
+    assert levels[2].parent is levels[1].graph and levels[2].voltages.orders == (2,) * 5
+    # a rank-0 step (the level below is a tree) is the trivial cover of it
+    tree_levels = homology_tower(path_graph(3), 3, 2).levels
+    assert all(lvl.parent is lvl.graph and lvl.voltages.orders == (1,) for lvl in tree_levels)
+    assert all(lvl.parent is K4 for lvl in lattice_tower(K4, K4_RANK2, (1, 2, 4)).levels)
+
+
+def test_level_spectrum_needs_equal_orders():
+    volt = VoltageAssignment.product([(1, 1)], (2, 3))
+    level = TowerLevel(derived_graph(LOOP, volt), 6, LOOP, volt)
+    with pytest.raises(InputError, match="equal cyclic orders"):
+        level_spectrum(level)
