@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import random
 import sys
 from pathlib import Path
@@ -138,18 +137,6 @@ def _parse_target(text: str, base, spec_dir: Path) -> tuple[L2Zeta, list[Path]]:
     raise InputError(
         f"unknown target {text!r}; expected constant:<value> or torus:<voltage-file>"
     )
-
-
-def _size_cap(args) -> int | None:
-    if getattr(args, "size_cap", None) is not None:
-        return int(args.size_cap)
-    env = os.environ.get("ZETA_SIZE_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"ZETA_SIZE_CAP must be an integer, got {env!r}") from exc
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +271,9 @@ def _cmd_cover_build(args) -> tuple[dict, int]:
     volt = load_voltages(args.voltages)
     if not volt.is_finite:
         raise InputError("cover build needs a finite voltage group (orders)")
-    cap = _size_cap(args)
-    cap = DEFAULT_SIZE_CAP if cap is None else cap
     size = base.vertex_count * math.prod(volt.orders)
-    if size > cap:
-        raise ResourceError(f"the cover needs {size} vertices, over the cap of {cap}")
+    if size > DEFAULT_SIZE_CAP:
+        raise ResourceError(f"the cover needs {size} vertices, over the cap of {DEFAULT_SIZE_CAP}")
     cover = derived_graph(base, volt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -312,7 +297,7 @@ def _cmd_cover_build(args) -> tuple[dict, int]:
 
 
 def _cmd_tower_build(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec, _size_cap(args))
+    tower = load_tower_spec(args.spec, args.size_cap)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     level_files = []
@@ -344,7 +329,7 @@ def _cmd_tower_build(args) -> tuple[dict, int]:
 
 
 def _cmd_tower_run(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec, _size_cap(args))
+    tower = load_tower_spec(args.spec, args.size_cap)
     q = regular_q(tower.base)
     grid = _parse_grid(args.grid, q)
     target, target_files = _parse_target(args.target, tower.base, Path(args.spec).parent)
@@ -361,7 +346,7 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
             {
                 "index": row.index,
                 "sup_error": row.sup_error,
-                "vertices": level.graph.vertex_count,
+                "vertices": level.index * tower.base.vertex_count,
                 "characters": math.prod(level.voltages.orders),
             }
             for row, level in zip(report.levels, tower.levels)
@@ -432,7 +417,7 @@ def _cmd_l2_torus(args) -> tuple[dict, int]:
 
 
 def _cmd_l2_cdf(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec, _size_cap(args))
+    tower = load_tower_spec(args.spec, args.size_cap)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []

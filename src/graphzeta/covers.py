@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product as iter_product
 from pathlib import Path
 from typing import Sequence
@@ -168,18 +169,26 @@ def validate_cover(
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """A level of a tower and the cover it is.
+    """A level of a tower: the cover of `parent` derived from the finite
+    `voltages`, of degree `index` over the tower base.
 
-    `graph` is the derived graph of `parent` under the finite `voltages`,
-    and `index` its degree over the tower base. The parent is the base for
-    lattice levels and the level below for homology levels; the base level
-    is the trivial order-1 cover of itself.
+    The parent is the base for lattice levels and the level below for
+    homology levels; the base level is the trivial order-1 cover of itself.
+    `graph` is derived and validated on first read.
     """
 
-    graph: MultiGraph
     index: int
     parent: MultiGraph
     voltages: VoltageAssignment
+
+    @cached_property
+    def graph(self) -> MultiGraph:
+        if self.voltages.is_finite and math.prod(self.voltages.orders) == 1:
+            return self.parent
+        cover = derived_graph(self.parent, self.voltages)
+        if not validate_cover(cover, self.parent, covering_projection(self.parent, cover)):
+            raise NumericError("internal error: derived graph failed cover validation")
+        return cover
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ class Tower:
         if not self.levels:
             raise InputError("a tower needs at least one level")
         first = self.levels[0]
-        if first.index != 1 or first.graph is not self.base and first.graph != self.base:
+        if first.index != 1 or first.parent != self.base:
             raise InputError("the first level of a tower must be the base at index 1")
         for prev, cur in zip(self.levels, self.levels[1:]):
             if cur.index % prev.index:
@@ -203,15 +212,13 @@ class Tower:
                     f"tower indices must form a divisibility chain ({prev.index} !| {cur.index})"
                 )
         for level in self.levels:
-            g = level.graph
-            if g.vertex_count != level.index * self.base.vertex_count:
-                raise InputError("level size must be index * base size")
-            volt = level.voltages
-            if not volt.is_finite or len(volt.voltages) != level.parent.edge_count:
+            parent, volt = level.parent, level.voltages
+            if not volt.is_finite or len(volt.voltages) != parent.edge_count:
                 raise InputError("a level's voltages must be finite, one per parent edge")
-            if g.vertex_count != level.parent.vertex_count * math.prod(volt.orders):
-                raise InputError("level size must be parent size * voltage group order")
-            if g.euler_characteristic != level.index * self.base.euler_characteristic:
+            order = math.prod(volt.orders)
+            if parent.vertex_count * order != level.index * self.base.vertex_count:
+                raise InputError("level size must be index * base size")
+            if parent.euler_characteristic * order != level.index * self.base.euler_characteristic:
                 raise InputError("level Euler characteristic must scale with the index")
 
     @property
@@ -258,18 +265,14 @@ def lattice_tower(
         raise InputError(
             f"{len(volt_free.voltages)} voltages for {base.edge_count} edges"
         )
-    levels = [TowerLevel(base, 1, base, VoltageAssignment.trivial(base.edge_count))]
+    levels = [TowerLevel(1, base, VoltageAssignment.trivial(base.edge_count))]
     for step, n in enumerate(orders[1:]):
         if base.vertex_count * n**k > size_cap:
             raise ResourceError(
                 f"tower level {step + 2} needs {base.vertex_count * n**k} vertices, "
                 f"over the cap of {size_cap}"
             )
-        volt = volt_free.reduced((n,) * k)
-        cover = derived_graph(base, volt)
-        if not validate_cover(cover, base, covering_projection(base, cover)):
-            raise NumericError("internal error: derived graph failed cover validation")
-        levels.append(TowerLevel(cover, n**k, base, volt))
+        levels.append(TowerLevel(n**k, base, volt_free.reduced((n,) * k)))
     increasing = all(b > a for a, b in zip(orders, orders[1:]))
     return Tower(
         base=base,
@@ -327,16 +330,13 @@ def homology_tower(
         raise InputError("depth must be >= 0")
     if not base.is_connected:
         raise InputError("homology towers need a connected base")
-    levels = [TowerLevel(base, 1, base, VoltageAssignment.trivial(base.edge_count))]
-    proj_to_base = list(range(base.vertex_count))
-    current = base
+    levels = [TowerLevel(1, base, VoltageAssignment.trivial(base.edge_count))]
     index = 1
     for step in range(depth):
+        current = levels[-1].graph
         rank = current.edge_count - current.vertex_count + 1
         if rank == 0:
-            levels.append(
-                TowerLevel(current, index, current, VoltageAssignment.trivial(current.edge_count))
-            )
+            levels.append(TowerLevel(index, current, VoltageAssignment.trivial(current.edge_count)))
             continue
         growth = p**rank
         next_size = current.vertex_count * growth
@@ -356,16 +356,8 @@ def homology_tower(
                 sigma[generator] = 1
                 generator += 1
                 voltages.append(tuple(sigma))
-        volt = VoltageAssignment.product(voltages, (p,) * rank)
-        nxt = derived_graph(current, volt)
-        if not validate_cover(nxt, current, covering_projection(current, nxt)):
-            raise NumericError("internal error: homology cover failed validation")
-        proj_to_base = [proj_to_base[w // growth] for w in range(nxt.vertex_count)]
-        if not validate_cover(nxt, base, proj_to_base):
-            raise NumericError("internal error: composed projection is not a covering")
         index *= growth
-        levels.append(TowerLevel(nxt, index, current, volt))
-        current = nxt
+        levels.append(TowerLevel(index, current, VoltageAssignment.product(voltages, (p,) * rank)))
     return Tower(
         base=base,
         levels=tuple(levels),

@@ -31,6 +31,7 @@ from .polynomials import IntPolynomial
 from .region import distance_to_C, require_inside
 
 ORDER_CAP = 512  # largest matrix order the determinant kernel takes
+WALK_CAP = 2048  # most oriented edges the closed-walk counter takes
 _PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
@@ -321,19 +322,13 @@ def functional_equation_residual(g: MultiGraph, u: complex) -> complex:
 # Euler-product log coefficients via the oriented-edge transfer operator
 
 
-def _mat_mult(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        row_out = out[i]
-        for k in range(n):
-            coeff = row_a[k]
-            if coeff:
-                row_b = b[k]
-                for j in range(n):
-                    row_out[j] += coeff * row_b[j]
-    return out
+def _transfer_matrix(g: MultiGraph) -> np.ndarray:
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    tails, heads = ends.ravel(), ends[:, ::-1].ravel()
+    t = heads[:, None] == tails[None, :]
+    a = np.arange(len(tails))
+    t[a, a ^ 1] = False
+    return t
 
 
 def transfer_operator(g: MultiGraph) -> list[list[int]]:
@@ -344,32 +339,36 @@ def transfer_operator(g: MultiGraph) -> list[list[int]]:
     direction is allowed; immediately re-traversing any edge backwards is
     not.
     """
-    tails = []
-    heads = []
-    for x, y in g.edges:
-        tails += [x, y]
-        heads += [y, x]
-    m = len(tails)
-    t = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if heads[a] == tails[b] and b != a ^ 1:
-                t[a][b] = 1
-    return t
+    return _transfer_matrix(g).astype(np.int64).tolist()
 
 
 def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:
-    """N_m = trace(T^m) for m = 1..terms, exactly."""
-    t = transfer_operator(g)
-    m = len(t)
-    if m == 0:
+    """N_m = trace(T^m) for m = 1..terms, exactly.
+
+    Every entry and partial sum of T^m is at most 2E (d_max - 1)^m, so the
+    float64 products are exact while 2E max(1, d_max - 1)^terms < 2^53.
+    Raises ResourceError past that bound or past WALK_CAP oriented edges.
+    """
+    oriented = 2 * g.edge_count
+    if oriented == 0:
         return [0] * terms
+    if oriented > WALK_CAP:
+        raise ResourceError(
+            f"closed walk counts take at most {WALK_CAP} oriented edges, got {oriented}"
+        )
+    d_max = max(g.degree_sequence)
+    if oriented * max(1, d_max - 1) ** terms >= 2**53:
+        raise ResourceError(
+            f"closed walks of length {terms} on {oriented} oriented edges of degree up to "
+            f"{d_max} may number 2^53 or more, past exact float64 counts"
+        )
+    t = _transfer_matrix(g).astype(np.float64)
     counts = []
     power = t
-    for _ in range(terms):
-        counts.append(sum(power[i][i] for i in range(m)))
-        if len(counts) < terms:
-            power = _mat_mult(power, t)
+    for m in range(terms):
+        if m:
+            power = power @ t
+        counts.append(int(np.trace(power)))
     return counts
 
 

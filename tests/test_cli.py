@@ -10,7 +10,9 @@ from graphzeta import (
     bouquet_graph,
     cli,
     complete_graph,
+    covers,
     cycle_graph,
+    derived_graph,
     errors,
     path_graph,
     save_graph,
@@ -163,18 +165,13 @@ def test_cover_build(workdir, capsys):
     assert json.loads(out.read_text())["vertices"] == 6
 
 
-def test_cover_build_size_cap(workdir, capsys, monkeypatch):
-    (workdir / "vc.json").write_text(json.dumps({"voltages": [1], "orders": [6]}))
+def test_cover_build_size_cap(workdir, capsys):
     (workdir / "vbig.json").write_text(json.dumps({"voltages": [1], "orders": [10001]}))
     out = workdir / "cover.json"
     argv = ["cover", "build", "--base", str(workdir / "loop.json"), "--out", str(out)]
-    # the default cap of 10000 vertices, then ZETA_SIZE_CAP
-    monkeypatch.delenv("ZETA_SIZE_CAP", raising=False)
+    # the default cap of 10000 vertices
     assert run(argv + ["--voltages", str(workdir / "vbig.json")]) == 2
-    assert "10001 vertices" in capsys.readouterr().err
-    monkeypatch.setenv("ZETA_SIZE_CAP", "2")
-    assert run(argv + ["--voltages", str(workdir / "vc.json")]) == 2
-    assert "6 vertices, over the cap of 2" in capsys.readouterr().err
+    assert "10001 vertices, over the cap of 10000" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -321,6 +318,58 @@ def test_l2_cdf(workdir, capsys):
     assert (outdir / "cdf_N8.csv").read_text().startswith("lambda,F")
 
 
+LAZY_SPECS = {
+    "cyclic K4": ({"kind": "cyclic", "voltages": [1, 2, 0, 1, 1, 0], "orders": [1, 2, 4]},
+                  {"voltages": [1, 2, 0, 1, 1, 0], "rank": 1}),
+    "K4 mod-7 homology": ({"kind": "homology", "p": 7, "depth": 1},
+                          {"voltages": [[0, 0, 0]] * 3 + [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                           "rank": 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_SPECS))
+def test_tower_commands_derive_no_graph(workdir, capsys, monkeypatch, name):
+    spec, target = LAZY_SPECS[name]
+    (workdir / "lazy.json").write_text(json.dumps({"base": "k4.json", **spec}))
+    (workdir / "lazy_v.json").write_text(json.dumps(target))
+
+    def refuse(parent, volt):
+        raise AssertionError("a tower command derived a level graph")
+
+    monkeypatch.setattr(covers, "derived_graph", refuse)
+    spec_arg = ["--spec", str(workdir / "lazy.json")]
+    for target_arg in ("constant:1", "torus:lazy_v.json"):
+        argv = ["tower", "run", *spec_arg, "--target", target_arg,
+                "--grid", "disk:0.2:3:0.02", "--out", str(workdir / "run")]
+        assert run(argv) == 0
+        top = summary_of(capsys)["levels"][-1]
+        assert top["vertices"] == (16 if name == "cyclic K4" else 1372)
+    assert run(["l2", "cdf", *spec_arg, "--out", str(workdir / "cdf")]) == 0
+    capsys.readouterr()
+
+
+def test_tower_commands_derive_only_homology_parents(workdir, capsys, monkeypatch):
+    # B2 mod-2 depth 2: only level 2, the parent of the top level, is derived
+    sizes = []
+
+    def counting(parent, volt):
+        cover = derived_graph(parent, volt)
+        sizes.append(cover.vertex_count)
+        return cover
+
+    monkeypatch.setattr(covers, "derived_graph", counting)
+    spec_arg = ["--spec", str(workdir / "tower_h.json")]
+    run_args = ["--target", "constant:1", "--grid", "disk:0.3:3:0.02", "--out", str(workdir / "r")]
+    assert run(["tower", "run", *spec_arg, *run_args]) == 0
+    assert [lvl["vertices"] for lvl in summary_of(capsys)["levels"]] == [1, 4, 128]
+    assert sizes == [4]
+    assert run(["l2", "cdf", *spec_arg, "--out", str(workdir / "cdf")]) == 0
+    assert sizes == [4, 4]
+    assert run(["tower", "build", *spec_arg, "--out", str(workdir / "built")]) == 0
+    assert summary_of(capsys)["sizes"] == [1, 4, 128]
+    assert sizes == [4, 4, 4, 128]
+
+
 def test_deitmar_check(workdir, capsys):
     code = run(["deitmar", "check", "--graph", str(workdir / "k4.json")])
     assert code == 0
@@ -367,6 +416,8 @@ def test_exit_codes(workdir, capsys):
         )
         == 2
     )
+    err = capsys.readouterr().err
+    assert "128" in err and "50" in err
     # the cap covers cyclic towers too: level 3 of the loop tower has 4 vertices
     assert (
         run(
@@ -385,6 +436,10 @@ def test_exit_codes(workdir, capsys):
     )
     assert "4 vertices" in capsys.readouterr().err
     assert not (workdir / "tc").exists()
+    # closed walks that float64 cannot count exactly: 20 * 3^31 >= 2^53 for K5
+    save_graph(complete_graph(5), workdir / "k5.json")
+    assert run(["zeta", "euler-check", "--graph", str(workdir / "k5.json"), "--terms", "31"]) == 2
+    assert "length 31 on 20 oriented edges of degree up to 4" in capsys.readouterr().err
     # a voltage that is not an integer: input error, not a traceback or a truncation
     for bad in ("a", 1.5):
         (workdir / "bad_v.json").write_text(json.dumps({"voltages": [[bad]], "orders": [2]}))
@@ -440,16 +495,6 @@ def test_exit_codes_match_the_errors_docstring(capsys, monkeypatch):
         monkeypatch.setattr(cli, "load_graph", fail)
         assert run(["zeta", "compute", "--graph", "g.json"]) == cls.exit_code
         assert "raised on purpose" in capsys.readouterr().err
-
-
-def test_size_cap_env(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("ZETA_SIZE_CAP", "50")
-    code = run(
-        ["tower", "build", "--spec", str(workdir / "tower_h.json"), "--out", str(workdir / "th2")]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "128" in err and "50" in err
 
 
 def test_console_script_runs(workdir):

@@ -5,10 +5,14 @@ import pytest
 
 from graphzeta import (
     InputError,
+    NumericError,
     ResourceError,
     Tower,
+    TowerLevel,
     VoltageAssignment,
     bouquet_graph,
+    build_graph,
+    covers,
     covering_projection,
     cycle_graph,
     cyclic_tower,
@@ -17,6 +21,7 @@ from graphzeta import (
     homology_tower,
     lattice_tower,
     load_tower_spec,
+    path_graph,
     spanning_tree_edges,
     spectrum,
     validate_cover,
@@ -154,8 +159,57 @@ def test_spanning_tree():
 
 def test_tower_invariants_enforced():
     lvl = cyclic_tower(LOOP, (1,), (1, 2)).levels
-    with pytest.raises(InputError):
-        Tower(base=LOOP, levels=(lvl[1],), provenance="manual")  # first level not the base
+    with pytest.raises(InputError, match="first level"):
+        Tower(base=LOOP, levels=(lvl[1],), provenance="manual")
+    broken = {
+        "divisibility chain": [
+            TowerLevel(2, LOOP, VoltageAssignment.cyclic((1,), 2)),
+            TowerLevel(3, LOOP, VoltageAssignment.cyclic((1,), 3)),
+        ],
+        "one per parent edge": [TowerLevel(2, LOOP, VoltageAssignment.cyclic((1, 0), 2))],
+        "must be finite": [TowerLevel(2, LOOP, VoltageAssignment.free(((1,),)))],
+        "size must be index": [TowerLevel(3, LOOP, VoltageAssignment.cyclic((1,), 2))],
+        # B2 has the loop's vertex count, but Euler characteristic -1, not 0
+        "Euler characteristic": [TowerLevel(2, B2, VoltageAssignment.cyclic((1, 0), 2))],
+    }
+    for rule, levels in broken.items():
+        with pytest.raises(InputError, match=rule):
+            Tower(base=LOOP, levels=(lvl[0], *levels), provenance="manual")
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [
+        cyclic_tower(K4, (1, 2, 0, 1, 1, 0), (1, 2, 4)),
+        lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 4)),
+        homology_tower(B2, 2, 2),
+        homology_tower(cycle_graph(3), 2, 2),
+        homology_tower(build_graph(2, [(0, 1)] * 3), 2, 2),
+        homology_tower(path_graph(3), 3, 2),
+    ],
+    ids=["cyclic K4", "lattice B2", "B2 mod 2", "C3 mod 2", "theta mod 2", "rank-0 step"],
+)
+def test_level_graphs_are_validated_covers(tower):
+    for level in tower.levels:
+        g, parent = level.graph, level.parent
+        derived = derived_graph(parent, level.voltages)
+        assert (g.vertex_count, g.edges) == (derived.vertex_count, derived.edges)
+        assert validate_cover(g, parent, covering_projection(parent, g))
+    # the composed projection of a depth-2 top level onto the base is a covering
+    if len(tower.levels) == 3 and tower.levels[2].parent is tower.levels[1].graph:
+        middle, top = tower.levels[1].graph, tower.levels[2].graph
+        to_base = covering_projection(tower.base, middle)
+        composed = [to_base[w] for w in covering_projection(middle, top)]
+        assert validate_cover(top, tower.base, composed)
+
+
+def test_a_wrong_derived_graph_fails_on_read(monkeypatch):
+    tower = cyclic_tower(K4, (1, 2, 0, 1, 1, 0), (1, 2))
+    # a cycle has the cover's vertex count but the wrong vertex stars
+    monkeypatch.setattr(covers, "derived_graph", lambda parent, volt: cycle_graph(8))
+    with pytest.raises(NumericError, match="internal error"):
+        tower.levels[1].graph
+    assert tower.levels[0].graph is K4
 
 
 def test_voltage_json(tmp_path):

@@ -20,7 +20,6 @@ from graphzeta import (
     bouquet_graph,
     cycle_graph,
     cyclic_tower,
-    derived_graph,
     empirical_cdf,
     equivariant_walk_counts,
     l2,
@@ -277,6 +276,6 @@ def test_level_parents():
 
 def test_level_spectrum_needs_equal_orders():
     volt = VoltageAssignment.product([(1, 1)], (2, 3))
-    level = TowerLevel(derived_graph(LOOP, volt), 6, LOOP, volt)
+    level = TowerLevel(6, LOOP, volt)
     with pytest.raises(InputError, match="equal cyclic orders"):
         level_spectrum(level)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from graphzeta import (
     DomainError,
     InputError,
+    ResourceError,
     UnsupportedError,
     bouquet_graph,
     build_graph,
@@ -182,6 +183,17 @@ def test_k4_triangle_count():
     # 4 triangles, 2 orientations, 3 starting edges each
     assert closed_walk_counts(K4, 3)[2] == 24
     assert euler_log_coeffs(K4, 3)[2] == Fraction(-8)
+
+
+def test_closed_walk_counts_stay_exact_or_refuse():
+    # 20 * 3^30 < 2^53 <= 20 * 3^31 for K5: the last exact length, then a refusal
+    k5 = complete_graph(5)
+    assert euler_log_coeffs(k5, 30) == zeta_log_coeffs(k5, 30)
+    with pytest.raises(ResourceError, match="length 31 on 20 oriented edges"):
+        closed_walk_counts(k5, 31)
+    with pytest.raises(ResourceError, match="at most 2048 oriented edges, got 2050"):
+        closed_walk_counts(cycle_graph(1025), 2)
+    assert closed_walk_counts(path_graph(1), 3) == [0, 0, 0]
 
 
 def test_transfer_operator_shape():
