@@ -76,7 +76,7 @@ def main():
             run_case(
                 "cycles",
                 cyclic_tower(loop, (1,), (1, 2, 4, 8, 16)),
-                tree_l2_reference(loop),
+                tree_l2_reference(),
                 GridSpec(q=1, radius=0.5, resolution=15),
                 outdir,
             ),
@@ -100,7 +100,7 @@ def main():
             run_case(
                 "homology",
                 homology_tower(b2, 2, 2),
-                tree_l2_reference(b2),
+                tree_l2_reference(),
                 GridSpec(q=3, radius=0.3, resolution=13, margin=0.05),
                 outdir,
             ),

@@ -28,13 +28,8 @@ from .convergence import (
     tower_convergence,
     write_convergence_report,
 )
-from .covers import (
-    DEFAULT_SIZE_CAP,
-    derived_graph,
-    load_tower_spec,
-    load_voltages,
-)
-from .errors import GraphZetaError, InputError, ResourceError
+from .covers import derived_graph, load_tower_spec, load_voltages
+from .errors import GraphZetaError, InputError
 from .graphs import load_graph, regular_q, regularity, save_graph
 from .l2 import L2Zeta, empirical_cdf, l2_zeta_abelian, level_spectrum, torus_l2
 from .zeta import (
@@ -114,17 +109,12 @@ def _parse_grid(text: str, q: int) -> GridSpec:
 def _parse_target(text: str, base, spec_dir: Path) -> tuple[L2Zeta, list[Path]]:
     """Returns the target evaluator and any files it depends on."""
     if text.startswith("constant:"):
+        literal = text.split(":", 1)[1]
         try:
-            value = complex(text.split(":", 1)[1])
+            value = complex(literal)
         except ValueError as exc:
             raise InputError(f"malformed constant target {text!r}") from exc
-        target = L2Zeta(
-            chi_base=base.euler_characteristic,
-            q=regular_q(base),
-            evaluate=lambda u, v=value: v,
-            description=f"constant {text.split(':', 1)[1]}",
-        )
-        return target, []
+        return L2Zeta(evaluate=lambda u: value, description=f"constant {literal}"), []
     if text.startswith("torus:"):
         volt_path = Path(text.split(":", 1)[1])
         if not volt_path.is_absolute():
@@ -271,9 +261,6 @@ def _cmd_cover_build(args) -> tuple[dict, int]:
     volt = load_voltages(args.voltages)
     if not volt.is_finite:
         raise InputError("cover build needs a finite voltage group (orders)")
-    size = base.vertex_count * math.prod(volt.orders)
-    if size > DEFAULT_SIZE_CAP:
-        raise ResourceError(f"the cover needs {size} vertices, over the cap of {DEFAULT_SIZE_CAP}")
     cover = derived_graph(base, volt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -297,19 +284,20 @@ def _cmd_cover_build(args) -> tuple[dict, int]:
 
 
 def _cmd_tower_build(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec, args.size_cap)
+    tower = load_tower_spec(args.spec)
+    graphs = [level.graph for level in tower.levels]  # a level over the cap writes nothing
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     level_files = []
-    for i, level in enumerate(tower.levels, 1):
+    for i, (level, g) in enumerate(zip(tower.levels, graphs), 1):
         path = outdir / f"level_{i:02d}_N{level.index}.json"
-        save_graph(level.graph, path)
+        save_graph(g, path)
         level_files.append(str(path))
     doc = {
         "provenance": tower.provenance,
         "indices": list(tower.indices),
-        "sizes": [level.graph.vertex_count for level in tower.levels],
-        "connected": [level.graph.is_connected for level in tower.levels],
+        "sizes": [g.vertex_count for g in graphs],
+        "connected": [g.is_connected for g in graphs],
         "levels": level_files,
     }
     (outdir / "tower.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -329,7 +317,7 @@ def _cmd_tower_build(args) -> tuple[dict, int]:
 
 
 def _cmd_tower_run(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec, args.size_cap)
+    tower = load_tower_spec(args.spec)
     q = regular_q(tower.base)
     grid = _parse_grid(args.grid, q)
     target, target_files = _parse_target(args.target, tower.base, Path(args.spec).parent)
@@ -417,13 +405,13 @@ def _cmd_l2_torus(args) -> tuple[dict, int]:
 
 
 def _cmd_l2_cdf(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec, args.size_cap)
+    tower = load_tower_spec(args.spec)
+    cdfs = [empirical_cdf(level_spectrum(level), level.index) for level in tower.levels]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     masses = []
-    for level in tower.levels:
-        cdf = empirical_cdf(level_spectrum(level), level.index)
+    for level, cdf in zip(tower.levels, cdfs):
         path = outdir / f"cdf_N{level.index}.csv"
         lines = ["lambda,F"]
         for lam, val in cdf.to_rows():
@@ -521,7 +509,6 @@ def _build_parser() -> _Parser:
     p = tower_sub.add_parser("build", help="materialize the levels of a tower spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--size-cap", type=int, default=None, dest="size_cap")
     p.set_defaults(handler=_cmd_tower_build)
 
     p = tower_sub.add_parser("run", help="normalized zetas against a limit target")
@@ -530,7 +517,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="disk:<radius>:<resolution>:<margin>")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
-    p.add_argument("--size-cap", type=int, default=None, dest="size_cap")
     p.set_defaults(handler=_cmd_tower_run)
 
     l2 = groups.add_parser("l2", help="L2 zeta data of infinite abelian covers")
@@ -547,7 +533,6 @@ def _build_parser() -> _Parser:
     p = l2_sub.add_parser("cdf", help="empirical spectral distributions of a tower")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--size-cap", type=int, default=None, dest="size_cap")
     p.set_defaults(handler=_cmd_l2_cdf)
 
     deitmar = groups.add_parser("deitmar", help="finite vs L2 determinant identity")

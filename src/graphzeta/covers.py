@@ -17,10 +17,8 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InputError, NumericError, ResourceError
-from .graphs import MultiGraph, build_graph, json_int, load_graph, read_json
-
-DEFAULT_SIZE_CAP = 10_000
+from .errors import InputError, NumericError
+from .graphs import MultiGraph, build_graph, json_int, load_graph, read_json, require_size
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,8 @@ def derived_graph(base: MultiGraph, volt: VoltageAssignment) -> MultiGraph:
 
     Vertex (x, g) is stored at index x * |G| + index(g), with group elements
     enumerated lexicographically; this fixes the covering projection to
-    index // |G|.
+    index // |G|. A cover over SIZE_CAP vertices raises ResourceError before
+    any of it is built.
     """
     if not volt.is_finite:
         raise InputError("derived_graph needs a finite voltage group")
@@ -115,6 +114,7 @@ def derived_graph(base: MultiGraph, volt: VoltageAssignment) -> MultiGraph:
         )
     orders = volt.orders
     assert orders is not None
+    require_size(base.vertex_count * math.prod(orders), "the cover")
     elements = _group_elements(orders)
     index = _group_index(orders)
     size = len(elements)
@@ -226,32 +226,24 @@ class Tower:
         return tuple(level.index for level in self.levels)
 
 
-def cyclic_tower(
-    base: MultiGraph,
-    shifts: Sequence[int],
-    orders: Sequence[int],
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> Tower:
+def cyclic_tower(base: MultiGraph, shifts: Sequence[int], orders: Sequence[int]) -> Tower:
     """Covers over Z/n for a divisibility chain of orders starting at 1.
 
     The rank-1 case of `lattice_tower`: the integer voltages are reduced
     modulo each order, so the levels are the finite quotients of the single
     Z-cover the shifts describe.
     """
-    tower = lattice_tower(base, [(s,) for s in shifts], orders, size_cap)
+    tower = lattice_tower(base, [(s,) for s in shifts], orders)
     shifts, orders = [int(s) for s in shifts], [int(n) for n in orders]
     return replace(tower, provenance=f"cyclic covers, shifts {shifts}, orders {orders}")
 
 
 def lattice_tower(
-    base: MultiGraph,
-    voltages: Sequence[Sequence[int]],
-    orders: Sequence[int],
-    size_cap: int = DEFAULT_SIZE_CAP,
+    base: MultiGraph, voltages: Sequence[Sequence[int]], orders: Sequence[int]
 ) -> Tower:
     """Covers over (Z/n)^k for a chain of n, the finite quotients of a Z^k cover.
 
-    A level over `size_cap` vertices raises ResourceError before it is built.
+    No level graph is built here, so the levels may be of any size.
     """
     volt_free = VoltageAssignment.free(voltages)
     k = volt_free.rank
@@ -266,13 +258,7 @@ def lattice_tower(
             f"{len(volt_free.voltages)} voltages for {base.edge_count} edges"
         )
     levels = [TowerLevel(1, base, VoltageAssignment.trivial(base.edge_count))]
-    for step, n in enumerate(orders[1:]):
-        if base.vertex_count * n**k > size_cap:
-            raise ResourceError(
-                f"tower level {step + 2} needs {base.vertex_count * n**k} vertices, "
-                f"over the cap of {size_cap}"
-            )
-        levels.append(TowerLevel(n**k, base, volt_free.reduced((n,) * k)))
+    levels += [TowerLevel(n**k, base, volt_free.reduced((n,) * k)) for n in orders[1:]]
     increasing = all(b > a for a, b in zip(orders, orders[1:]))
     return Tower(
         base=base,
@@ -313,16 +299,14 @@ def spanning_tree_edges(g: MultiGraph, root: int = 0) -> tuple[int, ...]:
     return tuple(sorted(tree))
 
 
-def homology_tower(
-    base: MultiGraph, p: int, depth: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> Tower:
+def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
     """Iterated mod-p homology covers.
 
     At each step a breadth-first spanning tree from vertex 0 is chosen;
     the j-th non-tree edge receives the j-th standard generator of
     (Z/p)^r, r = edges - vertices + 1, and the next level is the derived
-    graph. Level sizes grow fast; the construction stops with a
-    ResourceError naming the offending level once the cap would be passed.
+    graph. Every level but the top is built for its spanning tree, so one
+    over SIZE_CAP vertices raises ResourceError; the top level is not built.
     """
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
@@ -332,19 +316,12 @@ def homology_tower(
         raise InputError("homology towers need a connected base")
     levels = [TowerLevel(1, base, VoltageAssignment.trivial(base.edge_count))]
     index = 1
-    for step in range(depth):
+    for _ in range(depth):
         current = levels[-1].graph
         rank = current.edge_count - current.vertex_count + 1
         if rank == 0:
             levels.append(TowerLevel(index, current, VoltageAssignment.trivial(current.edge_count)))
             continue
-        growth = p**rank
-        next_size = current.vertex_count * growth
-        if next_size > size_cap:
-            raise ResourceError(
-                f"homology tower level {step + 2} needs {next_size} vertices, "
-                f"over the cap of {size_cap}"
-            )
         tree = set(spanning_tree_edges(current))
         generator = 0
         voltages = []
@@ -356,7 +333,7 @@ def homology_tower(
                 sigma[generator] = 1
                 generator += 1
                 voltages.append(tuple(sigma))
-        index *= growth
+        index *= p**rank
         levels.append(TowerLevel(index, current, VoltageAssignment.product(voltages, (p,) * rank)))
     return Tower(
         base=base,
@@ -393,38 +370,51 @@ def load_voltages(path: "str | Path") -> VoltageAssignment:
     return voltage_from_json(read_json(path, "voltage file"))
 
 
-def tower_from_spec(
-    doc: dict, base_dir: "str | Path" = ".", size_cap: int | None = None
-) -> Tower:
-    """Tower spec: {"base": graph-file, "kind": "cyclic"|"homology", ...}.
+_SPEC_KEYS = {
+    "cyclic": ("voltages", "orders"),
+    "lattice": ("voltages", "orders"),
+    "homology": ("p", "depth"),
+}
 
-    Cyclic towers need "voltages" (one integer per base edge) and
-    "orders"; homology towers need "p" and "depth". Both accept
-    "size_cap", which the `size_cap` argument overrides. Relative base
-    paths resolve against `base_dir`.
+
+def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
+    """Tower spec: {"base": graph-file, "kind": "cyclic"|"lattice"|"homology", ...}.
+
+    Cyclic towers need "voltages" (one integer per base edge) and "orders";
+    lattice towers need "voltages" (one list of k integers per base edge,
+    for (Z/n)^k levels) and "orders"; homology towers need "p" and "depth".
+    Any other key is an InputError. Relative base paths resolve against
+    `base_dir`.
     """
     if "base" not in doc or "kind" not in doc:
         raise InputError('tower spec needs "base" and "kind"')
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise InputError(f'unknown tower kind {kind!r} (expected one of {", ".join(_SPEC_KEYS)})')
+    unknown = sorted(set(doc) - {"base", "kind", *_SPEC_KEYS[kind]})
+    if unknown:
+        raise InputError(f"a {kind} tower spec takes no {', '.join(map(repr, unknown))}")
+    missing = [key for key in _SPEC_KEYS[kind] if key not in doc]
+    if missing:
+        raise InputError(f"a {kind} tower spec needs {' and '.join(map(repr, missing))}")
     base_path = Path(doc["base"])
     if not base_path.is_absolute():
         base_path = Path(base_dir) / base_path
     base = load_graph(base_path)
-    kind = doc["kind"]
-    if size_cap is None:
-        size_cap = json_int(doc.get("size_cap", DEFAULT_SIZE_CAP), 'tower spec "size_cap"')
-    if kind == "cyclic":
-        fields = []
-        for key in ("voltages", "orders"):
-            if not isinstance(doc.get(key), list):
-                raise InputError(f'cyclic tower spec needs a "{key}" list')
-            fields.append([json_int(x, f'an entry of tower spec "{key}"') for x in doc[key]])
-        return cyclic_tower(base, *fields, size_cap)
     if kind == "homology":
-        if "p" not in doc or "depth" not in doc:
-            raise InputError('homology tower spec needs "p" and "depth"')
-        return homology_tower(base, *(json_int(doc[key], key) for key in ("p", "depth")), size_cap)
-    raise InputError(f'unknown tower kind {kind!r} (expected "cyclic" or "homology")')
+        return homology_tower(base, *(json_int(doc[key], key) for key in ("p", "depth")))
+    for key in ("voltages", "orders"):
+        if not isinstance(doc[key], list):
+            raise InputError(f'tower spec "{key}" must be a list')
+    orders = [json_int(n, 'an entry of tower spec "orders"') for n in doc["orders"]]
+    entry = 'an entry of tower spec "voltages"'
+    if kind == "cyclic":
+        return cyclic_tower(base, [json_int(s, entry) for s in doc["voltages"]], orders)
+    if not all(isinstance(sigma, list) for sigma in doc["voltages"]):
+        raise InputError('lattice tower spec "voltages" must be lists of integers')
+    voltages = [[json_int(c, entry) for c in sigma] for sigma in doc["voltages"]]
+    return lattice_tower(base, voltages, orders)
 
 
-def load_tower_spec(path: "str | Path", size_cap: int | None = None) -> Tower:
-    return tower_from_spec(read_json(path, "tower spec"), Path(path).parent, size_cap)
+def load_tower_spec(path: "str | Path") -> Tower:
+    return tower_from_spec(read_json(path, "tower spec"), Path(path).parent)

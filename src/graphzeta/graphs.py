@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericError, UnsupportedError
+from .errors import InputError, NumericError, ResourceError, UnsupportedError
+
+SIZE_CAP = 10_000  # most vertices of a graph that is derived or densely diagonalized
 
 
 @dataclass(frozen=True)
@@ -119,12 +121,10 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class RegularityInfo:
-    """Degree data of a graph; q = degree - 1 is defined only when regular."""
+    """q = degree - 1, defined only when the graph is regular."""
 
     is_regular: bool
     q: int | None
-    degree_sequence: tuple[int, ...]
-    chi: int
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def regularity(g: MultiGraph) -> RegularityInfo:
     degrees = g.degree_sequence
     is_regular = len(set(degrees)) == 1
     q = degrees[0] - 1 if is_regular else None
-    return RegularityInfo(is_regular, q, degrees, g.euler_characteristic)
+    return RegularityInfo(is_regular, q)
 
 
 def regular_q(g: MultiGraph) -> int:
@@ -164,14 +164,22 @@ def regular_q(g: MultiGraph) -> int:
     return q
 
 
+def require_size(vertices: int, what: str) -> None:
+    """ResourceError, naming `what` and its size, past SIZE_CAP vertices."""
+    if vertices > SIZE_CAP:
+        raise ResourceError(f"{what} needs {vertices} vertices, over the cap of {SIZE_CAP}")
+
+
 @lru_cache(maxsize=16)
 def spectrum(g: MultiGraph) -> SpectrumData:
     """Eigenvalues of the adjacency matrix via the dense symmetric solver.
 
-    Eigenvalues come back sorted ascending. Solver failure is reported as a
-    NumericError rather than a partial spectrum. Results are memoized for
-    the last 16 graphs.
+    Eigenvalues come back sorted ascending. A graph over SIZE_CAP vertices
+    raises ResourceError before its adjacency matrix exists; solver failure
+    is reported as a NumericError rather than a partial spectrum. Results
+    are memoized for the last 16 graphs.
     """
+    require_size(g.vertex_count, f"a dense spectrum of {g.name or 'the graph'}")
     try:
         eigs = np.linalg.eigvalsh(g.adjacency)
     except np.linalg.LinAlgError as exc:

@@ -23,11 +23,11 @@ import numpy as np
 
 from .covers import TowerLevel, VoltageAssignment
 from .errors import DomainError, InputError, ResourceError
-from .graphs import MultiGraph, regular_q
+from .graphs import MultiGraph, regular_q, require_size
 from .region import check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
-NODE_BUDGET = 2**22
+NODE_BUDGET = 2**22  # most nodes of a quadrature, most eigenvalues of a level spectrum
 CDF_POINTS_PER_DIM = 4096
 
 
@@ -37,7 +37,6 @@ class SpectralCDF:
 
     jump_points: np.ndarray
     values: np.ndarray
-    normalization: int
 
     def __call__(self, lam):
         idx = np.searchsorted(self.jump_points, lam, side="right")
@@ -65,7 +64,7 @@ def empirical_cdf(eigenvalues: np.ndarray, n: int) -> SpectralCDF:
     values = np.cumsum(counts) / float(n)
     points.setflags(write=False)
     values.setflags(write=False)
-    return SpectralCDF(jump_points=points, values=values, normalization=n)
+    return SpectralCDF(jump_points=points, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +135,14 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
 
 def _node_eigenvalues(sym: TorusSymbol, m: int):
     """Eigenvalues of the symbol at the m^k trapezoid nodes, one block of
-    nodes (rows) at a time, so that a block's matrices hold about 4e6 entries."""
+    nodes (rows) at a time, so that a block's matrices hold about 4e6 entries
+    (one matrix if it alone holds more). A symbol over SIZE_CAP vertices
+    raises ResourceError before any matrix exists."""
+    require_size(sym.vertex_count, "a dense symbol eigensolve")
     k = sym.rank
     axes = 2.0 * np.pi * np.arange(m) / m
     total = m**k
-    block = max(1024, 4_000_000 // max(1, sym.vertex_count**2))
+    block = max(1, 4_000_000 // max(1, sym.vertex_count**2))
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total))
         coords = np.unravel_index(idx, (m,) * k)
@@ -156,12 +158,19 @@ def level_spectrum(level: TowerLevel) -> np.ndarray:
     twisted matrices A_chi[x, y] = sum over parent edges x -> y of
     chi(sigma_e) (Stark and Terras); these are the parent's torus symbol at
     the nodes 2 pi j / n, so the spectrum is their union and the level's
-    graph is never diagonalized.
+    graph is never built. A level of more than NODE_BUDGET eigenvalues
+    (characters x parent vertices) raises ResourceError.
     """
     volt = level.voltages
-    n = volt.orders[0]
+    n, v = volt.orders[0], level.parent.vertex_count
     if any(m != n for m in volt.orders):
         raise InputError(f"level spectra need equal cyclic orders, got {volt.orders}")
+    if n**volt.rank * v > NODE_BUDGET:
+        raise ResourceError(
+            f"the level of index {level.index} has {n**volt.rank * v} eigenvalues "
+            f"({n**volt.rank} characters of a {v}-vertex parent), "
+            f"over the node budget of {NODE_BUDGET}"
+        )
     sym = torus_symbol(level.parent, VoltageAssignment.free(volt.voltages, volt.rank))
     eigs = np.sort(np.concatenate([lams.ravel() for lams in _node_eigenvalues(sym, n)]))
     eigs.setflags(write=False)
@@ -298,14 +307,12 @@ def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
 
 @dataclass(frozen=True)
 class L2Zeta:
-    """An L2 zeta function as an evaluator plus the base invariants.
+    """An L2 zeta function as an evaluator and its description.
 
     `evaluate` takes a point or an array of points; a constant function
     may return one value for every array.
     """
 
-    chi_base: int
-    q: int
     evaluate: Callable
     description: str = "L2 zeta"
 
@@ -313,28 +320,14 @@ class L2Zeta:
         return complex(self.evaluate(complex(u)))
 
 
-def tree_l2_reference(base: MultiGraph | None = None) -> L2Zeta:
-    """The constant-1 L2 zeta of a regular tree cover.
-
-    Passing the base graph records its chi and q; with no base the
-    reference is the bare constant with chi = 0 and q = 1.
-    """
-    chi, q = 0, 1
-    if base is not None:
-        chi, q = base.euler_characteristic, regular_q(base)
-    return L2Zeta(
-        chi_base=chi,
-        q=q,
-        evaluate=lambda u: 1.0 + 0.0j,
-        description="constant 1 (regular tree cover)",
-    )
+def tree_l2_reference() -> L2Zeta:
+    """The constant-1 L2 zeta of the universal (tree) cover of any regular base."""
+    return L2Zeta(evaluate=lambda u: 1.0 + 0.0j, description="constant 1 (regular tree cover)")
 
 
 def torus_l2(base: MultiGraph, volt: VoltageAssignment) -> L2Zeta:
     """The quadrature-backed L2 zeta of the Z^k cover given by `volt`."""
     return L2Zeta(
-        chi_base=base.euler_characteristic,
-        q=regular_q(base),
         evaluate=lambda u: l2_zeta_abelian(base, volt, u),
         description=f"torus quadrature, rank {volt.rank}",
     )
@@ -345,10 +338,14 @@ def symbol_spectral_cdf(sym: TorusSymbol, lambdas: np.ndarray) -> np.ndarray:
 
     The limit of the empirical spectral distributions of the finite
     quotients; mass is the base's vertex count. The average is taken over
-    CDF_POINTS_PER_DIM^k trapezoid nodes on the k-torus.
+    m^k trapezoid nodes on the k-torus, m the largest power of two up to
+    CDF_POINTS_PER_DIM with m^k <= NODE_BUDGET.
     """
+    m = CDF_POINTS_PER_DIM
+    while m > 1 and m**sym.rank > NODE_BUDGET:
+        m //= 2
     lambdas = np.asarray(lambdas, dtype=float)
     counts = np.zeros(len(lambdas))
-    for lams in _node_eigenvalues(sym, CDF_POINTS_PER_DIM):
+    for lams in _node_eigenvalues(sym, m):
         counts += np.searchsorted(np.sort(lams.ravel()), lambdas, side="right")
-    return counts / CDF_POINTS_PER_DIM**sym.rank
+    return counts / m**sym.rank

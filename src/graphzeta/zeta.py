@@ -32,6 +32,7 @@ from .region import distance_to_C, require_inside
 
 ORDER_CAP = 512  # largest matrix order the determinant kernel takes
 WALK_CAP = 2048  # most oriented edges the closed-walk counter takes
+LOG_CHUNK = 4_000_000  # points x eigenvalues whose logarithms are held at once
 _PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
@@ -110,13 +111,10 @@ def _hessenberg_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return polys[:, n]
 
 
-def _charpoly(g: MultiGraph, mat: np.ndarray, bound: int) -> list[int]:
-    """det(x I - mat) in ascending powers of x, for an integer matrix of g whose
+def _charpoly(mat: np.ndarray, bound: int) -> list[int]:
+    """det(x I - mat) in ascending powers of x, for an integer matrix whose
     coefficients are at most `bound`: residues modulo primes with a product
     over 2 * bound, lifted to symmetric residues by Chinese remaindering."""
-    if mat.shape[0] > ORDER_CAP:
-        raise ResourceError(f"exact determinant route takes matrices of order at most "
-                            f"{ORDER_CAP}; {g.vertex_count} vertices need {mat.shape[0]}")
     primes, modulus = [], 1
     while modulus <= 2 * bound:
         if len(primes) == len(_PRIMES):
@@ -141,7 +139,7 @@ def _regular_det_poly(g: MultiGraph, q: int) -> IntPolynomial:
     bound = math.prod(math.isqrt(s - 1) + 2 if s else 1 for s in (a * a).sum(axis=1).tolist())
     coeffs = [0] * (2 * v + 1)
     binom = [1]  # binom[k] = C(r, k) q^k, the coefficient of u^(2k) in (1 + q u^2)^r
-    for r, a_r in enumerate(_charpoly(g, a, bound)):
+    for r, a_r in enumerate(_charpoly(a, bound)):
         for k, b in enumerate(binom):
             coeffs[v - r + 2 * k] += a_r * b
         binom = [1] + [x + q * y for x, y in zip(binom[1:], binom)] + [q * binom[-1]]
@@ -158,7 +156,7 @@ def _linearized_det_poly(g: MultiGraph) -> IntPolynomial:
     row_sq = (a * a).sum(axis=1) - np.diag(a) ** 2 + (1 + np.diag(a) + np.abs(qdiag)) ** 2
     bound = math.prod(math.isqrt(s - 1) + 1 for s in row_sq.tolist())  # ceil(sqrt(s)), s >= 1
     lin = np.block([[a, -np.diag(qdiag)], [np.eye(v, dtype=np.int64), np.zeros_like(a)]])
-    return IntPolynomial(tuple(_charpoly(g, lin, bound)[::-1]))
+    return IntPolynomial(tuple(_charpoly(lin, bound)[::-1]))
 
 
 def det_poly(g: MultiGraph, exact: bool = False) -> IntPolynomial:
@@ -175,6 +173,10 @@ def det_poly(g: MultiGraph, exact: bool = False) -> IntPolynomial:
 @lru_cache(maxsize=16)
 def _det_poly(g: MultiGraph) -> IntPolynomial:
     info = regularity(g)
+    order = g.vertex_count if info.is_regular else 2 * g.vertex_count
+    if order > ORDER_CAP:
+        raise ResourceError(f"exact determinant route takes matrices of order at most "
+                            f"{ORDER_CAP}; {g.vertex_count} vertices need {order}")
     return _regular_det_poly(g, info.q) if info.is_regular else _linearized_det_poly(g)
 
 
@@ -280,10 +282,15 @@ def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
 def _normalized_values(eigs: np.ndarray, q: int, n: int, chi_base: int, us: np.ndarray):
     """(1 - u^2)^(-chi_base) prod_lam exp(log(1 - lam u + q u^2) / n) at the
     points `us` (an array of any shape, checked by the caller to lie inside
-    the region), for the adjacency eigenvalues `eigs` of a level of index n."""
+    the region), for the adjacency eigenvalues `eigs` of a level of index n.
+    The logarithms are summed over blocks of eigenvalues, about LOG_CHUNK
+    points x eigenvalues at a time."""
     flat = us.reshape(-1)
-    w = 1.0 - eigs[None, :] * flat[:, None] + q * (flat**2)[:, None]
-    values = np.exp(np.sum(np.log(w), axis=1) / n).reshape(us.shape)
+    step, shift = max(1, LOG_CHUNK // max(1, flat.size)), q * (flat**2)[:, None]
+    logs = np.zeros(flat.shape, dtype=complex)
+    for i in range(0, len(eigs), step):
+        logs = logs + np.sum(np.log(1.0 - eigs[None, i : i + step] * flat[:, None] + shift), axis=1)
+    values = np.exp(logs / n).reshape(us.shape)
     return (1.0 - us * us) ** (-chi_base) * values
 
 

@@ -14,6 +14,8 @@ from graphzeta import (
     cycle_graph,
     derived_graph,
     errors,
+    graphs,
+    l2,
     path_graph,
     save_graph,
     zeta,
@@ -318,18 +320,21 @@ def test_l2_cdf(workdir, capsys):
     assert (outdir / "cdf_N8.csv").read_text().startswith("lambda,F")
 
 
-LAZY_SPECS = {
+K4_RANK2 = [[1, 0], [0, 1], [0, 0], [1, 1], [0, 0], [2, -1]]
+LAZY_SPECS = {  # spec, free voltages of the limit, vertices of the top level
     "cyclic K4": ({"kind": "cyclic", "voltages": [1, 2, 0, 1, 1, 0], "orders": [1, 2, 4]},
-                  {"voltages": [1, 2, 0, 1, 1, 0], "rank": 1}),
+                  {"voltages": [1, 2, 0, 1, 1, 0], "rank": 1}, 16),
+    "rank-2 K4 lattice": ({"kind": "lattice", "voltages": K4_RANK2, "orders": [1, 2, 4]},
+                          {"voltages": K4_RANK2, "rank": 2}, 64),
     "K4 mod-7 homology": ({"kind": "homology", "p": 7, "depth": 1},
                           {"voltages": [[0, 0, 0]] * 3 + [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                           "rank": 3}),
+                           "rank": 3}, 1372),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LAZY_SPECS))
 def test_tower_commands_derive_no_graph(workdir, capsys, monkeypatch, name):
-    spec, target = LAZY_SPECS[name]
+    spec, target, top_vertices = LAZY_SPECS[name]
     (workdir / "lazy.json").write_text(json.dumps({"base": "k4.json", **spec}))
     (workdir / "lazy_v.json").write_text(json.dumps(target))
 
@@ -343,7 +348,7 @@ def test_tower_commands_derive_no_graph(workdir, capsys, monkeypatch, name):
                 "--grid", "disk:0.2:3:0.02", "--out", str(workdir / "run")]
         assert run(argv) == 0
         top = summary_of(capsys)["levels"][-1]
-        assert top["vertices"] == (16 if name == "cyclic K4" else 1372)
+        assert top["vertices"] == top_vertices
     assert run(["l2", "cdf", *spec_arg, "--out", str(workdir / "cdf")]) == 0
     capsys.readouterr()
 
@@ -377,7 +382,7 @@ def test_deitmar_check(workdir, capsys):
     assert doc["pass"] is True and doc["max_residual"] < 1e-10
 
 
-def test_exit_codes(workdir, capsys):
+def test_exit_codes(workdir, capsys, monkeypatch):
     # missing file: input error
     assert run(["zeta", "compute", "--graph", str(workdir / "nope.json")]) == 1
     # malformed grid grammar
@@ -400,42 +405,38 @@ def test_exit_codes(workdir, capsys):
     )
     # unknown subcommand
     assert run(["zeta", "frobnicate"]) == 1
-    # resource exhaustion: exit 2
-    assert (
-        run(
-            [
-                "tower",
-                "build",
-                "--spec",
-                str(workdir / "tower_h.json"),
-                "--out",
-                str(workdir / "th"),
-                "--size-cap",
-                "50",
-            ]
-        )
-        == 2
+    # resource exhaustion: exit 2. A tower level graph over the vertex cap is
+    # refused before anything is written, for homology and cyclic towers alike
+    for spec, cap, size in (("tower_h.json", 50, 128), ("tower.json", 2, 4)):
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "SIZE_CAP", cap)
+            argv = ["tower", "build", "--spec", str(workdir / spec), "--out", str(workdir / "tb")]
+            assert run(argv) == 2
+        assert f"the cover needs {size} vertices, over the cap of {cap}" in capsys.readouterr().err
+        assert not (workdir / "tb").exists()
+    # the mod-2 homology tower of K4 to depth 2: a 4194304-vertex top level
+    (workdir / "k4_mod2.json").write_text(
+        json.dumps({"base": "k4.json", "kind": "homology", "p": 2, "depth": 2})
     )
-    err = capsys.readouterr().err
-    assert "128" in err and "50" in err
-    # the cap covers cyclic towers too: level 3 of the loop tower has 4 vertices
-    assert (
-        run(
-            [
-                "tower",
-                "build",
-                "--spec",
-                str(workdir / "tower.json"),
-                "--out",
-                str(workdir / "tc"),
-                "--size-cap",
-                "2",
-            ]
-        )
-        == 2
+    assert run(["tower", "build", "--spec", str(workdir / "k4_mod2.json"), "--out", str(workdir / "tb")]) == 2
+    assert "4194304 vertices, over the cap of 10000" in capsys.readouterr().err
+    assert not (workdir / "tb").exists()
+    # the cap is no option and no spec field: either is an input error
+    spec_h = ["--spec", str(workdir / "tower_h.json")]
+    for argv in (
+        ["tower", "build", *spec_h, "--out", str(workdir / "tb")],
+        ["tower", "run", *spec_h, "--target", "constant:1", "--grid", "disk:0.3:3:0.02",
+         "--out", str(workdir / "tb")],
+        ["l2", "cdf", *spec_h, "--out", str(workdir / "tb")],
+    ):
+        assert run(argv + ["--size-cap", "50"]) == 1
+        assert "unrecognized arguments: --size-cap 50" in capsys.readouterr().err
+    (workdir / "capped.json").write_text(
+        json.dumps({"base": "b2.json", "kind": "homology", "p": 2, "depth": 2, "size_cap": 200})
     )
-    assert "4 vertices" in capsys.readouterr().err
-    assert not (workdir / "tc").exists()
+    assert run(["l2", "cdf", "--spec", str(workdir / "capped.json"), "--out", str(workdir / "tb")]) == 1
+    assert "a homology tower spec takes no 'size_cap'" in capsys.readouterr().err
+    assert not (workdir / "tb").exists()
     # closed walks that float64 cannot count exactly: 20 * 3^31 >= 2^53 for K5
     save_graph(complete_graph(5), workdir / "k5.json")
     assert run(["zeta", "euler-check", "--graph", str(workdir / "k5.json"), "--terms", "31"]) == 2
@@ -458,6 +459,57 @@ def test_exit_codes(workdir, capsys):
         err = capsys.readouterr().err
         assert f'tower spec "{key}" must be an integer, got {value[-1]!r}' in err
     assert not (workdir / "bt").exists()
+
+
+def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
+    # a level's spectrum holds one eigenvalue per parent vertex and character
+    (workdir / "huge.json").write_text(
+        json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2**23]})
+    )
+    run_args = ["--target", "constant:1", "--grid", "disk:0.3:3:0.02", "--out", str(workdir / "r")]
+    assert run(["tower", "run", "--spec", str(workdir / "huge.json"), *run_args]) == 2
+    err = capsys.readouterr().err
+    assert ("the level of index 8388608 has 8388608 eigenvalues (8388608 characters of a "
+            "1-vertex parent), over the node budget of 4194304") in err
+    # a large base with a small order: 1025 x 4096 eigenvalues
+    save_graph(cycle_graph(1025), workdir / "c1025.json")
+    (workdir / "wide.json").write_text(
+        json.dumps({"base": "c1025.json", "kind": "cyclic",
+                    "voltages": [1] + [0] * 1024, "orders": [1, 4096]})
+    )
+    for argv in (["tower", "run", "--spec", str(workdir / "wide.json"), *run_args],
+                 ["l2", "cdf", "--spec", str(workdir / "wide.json"), "--out", str(workdir / "c")]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert ("the level of index 4096 has 4198400 eigenvalues (4096 characters of a "
+                "1025-vertex parent), over the node budget of 4194304") in err
+    # the top level of B2 mod-2 depth 2 has index 128: 2^5 characters of a 4-vertex parent
+    monkeypatch.setattr(l2, "NODE_BUDGET", 16)
+    spec = ["--spec", str(workdir / "tower_h.json")]
+    for argv in (["tower", "run", *spec, *run_args], ["l2", "cdf", *spec, "--out", str(workdir / "c")]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert ("the level of index 128 has 128 eigenvalues (32 characters of a 4-vertex parent), "
+                "over the node budget of 16") in err
+    assert not (workdir / "r").exists()
+    assert not (workdir / "c").exists()
+
+
+def test_dense_spectrum_vertex_cap(workdir, capsys, monkeypatch):
+    save_graph(cycle_graph(graphs.SIZE_CAP + 1), workdir / "c10001.json")
+    argv = ["zeta", "zeros", "--graph", str(workdir / "c10001.json"), "--out", str(workdir / "z.csv")]
+    assert run(argv) == 2
+    assert "a dense spectrum of C10001 needs 10001 vertices, over the cap of 10000" in capsys.readouterr().err
+    assert not (workdir / "z.csv").exists()
+    # a level's parent symbol is diagonalized densely too
+    monkeypatch.setattr(graphs, "SIZE_CAP", 3)
+    (workdir / "k4c.json").write_text(
+        json.dumps({"base": "k4.json", "kind": "cyclic", "voltages": [1, 0, 0, 0, 0, 0], "orders": [1, 2]})
+    )
+    argv = ["l2", "cdf", "--spec", str(workdir / "k4c.json"), "--out", str(workdir / "c")]
+    assert run(argv) == 2
+    assert "a dense symbol eigensolve needs 4 vertices, over the cap of 3" in capsys.readouterr().err
+    assert not (workdir / "c").exists()
 
 
 IRREGULAR_COMMANDS = {

@@ -53,7 +53,7 @@ def test_grid_spec_validation():
 def test_cyclic_tower_converges_to_tree_reference():
     tower = cyclic_tower(LOOP, (1,), (1, 2, 4, 8, 16))
     grid = GridSpec(q=1, radius=0.5, resolution=9)
-    report = tower_convergence(tower, tree_l2_reference(LOOP), grid)
+    report = tower_convergence(tower, tree_l2_reference(), grid)
     errs = report.sup_errors
     assert len(errs) == 5
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -79,7 +79,7 @@ def test_tower_errors_match_dense_normalized_zeta():
     grid = GridSpec(q=2, radius=0.5, resolution=8, margin=0.05)
     cases = (
         (cyclic_tower(K4, shifts, (1, 2, 4, 8, 16)), torus),
-        (homology_tower(K4, 3, 1), tree_l2_reference(K4)),
+        (homology_tower(K4, 3, 1), tree_l2_reference()),
     )
     for tower, target in cases:
         report = tower_convergence(tower, target, grid)
@@ -92,7 +92,7 @@ def test_tower_errors_match_dense_normalized_zeta():
 def test_tower_convergence_validates_grid():
     tower = cyclic_tower(LOOP, (1,), (1, 2))
     with pytest.raises(InputError):
-        tower_convergence(tower, tree_l2_reference(LOOP), GridSpec(q=2, radius=0.3, resolution=5))
+        tower_convergence(tower, tree_l2_reference(), GridSpec(q=2, radius=0.3, resolution=5))
 
 
 def test_cdf_convergence_to_arcsine():
@@ -138,7 +138,7 @@ def test_deitmar_requirements():
 def test_write_convergence_report(tmp_path):
     tower = cyclic_tower(LOOP, (1,), (1, 2, 4))
     grid = GridSpec(q=1, radius=0.4, resolution=5)
-    report = tower_convergence(tower, tree_l2_reference(LOOP), grid)
+    report = tower_convergence(tower, tree_l2_reference(), grid)
     paths = write_convergence_report(report, tmp_path)
     names = {p.name for p in paths}
     assert "summary.json" in names
@@ -160,6 +160,6 @@ def test_write_convergence_report(tmp_path):
 def test_unverified_limit_is_flagged():
     tower = cyclic_tower(LOOP, (1,), (1, 2, 2))  # repeated level, limit not certified
     grid = GridSpec(q=1, radius=0.3, resolution=4)
-    report = tower_convergence(tower, tree_l2_reference(LOOP), grid)
+    report = tower_convergence(tower, tree_l2_reference(), grid)
     assert not report.limit_verified
     assert report.summary_dict()["flags"] == ["limit target unverified"]

@@ -18,6 +18,7 @@ from graphzeta import (
     cyclic_tower,
     derived_graph,
     det_poly,
+    graphs,
     homology_tower,
     lattice_tower,
     load_tower_spec,
@@ -119,13 +120,15 @@ def test_lattice_tower_structure():
     assert tower.limit_verified
 
 
-def test_lattice_tower_respects_size_cap():
-    # the (Z/1000)^2 level would have 10^6 vertices; nothing is built
-    too_big = "level 3 needs 1000000 vertices, over the cap of 10000"
-    with pytest.raises(ResourceError, match=too_big):
-        lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 1000))
-    with pytest.raises(ResourceError, match="16 vertices, over the cap of 15"):
-        lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 4), size_cap=15)
+def test_lattice_levels_past_the_vertex_cap_build_no_graph():
+    # the (Z/1000)^2 level has 10^6 vertices: the tower holds it, its graph is refused
+    tower = lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 1000))
+    assert tower.indices == (1, 4, 10**6)
+    with pytest.raises(ResourceError, match="the cover needs 1000000 vertices, over the cap of 10000"):
+        tower.levels[2].graph
+    assert derived_graph(LOOP, VoltageAssignment.cyclic((1,), 10**4)).vertex_count == 10**4
+    with pytest.raises(ResourceError, match="10001 vertices"):
+        derived_graph(LOOP, VoltageAssignment.cyclic((1,), 10**4 + 1))
 
 
 def test_homology_tower_bouquet_sizes():
@@ -136,10 +139,12 @@ def test_homology_tower_bouquet_sizes():
     assert tower.limit_verified
 
 
-def test_homology_tower_respects_size_cap():
-    with pytest.raises(ResourceError) as err:
-        homology_tower(B2, 2, 2, size_cap=50)
-    assert "128" in str(err.value) and "50" in str(err.value)
+def test_homology_parent_over_the_vertex_cap(monkeypatch):
+    # depth 3 builds the 128-vertex level 3 for its spanning tree; depth 2 never builds it
+    monkeypatch.setattr(graphs, "SIZE_CAP", 127)
+    with pytest.raises(ResourceError, match="the cover needs 128 vertices, over the cap of 127"):
+        homology_tower(B2, 2, 3)
+    assert homology_tower(B2, 2, 2).indices == (1, 4, 128)
     with pytest.raises(InputError):
         homology_tower(B2, 4, 1)  # 4 is not prime
 
@@ -241,17 +246,31 @@ def test_tower_spec_loading(tmp_path):
     spec2.write_text(json.dumps({"base": "loop.json", "kind": "homology", "p": 3, "depth": 1}))
     tower2 = load_tower_spec(spec2)
     assert tower2.indices == (1, 3)
+    # a lattice spec gives the (Z/n)^k tower of lattice_tower
+    (tmp_path / "b2.json").write_text(json.dumps({"vertices": 1, "edges": [[0, 0]] * 2, "name": "B2"}))
+    lattice = {"base": "b2.json", "kind": "lattice", "voltages": [[1, 0], [0, 1]], "orders": [1, 2, 1024]}
+    spec2.write_text(json.dumps(lattice))
+    tower3 = load_tower_spec(spec2)
+    assert tower3.indices == (1, 4, 1024**2)
+    assert tower3.levels == lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 1024)).levels
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"base": "loop.json", "kind": "mystery"}))
-    with pytest.raises(InputError):
-        load_tower_spec(bad)
-    # a spec's own size cap reaches cyclic towers, and must be an integer
-    for cap, error in ((2, ResourceError), ("big", InputError)):
-        spec.write_text(
-            json.dumps(
-                {"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2, 4],
-                 "size_cap": cap}
-            )
-        )
-        with pytest.raises(error):
+    for doc in ({"base": "loop.json", "kind": "mystery"}, {**lattice, "voltages": [1, 0]},
+                {**lattice, "voltages": [[1, 0], [0.5, 1]]}, {**lattice, "voltages": [[1, 0], [1]]}):
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            load_tower_spec(bad)
+    # a spec takes the keys of its kind and no others, "size_cap" included
+    cyclic = {"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2, 4]}
+    homology = {"base": "loop.json", "kind": "homology", "p": 3, "depth": 1}
+    for doc, key in ((cyclic, "size_cap"), (cyclic, "p"), (homology, "size_cap"), (homology, "orders")):
+        spec.write_text(json.dumps({**doc, key: 2}))
+        with pytest.raises(InputError, match=f"a {doc['kind']} tower spec takes no '{key}'"):
             load_tower_spec(spec)
+    # and every one of them
+    for doc, key in ((cyclic, "orders"), (lattice, "voltages"), (homology, "p")):
+        spec.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+        with pytest.raises(InputError, match=f"a {doc['kind']} tower spec needs '{key}'$"):
+            load_tower_spec(spec)
+    spec.write_text(json.dumps({"base": "loop.json", "kind": "homology"}))
+    with pytest.raises(InputError, match="a homology tower spec needs 'p' and 'depth'"):
+        load_tower_spec(spec)

@@ -72,7 +72,7 @@ def test_components():
 
 def test_regularity():
     info = regularity(K4)
-    assert info.is_regular and info.q == 2 and info.chi == -2
+    assert info.is_regular and info.q == 2
     info = regularity(path_graph(3))
     assert not info.is_regular and info.q is None
     assert regularity(petersen_graph()).q == 2

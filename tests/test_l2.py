@@ -12,14 +12,17 @@ import pytest
 
 from graphzeta import (
     DomainError,
+    GridSpec,
     InputError,
     ResourceError,
     UnsupportedError,
     VoltageAssignment,
     TowerLevel,
     bouquet_graph,
+    covers,
     cycle_graph,
     cyclic_tower,
+    derived_graph,
     empirical_cdf,
     equivariant_walk_counts,
     l2,
@@ -34,6 +37,7 @@ from graphzeta import (
     symbol_spectral_cdf,
     torus_l2,
     torus_symbol,
+    tower_convergence,
     tree_l2_reference,
 )
 
@@ -161,19 +165,17 @@ def test_l2_zeta_requires_regular_base():
 
 def test_torus_l2_wrapper():
     target = torus_l2(B2, VZ2)
-    assert target.q == 3 and target.chi_base == -1
+    assert target.description == "torus quadrature, rank 2"
     u = 0.1j
     assert target(u) == pytest.approx(l2_zeta_abelian(B2, VZ2, u))
+    with pytest.raises(UnsupportedError):  # the base is checked when evaluated
+        torus_l2(path_graph(3), VoltageAssignment.free(((1,), (0,))))(0.1)
 
 
 def test_tree_reference():
-    ref = tree_l2_reference(LOOP)
-    assert ref(0.4) == 1.0
-    assert ref.chi_base == 0 and ref.q == 1
-    bare = tree_l2_reference()
-    assert bare(0.9j) == 1.0
-    with pytest.raises(UnsupportedError):
-        tree_l2_reference(path_graph(3))
+    ref = tree_l2_reference()
+    assert ref(0.4) == 1.0 and ref(0.9j) == 1.0
+    assert ref.description == "constant 1 (regular tree cover)"
 
 
 def test_empirical_cdf_counting():
@@ -207,6 +209,27 @@ def test_symbol_cdf_against_counting_oracle():
     vals = 2.0 * np.cos(thetas)
     oracle = np.array([np.mean(vals <= lam) for lam in lambdas])
     assert np.allclose(got, oracle, atol=1e-12)
+
+
+def test_symbol_cdf_nodes_fit_the_node_budget(monkeypatch):
+    # m per dimension: the largest power of two up to 4096 with m^rank <= 2^22
+    seen = []
+    monkeypatch.setattr(l2, "_node_eigenvalues", lambda sym, m: seen.append(m) or iter(()))
+    for rank in (1, 2, 3):
+        symbol_spectral_cdf(torus_symbol(LOOP, VoltageAssignment.free([(1,) * rank])), [0.0])
+    assert seen == [4096, 2048, 128]
+
+
+def test_rank3_symbol_cdf_against_a_dense_cover(monkeypatch):
+    # with room for 4^3 nodes the CDF counts the eigenvalues of the (Z/4)^3 cover of K4
+    volt = VoltageAssignment.free(((0, 0, 0),) * 3 + ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    monkeypatch.setattr(l2, "NODE_BUDGET", 100)
+    lambdas = np.linspace(-3.3, 3.3, 23) + 0.0123
+    got = symbol_spectral_cdf(torus_symbol(K4, volt), lambdas)
+    eigs = np.linalg.eigvalsh(derived_graph(K4, volt.reduced((4, 4, 4))).adjacency)
+    oracle = np.array([np.count_nonzero(eigs <= lam) for lam in lambdas]) / 4**3
+    assert np.allclose(got, oracle, atol=1e-12)
+    assert got[-1] == 4.0
 
 
 def test_quadrature_node_budget_raises(monkeypatch):
@@ -272,6 +295,18 @@ def test_level_parents():
     tree_levels = homology_tower(path_graph(3), 3, 2).levels
     assert all(lvl.parent is lvl.graph and lvl.voltages.orders == (1,) for lvl in tree_levels)
     assert all(lvl.parent is K4 for lvl in lattice_tower(K4, K4_RANK2, (1, 2, 4)).levels)
+
+
+def test_million_vertex_level_matches_the_l2_limit(monkeypatch):
+    # the (Z/1024)^2 level over B2 has 2^20 vertices; its graph is never built
+    def refuse(parent, volt):
+        raise AssertionError("a level graph was derived")
+
+    monkeypatch.setattr(covers, "derived_graph", refuse)
+    tower = lattice_tower(B2, VZ2.voltages, (1, 1024))
+    report = tower_convergence(tower, torus_l2(B2, VZ2), GridSpec(q=3, radius=0.3, resolution=3))
+    assert len(report.grid.points) == 5
+    assert report.levels[-1].sup_error < 1e-12
 
 
 def test_level_spectrum_needs_equal_orders():

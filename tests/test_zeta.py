@@ -34,7 +34,8 @@ from graphzeta import (
     zeta_log_coeffs,
     zeta_zeros,
 )
-from graphzeta.zeta import _det_poly, _linearized_det_poly, closed_walk_counts
+from graphzeta import zeta
+from graphzeta.zeta import _det_poly, _linearized_det_poly, _normalized_values, closed_walk_counts
 
 from corpus import (
     B2,
@@ -315,6 +316,29 @@ def test_normalized_zeta_c8_over_c1():
     expected = (1.0 - (0.5j) ** 8) ** (1.0 / 4.0)
     assert val == pytest.approx(expected)
     assert val.real == pytest.approx((255.0 / 256.0) ** 0.25)
+
+
+def test_size_caps_refuse_before_any_matrix_exists():
+    # the determinant route counts its matrix order, the dense spectrum its vertices
+    for g, order in ((cycle_graph(6000), 6000), (path_graph(257), 514)):
+        with pytest.raises(ResourceError, match=f"order at most 512; {g.vertex_count} vertices need {order}"):
+            det_poly(g)
+        assert "adjacency" not in g.__dict__
+    g = cycle_graph(10_001)
+    with pytest.raises(ResourceError, match="a dense spectrum of C10001 needs 10001 vertices"):
+        spectrum(g)
+    assert "adjacency" not in g.__dict__
+
+
+def test_chunked_normalized_values_match_one_block(monkeypatch):
+    eigs = spectrum(CUBIC48).eigenvalues
+    us = np.array([[0.1 + 0.2j, -0.3j, 0.25], [0.05, 0.4 + 0.1j, -0.2 - 0.2j]])
+    whole = _normalized_values(eigs, 2, 24, -1, us)
+    for chunk in (1, 6, 7, 100):  # eigenvalues per block: 1, 1, 1 and 16 (48 = 3 * 16)
+        monkeypatch.setattr(zeta, "LOG_CHUNK", chunk)
+        chunked = _normalized_values(eigs, 2, 24, -1, us)
+        assert chunked.shape == us.shape
+        assert np.max(np.abs(chunked - whole) / np.abs(whole)) < 1e-14
 
 
 def test_normalized_zeta_checks_chi_scaling():
