@@ -21,9 +21,9 @@ import numpy as np
 from .covers import Tower
 from .errors import DomainError, InputError
 from .graphs import MultiGraph, regular_q
-from .l2 import L2Zeta, SpectralCDF, empirical_cdf, level_spectrum
+from .l2 import L2Zeta, SpectralCDF, _count_at_most, _level_blocks, _log_sum
 from .region import check_q, omega_contains, require_inside, set_c_polyline
-from .zeta import _normalized_values, det_poly, zeta_eval, zeta_function
+from .zeta import det_poly, zeta_eval, zeta_function
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class ConvergenceReport:
 def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> ConvergenceReport:
     """Per-level sup of |normalized zeta - target| over the grid; the target
     is evaluated on all grid points in one call, and each level's zeta from
-    its character spectrum (`level_spectrum`)."""
+    its character spectrum, streamed one block of eigenvalues at a time."""
     points = grid.array
     if len(points) == 0:
         raise InputError("the grid contains no admissible points")
@@ -133,7 +133,8 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     target_values = np.broadcast_to(target.evaluate(points), points.shape)
     levels = []
     for level in tower.levels:
-        values = _normalized_values(level_spectrum(level), q, level.index, chi_base, points)
+        logs = _log_sum(_level_blocks(level), q, points)
+        values = (1.0 - points * points) ** (-chi_base) * np.exp(logs / level.index)
         errors = np.abs(values - target_values)
         worst = int(np.argmax(errors))
         levels.append(
@@ -165,8 +166,8 @@ def cdf_convergence(
     target_values = np.asarray(target(lams), dtype=float)
     out = []
     for level in tower.levels:
-        cdf = empirical_cdf(level_spectrum(level), level.index)
-        out.append(float(np.max(np.abs(cdf(lams) - target_values))))
+        counts = _count_at_most(_level_blocks(level), lams)
+        out.append(float(np.max(np.abs(counts / level.index - target_values))))
     return out
 
 

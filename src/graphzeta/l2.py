@@ -28,6 +28,7 @@ from .region import check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
 NODE_BUDGET = 2**22  # most nodes of a quadrature, most eigenvalues of a level spectrum
+LOG_CHUNK = 2**18  # points x eigenvalues whose logarithms are held at once
 CDF_POINTS_PER_DIM = 4096
 
 
@@ -97,15 +98,6 @@ class TorusSymbol:
             out[:, x, y] += coeff * np.exp(1j * (thetas @ np.asarray(freq, dtype=float)))
         return out
 
-    def eigenvalue_samples(self, thetas: np.ndarray) -> np.ndarray:
-        """Real eigenvalues at each theta row; shape (m, vertex_count)."""
-        if self.vertex_count == 1:
-            acc = np.zeros(len(thetas), dtype=complex)
-            for _, _, freq, coeff in self.terms:
-                acc += coeff * np.exp(1j * (thetas @ np.asarray(freq, dtype=float)))
-            return acc.real[:, None]
-        return np.linalg.eigvalsh(self.matrices(thetas))
-
 
 def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
     """The symbol of the Z^k cover given by a free abelian voltage assignment.
@@ -135,9 +127,9 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
 
 def _node_eigenvalues(sym: TorusSymbol, m: int):
     """Eigenvalues of the symbol at the m^k trapezoid nodes, one block of
-    nodes (rows) at a time, so that a block's matrices hold about 4e6 entries
-    (one matrix if it alone holds more). A symbol over SIZE_CAP vertices
-    raises ResourceError before any matrix exists."""
+    nodes at a time as a flat run, so that a block's matrices hold about 4e6
+    entries (one matrix if it alone holds more). A symbol over SIZE_CAP
+    vertices raises ResourceError before any matrix exists."""
     require_size(sym.vertex_count, "a dense symbol eigensolve")
     k = sym.rank
     axes = 2.0 * np.pi * np.arange(m) / m
@@ -146,20 +138,51 @@ def _node_eigenvalues(sym: TorusSymbol, m: int):
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total))
         coords = np.unravel_index(idx, (m,) * k)
-        thetas = np.column_stack([axes[c] for c in coords])
-        yield sym.eigenvalue_samples(thetas)
+        eigs = sym.matrices(np.column_stack([axes[c] for c in coords]))
+        if sym.vertex_count > 1:  # a 1 x 1 Hermitian matrix is its own (real) eigenvalue
+            eigs = np.linalg.eigvalsh(eigs)  # drops the matrices before the next block
+        yield eigs.reshape(-1).real
 
 
-def level_spectrum(level: TowerLevel) -> np.ndarray:
-    """Adjacency eigenvalues of a tower level, sorted ascending and read-only,
-    from the characters of its voltage group.
+def _log_sum(blocks, q: int, us: np.ndarray) -> np.ndarray:
+    """Sum of log(1 - lam u + q u^2) over the eigenvalues lam of `blocks`,
+    at each point of the 1-d array `us`.
+
+    Each block is one run of eigenvalues, so a point's sum does not depend
+    on which other points are evaluated with it. Points go a group at a
+    time, group x run at most LOG_CHUNK entries (one point if its run
+    alone holds more).
+    """
+    acc = np.zeros(us.shape, dtype=complex)
+    shift = q * us * us
+    for run in blocks:
+        group = max(1, LOG_CHUNK // run.size)
+        for i in range(0, us.size, group):
+            # in place: numpy reuses no temporary when an operand broadcasts
+            z = 1.0 - run * us[i : i + group, None]
+            z += shift[i : i + group, None]
+            acc[i : i + group] += np.sum(np.log(z, out=z), axis=1)
+    return acc
+
+
+def _count_at_most(blocks, lambdas: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of `blocks` at or below each of `lambdas`."""
+    counts = np.zeros(lambdas.shape, dtype=np.int64)
+    for run in blocks:
+        counts += np.searchsorted(np.sort(run), lambdas, side="right")
+    return counts
+
+
+def _level_blocks(level: TowerLevel):
+    """Adjacency eigenvalues of a tower level, one block of character nodes
+    at a time, from the characters of its voltage group.
 
     Over (Z/n)^k the adjacency of the derived graph splits into the n^k
     twisted matrices A_chi[x, y] = sum over parent edges x -> y of
     chi(sigma_e) (Stark and Terras); these are the parent's torus symbol at
     the nodes 2 pi j / n, so the spectrum is their union and the level's
     graph is never built. A level of more than NODE_BUDGET eigenvalues
-    (characters x parent vertices) raises ResourceError.
+    (characters x parent vertices) raises ResourceError before any block.
     """
     volt = level.voltages
     n, v = volt.orders[0], level.parent.vertex_count
@@ -172,20 +195,22 @@ def level_spectrum(level: TowerLevel) -> np.ndarray:
             f"over the node budget of {NODE_BUDGET}"
         )
     sym = torus_symbol(level.parent, VoltageAssignment.free(volt.voltages, volt.rank))
-    eigs = np.sort(np.concatenate([lams.ravel() for lams in _node_eigenvalues(sym, n)]))
+    return _node_eigenvalues(sym, n)
+
+
+def level_spectrum(level: TowerLevel) -> np.ndarray:
+    """All adjacency eigenvalues of a tower level (`_level_blocks`),
+    sorted ascending and read-only."""
+    eigs = np.sort(np.concatenate(list(_level_blocks(level))))
     eigs.setflags(write=False)
     return eigs
 
 
-def _grid_log_det(sym: TorusSymbol, q: int, us: list[complex], m: int) -> list[complex]:
+def _grid_log_det(sym: TorusSymbol, q: int, us: np.ndarray, m: int) -> np.ndarray:
     """Periodic trapezoid values of the log-determinant integral at m^k
-    nodes, one per point of `us`, all sharing each block of eigenvalues."""
-    total = m**sym.rank
-    acc = [0.0 + 0.0j] * len(us)
-    for lams in _node_eigenvalues(sym, m):
-        for i, u in enumerate(us):
-            acc[i] += np.sum(np.log(1.0 - lams * u + q * u * u))
-    return [complex(a / total) for a in acc]
+    nodes, one per point of the 1-d array `us`: the log-sum over the node
+    eigenvalues divided by the node count."""
+    return _log_sum(_node_eigenvalues(sym, m), q, us) / m**sym.rank
 
 
 def l2_log_det(sym: TorusSymbol, q: int, u):
@@ -202,27 +227,24 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     """
     us = np.asarray(u, dtype=complex)
     require_inside(q, us)
-    points = us.ravel().tolist()
-    values = [np.nan] * len(points)
-    changes = [np.nan] * len(points)
-    active = list(range(len(points)))
+    points = us.ravel()
+    values = np.full(points.shape, np.nan, dtype=complex)
+    changes = np.full(points.shape, np.nan)
+    active = np.arange(points.size)
     m = 16
-    while active:
+    while active.size:
         if m**sym.rank > NODE_BUDGET:
             i = active[0]
             raise ResourceError(
                 f"torus quadrature at u = {points[i]} needs more than {NODE_BUDGET} "
                 f"nodes (next refinement {m}^{sym.rank}, last change {changes[i]:.3g})"
             )
-        refined = _grid_log_det(sym, q, [points[i] for i in active], m)
-        for i, value in zip(active, refined):
-            changes[i] = abs(value - values[i])
-            values[i] = value
-        active = [i for i in active if not changes[i] < QUADRATURE_TOL]
+        refined = _grid_log_det(sym, q, points[active], m)
+        changes[active] = np.abs(refined - values[active])
+        values[active] = refined
+        active = active[~(changes[active] < QUADRATURE_TOL)]
         m *= 2
-    if us.ndim == 0:
-        return values[0]
-    return np.array(values, dtype=complex).reshape(us.shape)
+    return complex(values[0]) if us.ndim == 0 else values.reshape(us.shape)
 
 
 def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
@@ -230,16 +252,10 @@ def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
     point (a complex) or an array of points (an array of the same shape)."""
     q = regular_q(base)
     us = np.asarray(u, dtype=complex)
-    log_dets = np.ravel(l2_log_det(torus_symbol(base, volt), q, us)).tolist()
-    chi = base.euler_characteristic
-    # point by point: numpy's vectorized complex product can round the last
-    # bit differently from the scalar one
-    values = [
-        (1.0 - z * z) ** (-chi) * np.exp(d) for z, d in zip(us.ravel().tolist(), log_dets)
-    ]
-    if us.ndim == 0:
-        return complex(values[0])
-    return np.array(values, dtype=complex).reshape(us.shape)
+    flat = us.reshape(-1)  # a point takes the same array arithmetic alone as in a grid
+    log_dets = l2_log_det(torus_symbol(base, volt), q, flat)
+    values = (1.0 - flat * flat) ** (-base.euler_characteristic) * np.exp(log_dets)
+    return complex(values[0]) if us.ndim == 0 else values.reshape(us.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +360,5 @@ def symbol_spectral_cdf(sym: TorusSymbol, lambdas: np.ndarray) -> np.ndarray:
     m = CDF_POINTS_PER_DIM
     while m > 1 and m**sym.rank > NODE_BUDGET:
         m //= 2
-    lambdas = np.asarray(lambdas, dtype=float)
-    counts = np.zeros(len(lambdas))
-    for lams in _node_eigenvalues(sym, m):
-        counts += np.searchsorted(np.sort(lams.ravel()), lambdas, side="right")
+    counts = _count_at_most(_node_eigenvalues(sym, m), np.asarray(lambdas, dtype=float))
     return counts / m**sym.rank

@@ -27,12 +27,12 @@ import numpy as np
 from .covers import is_prime
 from .errors import DomainError, InputError, NumericError, ResourceError
 from .graphs import MultiGraph, regular_q, regularity, spectrum
+from .l2 import _log_sum
 from .polynomials import IntPolynomial
 from .region import distance_to_C, require_inside
 
 ORDER_CAP = 512  # largest matrix order the determinant kernel takes
 WALK_CAP = 2048  # most oriented edges the closed-walk counter takes
-LOG_CHUNK = 4_000_000  # points x eigenvalues whose logarithms are held at once
 _PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
@@ -260,7 +260,8 @@ def nth_root_det(g: MultiGraph, n: int, u):
     q = regular_q(g)
     us = np.asarray(u, dtype=complex)
     require_inside(q, us)
-    values = _normalized_values(spectrum(g).eigenvalues, q, n, 0, us)
+    logs = _log_sum([spectrum(g).eigenvalues], q, us.reshape(-1))
+    values = np.exp(logs / n).reshape(us.shape)
     return complex(values) if us.shape == () else values
 
 
@@ -270,28 +271,10 @@ def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
         raise InputError(
             f"chi({g.name or 'level'}) = {g.euler_characteristic} != {n} * {chi_base}"
         )
-    if n < 1:
-        raise InputError("root order must be >= 1")
-    q = regular_q(g)
     us = np.asarray(u, dtype=complex)
-    require_inside(q, us)
-    value = _normalized_values(spectrum(g).eigenvalues, q, n, chi_base, us)
-    return complex(value) if us.shape == () else value
-
-
-def _normalized_values(eigs: np.ndarray, q: int, n: int, chi_base: int, us: np.ndarray):
-    """(1 - u^2)^(-chi_base) prod_lam exp(log(1 - lam u + q u^2) / n) at the
-    points `us` (an array of any shape, checked by the caller to lie inside
-    the region), for the adjacency eigenvalues `eigs` of a level of index n.
-    The logarithms are summed over blocks of eigenvalues, about LOG_CHUNK
-    points x eigenvalues at a time."""
-    flat = us.reshape(-1)
-    step, shift = max(1, LOG_CHUNK // max(1, flat.size)), q * (flat**2)[:, None]
-    logs = np.zeros(flat.shape, dtype=complex)
-    for i in range(0, len(eigs), step):
-        logs = logs + np.sum(np.log(1.0 - eigs[None, i : i + step] * flat[:, None] + shift), axis=1)
-    values = np.exp(logs / n).reshape(us.shape)
-    return (1.0 - us * us) ** (-chi_base) * values
+    flat = us.reshape(-1)  # a point takes the same array arithmetic alone as in a grid
+    value = (1.0 - flat * flat) ** (-chi_base) * nth_root_det(g, n, flat)
+    return complex(value[0]) if us.shape == () else value.reshape(us.shape)
 
 
 # ---------------------------------------------------------------------------

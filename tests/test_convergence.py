@@ -9,11 +9,14 @@ from graphzeta import (
     UnsupportedError,
     VoltageAssignment,
     cdf_convergence,
+    convergence,
     cyclic_tower,
     deitmar_residual,
     empirical_cdf,
     homology_tower,
+    l2,
     lattice_tower,
+    level_spectrum,
     normalized_zeta,
     omega_contains,
     path_graph,
@@ -114,6 +117,43 @@ def test_cdf_convergence_accepts_spectral_cdf_target():
     target = empirical_cdf(spectrum(tower.levels[-1].graph).eigenvalues, 4)
     sups = cdf_convergence(tower, target, np.linspace(-1.9, 1.9, 21))
     assert sups[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_tower_errors_do_not_depend_on_log_chunk(monkeypatch):
+    # each point's error is the same alone or with the whole grid, whatever the chunk
+    shifts = (1, 0, 2, -1, 0, 1)
+    tower = cyclic_tower(K4, shifts, (1, 2, 4, 8, 16))
+    target = torus_l2(K4, VoltageAssignment.free([(s,) for s in shifts]))
+    grid = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
+    alone = []
+    for u in grid.points:
+        one = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
+        one.__dict__["points"] = (u,)  # the cached point list, cut to u
+        alone.append([row.errors[0] for row in tower_convergence(tower, target, one).levels])
+    for chunk in (1, 7, 2**18):
+        monkeypatch.setattr(l2, "LOG_CHUNK", chunk)
+        report = tower_convergence(tower, target, grid)
+        assert np.array([row.errors for row in report.levels]).T.tolist() == alone
+
+
+def test_tower_and_cdf_convergence_never_build_a_level_spectrum(monkeypatch):
+    # counts are integers, so streamed CDFs equal the sorted-spectrum ones exactly
+    tower = homology_tower(B2, 2, 2)
+    lambdas = np.linspace(-4.1, 4.1, 37) + 0.001
+    target = empirical_cdf(np.linspace(-4.0, 4.0, 17), 17)
+    expected = []
+    for level in tower.levels:
+        sorted_cdf = empirical_cdf(level_spectrum(level), level.index)
+        expected.append(float(np.max(np.abs(sorted_cdf(lambdas) - target(lambdas)))))
+
+    def refuse(level):
+        raise AssertionError("a level spectrum was built")
+
+    for module in (l2, convergence):
+        monkeypatch.setattr(module, "level_spectrum", refuse, raising=False)
+    assert cdf_convergence(tower, target, lambdas) == expected
+    report = tower_convergence(tower, tree_l2_reference(), GridSpec(q=3, radius=0.4, resolution=5))
+    assert len(report.levels) == 3
 
 
 def test_deitmar_residual_small_on_regular_graphs():

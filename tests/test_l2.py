@@ -240,6 +240,38 @@ def test_quadrature_node_budget_raises(monkeypatch):
         l2_log_det(sym, 3, np.array([0.01, 0.4 + 0.01j]))
 
 
+def test_chunked_log_sum_matches_one_block(monkeypatch):
+    # the node eigenvalues of a rank-2 K4 symbol: 16^2 nodes x 4, in 1, 4 or 16 blocks
+    sym = torus_symbol(K4, VoltageAssignment.free(K4_RANK2))
+    eigs = np.concatenate(list(l2._node_eigenvalues(sym, 16)))
+    us = np.array([0.1 + 0.2j, -0.3j, 0.25, 0.05, 0.4 + 0.1j, -0.2 - 0.2j])
+    whole = l2._log_sum([eigs], 2, us)
+    for parts in (1, 4, 16):
+        blocks = np.split(eigs, parts)
+        split = l2._log_sum(blocks, 2, us)
+        assert np.max(np.abs(split - whole) / np.abs(whole)) < 1e-14
+        for chunk in (1, 7, 100, 10**6):  # 1 point per group (2 for 16 parts at 100), then 6
+            monkeypatch.setattr(l2, "LOG_CHUNK", chunk)
+            assert l2._log_sum(blocks, 2, us).tolist() == split.tolist()
+        monkeypatch.undo()
+
+
+def test_lattice_level_is_the_limit_at_its_nodes():
+    # a (Z/n)^k level's normalized log-determinant is the n-node trapezoid value of the
+    # limit (voltages in {0, 1}, which reduction mod n leaves as they are)
+    voltages = ((1, 0), (0, 1), (0, 0), (1, 1), (0, 0), (1, 0))
+    tower = lattice_tower(K4, voltages, (1, 2, 4, 8))
+    grid = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
+    report = tower_convergence(tower, l2.L2Zeta(evaluate=lambda u: 0.0 * u), grid)
+    sym, us = torus_symbol(K4, VoltageAssignment.free(voltages)), grid.array
+    for level, row in zip(tower.levels, report.levels):
+        n = level.voltages.orders[0]
+        assert level.index == n**2
+        log_dets = l2._grid_log_det(sym, 2, us, n)
+        values = (1.0 - us * us) ** (-K4.euler_characteristic) * np.exp(log_dets)
+        assert row.errors.tolist() == np.abs(values).tolist()
+
+
 def test_array_evaluation_matches_scalar_evaluation():
     k4_rank3 = VoltageAssignment.free(((0, 0, 0),) * 3 + ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     cases = [

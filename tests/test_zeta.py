@@ -34,8 +34,8 @@ from graphzeta import (
     zeta_log_coeffs,
     zeta_zeros,
 )
-from graphzeta import zeta
-from graphzeta.zeta import _det_poly, _linearized_det_poly, _normalized_values, closed_walk_counts
+from graphzeta import l2
+from graphzeta.zeta import _det_poly, _linearized_det_poly, closed_walk_counts
 
 from corpus import (
     B2,
@@ -330,15 +330,18 @@ def test_size_caps_refuse_before_any_matrix_exists():
     assert "adjacency" not in g.__dict__
 
 
-def test_chunked_normalized_values_match_one_block(monkeypatch):
-    eigs = spectrum(CUBIC48).eigenvalues
+def test_array_values_do_not_depend_on_log_chunk(monkeypatch):
+    # a point's value is the same alone or among others, whatever the chunk
     us = np.array([[0.1 + 0.2j, -0.3j, 0.25], [0.05, 0.4 + 0.1j, -0.2 - 0.2j]])
-    whole = _normalized_values(eigs, 2, 24, -1, us)
-    for chunk in (1, 6, 7, 100):  # eigenvalues per block: 1, 1, 1 and 16 (48 = 3 * 16)
-        monkeypatch.setattr(zeta, "LOG_CHUNK", chunk)
-        chunked = _normalized_values(eigs, 2, 24, -1, us)
-        assert chunked.shape == us.shape
-        assert np.max(np.abs(chunked - whole) / np.abs(whole)) < 1e-14
+    alone = [
+        (normalized_zeta(CUBIC48, 24, -1, complex(u)), nth_root_det(CUBIC48, 24, complex(u)))
+        for u in us.ravel()
+    ]
+    for chunk in (1, 7, 100, 2**18):  # 1, 1, 2 and all 6 points per group
+        monkeypatch.setattr(l2, "LOG_CHUNK", chunk)
+        zetas, roots = normalized_zeta(CUBIC48, 24, -1, us), nth_root_det(CUBIC48, 24, us)
+        assert zetas.shape == roots.shape == us.shape
+        assert list(zip(zetas.ravel().tolist(), roots.ravel().tolist())) == alone
 
 
 def test_normalized_zeta_checks_chi_scaling():
