@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import random
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -28,13 +27,21 @@ from .convergence import (
     tower_convergence,
     write_convergence_report,
 )
-from .covers import derived_graph, load_tower_spec, load_voltages
+from .covers import Tower, derived_graph, load_voltages, spec_base_path, tower_from_spec
 from .errors import GraphZetaError, InputError
-from .graphs import load_graph, regular_q, regularity, save_graph
+from .graphs import (
+    load_graph,
+    read_json,
+    regular_q,
+    regularity,
+    save_graph,
+    write_rows,
+    write_text,
+)
 from .l2 import L2Zeta, empirical_cdf, l2_zeta_abelian, level_spectrum, torus_l2
 from .zeta import (
+    det_poly,
     euler_log_coeffs,
-    functional_equation_sides,
     zeta_eval,
     zeta_function,
     zeta_log_coeffs,
@@ -47,38 +54,35 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _hash_inputs(paths: Sequence["str | Path"]) -> dict:
     out = {}
     for p in paths:
         path = Path(p)
         if not path.exists():
             raise InputError(f"input file not found: {path}")
-        out[str(p)] = _sha256(path)
+        out[str(p)] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
 
-def _write_manifest(target: Path, command: str, inputs: dict, parameters: dict) -> dict:
+def _manifested(summary: dict, target: Path, parameters: dict) -> dict:
+    """Writes the manifest of a run to `target`: the summary's command and
+    input hashes, the parameters and the version. Returns the summary with
+    the manifest's path and SHA-256 added."""
     doc = {
-        "command": command,
-        "inputs": inputs,
+        "command": summary["command"],
+        "inputs": summary["inputs"],
         "parameters": parameters,
         "version": __version__,
     }
-    data = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(data)
-    return {
-        "manifest": str(target),
-        "manifest_sha256": hashlib.sha256(data.encode()).hexdigest(),
-    }
+    sha = write_text(target, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return {**summary, "manifest": str(target), "manifest_sha256": sha}
 
 
-def _manifest_for_file(out_file: Path) -> Path:
-    return out_file.with_name(out_file.name + ".manifest.json")
+def _load_tower(spec: str) -> tuple[Tower, dict]:
+    """The tower of a spec file and the hashes of the spec and its base graph."""
+    doc = read_json(spec, "tower spec")
+    tower = tower_from_spec(doc, Path(spec).parent)
+    return tower, _hash_inputs([spec, spec_base_path(doc, Path(spec).parent)])
 
 
 def _parse_complex(text: str) -> complex:
@@ -158,30 +162,16 @@ def _cmd_zeta_compute(args) -> tuple[dict, int]:
             "value_im": value.imag,
         }
     if args.emit is not None:
-        out = Path(args.emit)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(z.det_poly.to_list()) + "\n")
+        write_text(args.emit, json.dumps(z.det_poly.to_list()) + "\n")
         summary["emit"] = args.emit
-        summary.update(
-            _write_manifest(
-                _manifest_for_file(out),
-                "zeta compute",
-                summary["inputs"],
-                {},
-            )
-        )
+        summary = _manifested(summary, Path(f"{args.emit}.manifest.json"), {})
     return summary, 0
 
 
 def _cmd_zeta_zeros(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
     report = zeta_zeros(g)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["re,im,multiplicity,dist_to_C"]
-    for re, im, mult, dist in report.to_rows():
-        lines.append(f"{re!r},{im!r},{mult},{dist!r}")
-    out.write_text("\n".join(lines) + "\n")
+    write_rows(args.out, ("re", "im", "multiplicity", "dist_to_C"), report.to_rows())
     summary = {
         "command": "zeta zeros",
         "graph": args.graph,
@@ -192,14 +182,8 @@ def _cmd_zeta_zeros(args) -> tuple[dict, int]:
         "out": args.out,
         "inputs": _hash_inputs([args.graph]),
     }
-    summary.update(
-        _write_manifest(
-            _manifest_for_file(out),
-            "zeta zeros",
-            summary["inputs"],
-            {"tol": args.tol, "check_c": bool(args.check_c)},
-        )
-    )
+    parameters = {"tol": args.tol, "check_c": bool(args.check_c)}
+    summary = _manifested(summary, Path(f"{args.out}.manifest.json"), parameters)
     code = 0
     if args.check_c:
         ok = report.max_distance <= args.tol
@@ -228,32 +212,21 @@ def _cmd_zeta_euler_check(args) -> tuple[dict, int]:
 
 def _cmd_zeta_functional_check(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
-    q = regular_q(g)
-    rng = random.Random(args.seed)
-    worst = 0.0
-    tested = 0
-    while tested < args.points:
-        r = 0.1 + 1.4 * rng.random()
-        phi = 2.0 * np.pi * rng.random()
-        u = complex(r * np.cos(phi), r * np.sin(phi))
-        if abs(u) < 0.05 or abs(u * u - 1.0) < 1e-2 or abs(q * q * u * u - 1.0) < 1e-2:
-            continue
-        lhs, rhs = functional_equation_sides(g, u)
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-        tested += 1
-    ok = worst < args.tol
+    q, v = regular_q(g), g.vertex_count
+    # As 2|E| = (q+1)|V|, Z(1/(q u)) = ((1-u^2)/(q^2 u^2-1))^chi q^(v-2e) u^(-2e) Z(u)
+    # is P(1/(q u)) = P(u) / (q u^2)^v for P = det_poly(g) = sum_j a_j u^j, a
+    # polynomial of degree 2v: the identity q^v a_j = q^j a_(2v-j) for every j.
+    a = det_poly(g).coefficients
+    a += (0,) * (2 * v + 1 - len(a))
+    mismatch = next((j for j in range(2 * v + 1) if q**v * a[j] != q**j * a[2 * v - j]), None)
     summary = {
         "command": "zeta functional-check",
         "graph": args.graph,
-        "points": args.points,
-        "seed": args.seed,
-        "max_relative_residual": worst,
-        "tol": args.tol,
-        "pass": ok,
+        "pass": mismatch is None,
+        "first_mismatch": mismatch,
         "inputs": _hash_inputs([args.graph]),
     }
-    return summary, 0 if ok else 2
+    return summary, 0 if mismatch is None else 2
 
 
 def _cmd_cover_build(args) -> tuple[dict, int]:
@@ -262,10 +235,7 @@ def _cmd_cover_build(args) -> tuple[dict, int]:
     if not volt.is_finite:
         raise InputError("cover build needs a finite voltage group (orders)")
     cover = derived_graph(base, volt)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_graph(cover, out)
-    inputs = _hash_inputs([args.base, args.voltages])
+    save_graph(cover, args.out)
     summary = {
         "command": "cover build",
         "base": args.base,
@@ -275,19 +245,15 @@ def _cmd_cover_build(args) -> tuple[dict, int]:
         "edges": cover.edge_count,
         "connected": cover.is_connected,
         "components": cover.component_count,
-        "inputs": inputs,
+        "inputs": _hash_inputs([args.base, args.voltages]),
     }
-    summary.update(
-        _write_manifest(_manifest_for_file(out), "cover build", inputs, {})
-    )
-    return summary, 0
+    return _manifested(summary, Path(f"{args.out}.manifest.json"), {}), 0
 
 
 def _cmd_tower_build(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec)
+    tower, inputs = _load_tower(args.spec)
     graphs = [level.graph for level in tower.levels]  # a level over the cap writes nothing
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     level_files = []
     for i, (level, g) in enumerate(zip(tower.levels, graphs), 1):
         path = outdir / f"level_{i:02d}_N{level.index}.json"
@@ -300,8 +266,7 @@ def _cmd_tower_build(args) -> tuple[dict, int]:
         "connected": [g.is_connected for g in graphs],
         "levels": level_files,
     }
-    (outdir / "tower.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    inputs = _hash_inputs([args.spec])
+    write_text(outdir / "tower.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     summary = {
         "command": "tower build",
         "spec": args.spec,
@@ -310,21 +275,17 @@ def _cmd_tower_build(args) -> tuple[dict, int]:
         "sizes": doc["sizes"],
         "inputs": inputs,
     }
-    summary.update(
-        _write_manifest(outdir / "manifest.json", "tower build", inputs, {})
-    )
-    return summary, 0
+    return _manifested(summary, outdir / "manifest.json", {}), 0
 
 
 def _cmd_tower_run(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec)
+    tower, inputs = _load_tower(args.spec)
     q = regular_q(tower.base)
     grid = _parse_grid(args.grid, q)
     target, target_files = _parse_target(args.target, tower.base, Path(args.spec).parent)
     report = tower_convergence(tower, target, grid)
-    outdir = Path(args.out)
-    write_convergence_report(report, outdir)
-    inputs = _hash_inputs([args.spec] + [str(p) for p in target_files])
+    write_convergence_report(report, args.out)
+    inputs.update(_hash_inputs(target_files))
     summary = {
         "command": "tower run",
         "spec": args.spec,
@@ -343,15 +304,8 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
         "out": args.out,
         "inputs": inputs,
     }
-    summary.update(
-        _write_manifest(
-            outdir / "manifest.json",
-            "tower run",
-            inputs,
-            {"target": args.target, "grid": grid.describe()},
-        )
-    )
-    return summary, 0
+    parameters = {"target": args.target, "grid": grid.describe()}
+    return _manifested(summary, Path(args.out) / "manifest.json", parameters), 0
 
 
 def _cmd_l2_torus(args) -> tuple[dict, int]:
@@ -383,54 +337,32 @@ def _cmd_l2_torus(args) -> tuple[dict, int]:
         if args.out is None:
             raise InputError("--grid output needs --out <csv>")
         grid = _parse_grid(args.grid, q)
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["re,im,value_re,value_im"]
         values = l2_zeta_abelian(base, volt, grid.array)
-        for u, value in zip(grid.points, values):
-            lines.append(f"{u.real!r},{u.imag!r},{float(value.real)!r},{float(value.imag)!r}")
-        out.write_text("\n".join(lines) + "\n")
+        rows = ((u.real, u.imag, v.real, v.imag) for u, v in zip(grid.points, values))
+        write_rows(args.out, ("re", "im", "value_re", "value_im"), rows)
         summary["out"] = args.out
         summary["grid"] = grid.describe()
         summary["points"] = len(grid.points)
-        summary.update(
-            _write_manifest(
-                _manifest_for_file(out),
-                "l2 torus",
-                inputs,
-                {"grid": grid.describe()},
-            )
-        )
+        summary = _manifested(summary, Path(f"{args.out}.manifest.json"), {"grid": grid.describe()})
     return summary, 0
 
 
 def _cmd_l2_cdf(args) -> tuple[dict, int]:
-    tower = load_tower_spec(args.spec)
+    tower, inputs = _load_tower(args.spec)
     cdfs = [empirical_cdf(level_spectrum(level), level.index) for level in tower.levels]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    masses = []
-    for level, cdf in zip(tower.levels, cdfs):
-        path = outdir / f"cdf_N{level.index}.csv"
-        lines = ["lambda,F"]
-        for lam, val in cdf.to_rows():
-            lines.append(f"{lam!r},{val!r}")
-        path.write_text("\n".join(lines) + "\n")
-        files.append(str(path))
-        masses.append(cdf.mass)
-    inputs = _hash_inputs([args.spec])
+    files = [str(Path(args.out) / f"cdf_N{level.index}.csv") for level in tower.levels]
+    for path, cdf in zip(files, cdfs):
+        write_rows(path, ("lambda", "F"), cdf.to_rows())
     summary = {
         "command": "l2 cdf",
         "spec": args.spec,
         "indices": list(tower.indices),
-        "masses": masses,
+        "masses": [cdf.mass for cdf in cdfs],
         "out": args.out,
         "files": files,
         "inputs": inputs,
     }
-    summary.update(_write_manifest(outdir / "manifest.json", "l2 cdf", inputs, {}))
-    return summary, 0
+    return _manifested(summary, Path(args.out) / "manifest.json", {}), 0
 
 
 def _cmd_deitmar_check(args) -> tuple[dict, int]:
@@ -441,8 +373,7 @@ def _cmd_deitmar_check(args) -> tuple[dict, int]:
     else:
         grid = GridSpec(q=q, radius=0.6 * q**-0.5, resolution=12)
     points = grid.array
-    residuals = deitmar_residual(g, points)
-    worst = float(np.max(residuals)) if len(points) else 0.0
+    worst = float(np.max(deitmar_residual(g, points)))
     ok = worst < args.tol
     summary = {
         "command": "deitmar check",
@@ -487,11 +418,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--terms", type=int, default=12)
     p.set_defaults(handler=_cmd_zeta_euler_check)
 
-    p = zeta_sub.add_parser("functional-check", help="functional equation residuals")
+    p = zeta_sub.add_parser("functional-check", help="functional equation, exactly")
     p.add_argument("--graph", required=True)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--points", type=int, default=100, help="accepted and ignored")
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     p.set_defaults(handler=_cmd_zeta_functional_check)
 
     cover = groups.add_parser("cover", help="derived covering graphs")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .covers import Tower
 from .errors import DomainError, InputError
-from .graphs import MultiGraph, regular_q
+from .graphs import MultiGraph, regular_q, write_rows, write_text
 from .l2 import L2Zeta, SpectralCDF, _count_at_most, _level_blocks, _log_sum
 from .region import check_q, omega_contains, require_inside, set_c_polyline
 from .zeta import det_poly, zeta_eval, zeta_function
@@ -33,7 +33,8 @@ class GridSpec:
     Square lattice points of the given resolution are enumerated row-major
     over [-radius, radius]^2 and kept when they lie in the closed disk of
     the given radius and satisfy the margin condition against C. The
-    default margin is 0.05 * q^(-1/2).
+    default margin is 0.05 * q^(-1/2). A grid that keeps no point is an
+    InputError.
     """
 
     q: int
@@ -53,6 +54,8 @@ class GridSpec:
             object.__setattr__(self, "margin", 0.05 * self.q ** -0.5)
         if self.margin < 0:
             raise InputError("margin must be >= 0")
+        if not self.points:
+            raise InputError("the grid contains no admissible points")
 
     @cached_property
     def points(self) -> tuple[complex, ...]:
@@ -123,8 +126,6 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     is evaluated on all grid points in one call, and each level's zeta from
     its character spectrum, streamed one block of eigenvalues at a time."""
     points = grid.array
-    if len(points) == 0:
-        raise InputError("the grid contains no admissible points")
     chi_base = tower.base.euler_characteristic
     q = regular_q(tower.base)
     if q != grid.q:
@@ -197,22 +198,15 @@ def deitmar_residual(base: MultiGraph, u) -> "float | np.ndarray":
 def write_convergence_report(report: ConvergenceReport, outdir: "str | Path") -> list[Path]:
     """summary.json, one error-field CSV per level, and a polyline of C."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
     summary = outdir / "summary.json"
-    summary.write_text(json.dumps(report.summary_dict(), sort_keys=True, indent=2) + "\n")
-    written.append(summary)
+    write_text(summary, json.dumps(report.summary_dict(), sort_keys=True, indent=2) + "\n")
+    written = [summary]
     for level in report.levels:
         path = outdir / f"errors_N{level.index}.csv"
-        lines = ["re,im,abs_error"]
-        for u, err in zip(report.grid.points, level.errors):
-            lines.append(f"{u.real!r},{u.imag!r},{float(err)!r}")
-        path.write_text("\n".join(lines) + "\n")
+        rows = ((u.real, u.imag, err) for u, err in zip(report.grid.points, level.errors))
+        write_rows(path, ("re", "im", "abs_error"), rows)
         written.append(path)
     c_path = outdir / "set_c.csv"
-    lines = ["part,re,im"]
-    for part, point in set_c_polyline(report.grid.q):
-        lines.append(f"{part},{point.real!r},{point.imag!r}")
-    c_path.write_text("\n".join(lines) + "\n")
-    written.append(c_path)
-    return written
+    rows = ((part, point.real, point.imag) for part, point in set_c_polyline(report.grid.q))
+    write_rows(c_path, ("part", "re", "im"), rows)
+    return written + [c_path]

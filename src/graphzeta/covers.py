@@ -377,6 +377,15 @@ _SPEC_KEYS = {
 }
 
 
+def spec_base_path(doc: dict, base_dir: "str | Path" = ".") -> Path:
+    """The base graph file a tower spec names, relative paths resolved
+    against `base_dir`."""
+    if not isinstance(doc["base"], str):
+        raise InputError(f'tower spec "base" must be a file name, got {doc["base"]!r}')
+    path = Path(doc["base"])
+    return path if path.is_absolute() else Path(base_dir) / path
+
+
 def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
     """Tower spec: {"base": graph-file, "kind": "cyclic"|"lattice"|"homology", ...}.
 
@@ -397,10 +406,7 @@ def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
     missing = [key for key in _SPEC_KEYS[kind] if key not in doc]
     if missing:
         raise InputError(f"a {kind} tower spec needs {' and '.join(map(repr, missing))}")
-    base_path = Path(doc["base"])
-    if not base_path.is_absolute():
-        base_path = Path(base_dir) / base_path
-    base = load_graph(base_path)
+    base = load_graph(spec_base_path(doc, base_dir))
     if kind == "homology":
         return homology_tower(base, *(json_int(doc[key], key) for key in ("p", "depth")))
     for key in ("voltages", "orders"):

@@ -12,11 +12,13 @@ spectrum) are cached on first use.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -254,7 +256,41 @@ def graph_from_json(doc: dict) -> MultiGraph:
 
 
 def save_graph(g: MultiGraph, path: "str | Path") -> None:
-    Path(path).write_text(json.dumps(graph_to_json(g), sort_keys=True) + "\n")
+    write_text(path, json.dumps(graph_to_json(g), sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# files: write_text writes every file the package writes, read_json reads
+# every JSON file it reads
+
+
+def write_text(path: "str | Path", text: str) -> str:
+    """Writes `text` as UTF-8, creating the parent directory; returns the
+    SHA-256 of the bytes written. InputError when the file cannot be written
+    (its path is a directory, a parent is a file, no permission)."""
+    path, data = Path(path), text.encode()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return hashlib.sha256(data).hexdigest()
+
+
+def _csv_field(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, np.generic):
+        value = value.item()
+    return repr(value)
+
+
+def write_rows(path: "str | Path", header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV with one line per row: strings as they are, numbers as the repr
+    of a Python int or float (numpy scalars converted first), so that every
+    numeric field parses back to the same value. Returns write_text's hash."""
+    lines = [",".join(header)] + [",".join(map(_csv_field, row)) for row in rows]
+    return write_text(path, "\n".join(lines) + "\n")
 
 
 def read_json(path: "str | Path", what: str):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,18 +134,23 @@ def test_zeta_euler_check(workdir, capsys):
     assert summary_of(capsys)["match"] is True
 
 
-def test_zeta_functional_check(workdir, capsys):
-    code = run(["zeta", "functional-check", "--graph", str(workdir / "k4.json"), "--points", "20"])
-    assert code == 0
+def test_zeta_functional_check(workdir, capsys, monkeypatch):
+    k4 = ["zeta", "functional-check", "--graph", str(workdir / "k4.json")]
+    # --points and --seed are accepted and ignored: the check is exact
+    assert run(k4 + ["--points", "20", "--seed", "3"]) == 0
     doc = summary_of(capsys)
-    assert doc["pass"] is True and doc["max_relative_residual"] < 1e-9
-
-
-def test_functional_check_reuses_the_memoized_determinant(workdir, capsys):
-    _det_poly.cache_clear()
-    assert run(["zeta", "functional-check", "--graph", str(workdir / "k4.json")]) == 0
-    info = _det_poly.cache_info()
-    assert info.misses == 1 and info.hits >= 99
+    assert doc["pass"] is True and doc["first_mismatch"] is None
+    # float sampling gave a 2.01e-9 residual here against a 1e-9 tolerance
+    save_graph(random_regular(32, 3, 2), workdir / "cubic32.json")
+    assert run(["zeta", "functional-check", "--graph", str(workdir / "cubic32.json")]) == 0
+    assert summary_of(capsys)["pass"] is True
+    assert run(k4 + ["--tol", "1e-9"]) == 1
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    # one coefficient of K4's (1, 0, 2, -8, -3, -16, 8, 0, 16) off by one
+    monkeypatch.setattr(cli, "det_poly", lambda g: IntPolynomial((1, 0, 2, -7, -3, -16, 8, 0, 16)))
+    assert run(k4) == 2
+    doc = summary_of(capsys)
+    assert doc["pass"] is False and doc["first_mismatch"] == 3
 
 
 def test_cover_build(workdir, capsys):
@@ -217,27 +224,66 @@ def test_tower_build_and_run(workdir, capsys):
         text = (outdir / name).read_text()
         assert '"vertices"' not in text and '"characters"' not in text
 
-    # rerun lands byte-identical outputs
-    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
-    assert run(
-        [
-            "tower",
-            "run",
-            "--spec",
-            str(workdir / "tower.json"),
-            "--target",
-            "constant:1",
-            "--grid",
-            "disk:0.5:9:0.02",
-            "--out",
-            str(outdir),
-            "--jobs",
-            "2",
-        ]
-    ) == 0
-    capsys.readouterr()
-    after = {p.name: p.read_bytes() for p in outdir.iterdir()}
-    assert before == after
+    # a rerun of every command that writes files lands byte-identical outputs
+    # and prints the same summary
+    (workdir / "vc.json").write_text(json.dumps({"voltages": [1], "orders": [6]}))
+    k4, b2, loop = (str(workdir / f"{name}.json") for name in ("k4", "b2", "loop"))
+    out = workdir / "out"
+    commands = [
+        ["tower", "run", "--spec", str(workdir / "tower.json"), "--target", "constant:1",
+         "--grid", "disk:0.5:9:0.02", "--out", str(outdir), "--jobs", "2"],
+        ["zeta", "compute", "--graph", k4, "--emit", str(out / "poly.json")],
+        ["zeta", "zeros", "--graph", k4, "--out", str(out / "zeros.csv")],
+        ["cover", "build", "--base", loop, "--voltages", str(workdir / "vc.json"),
+         "--out", str(out / "cover.json")],
+        ["l2", "torus", "--base", b2, "--voltages", str(workdir / "v2.json"),
+         "--grid", "disk:0.3:5:0.02", "--out", str(out / "values.csv")],
+        ["l2", "cdf", "--spec", str(workdir / "tower.json"), "--out", str(out / "cdfs")],
+    ]
+
+    def outputs():
+        summaries = []
+        for argv in commands:
+            assert run(argv) == 0
+            summaries.append(summary_of(capsys))
+        files = {p: p.read_bytes() for d in (outdir, out) for p in d.rglob("*") if p.is_file()}
+        return summaries, files
+
+    before = outputs()
+    assert len(before[1]) == 7 + 8 + 5  # tower run, the four file outputs with manifests, l2 cdf
+    assert outputs() == before
+
+
+def test_manifests_hash_the_spec_base(workdir, capsys):
+    # the spec names loop.json; editing that file changes every tower manifest
+    spec = ["--spec", str(workdir / "tower.json")]
+    commands = [
+        ["tower", "build", *spec, "--out", str(workdir / "built")],
+        ["tower", "run", *spec, "--target", "constant:1", "--grid", "disk:0.5:5:0.02",
+         "--out", str(workdir / "run")],
+        ["l2", "cdf", *spec, "--out", str(workdir / "cdfs")],
+    ]
+
+    def manifest_inputs():
+        found = []
+        for argv in commands:
+            assert run(argv) == 0
+            doc = summary_of(capsys)
+            data = Path(doc["manifest"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == doc["manifest_sha256"]
+            manifest = json.loads(data)
+            assert manifest["inputs"] == doc["inputs"]
+            found.append(manifest["inputs"])
+        return found
+
+    before = manifest_inputs()
+    base = str(workdir / "loop.json")
+    assert all(set(inputs) == {str(workdir / "tower.json"), base} for inputs in before)
+    (workdir / "loop.json").write_text(json.dumps({"vertices": 1, "edges": [[0, 0]], "name": "L"}))
+    after = manifest_inputs()
+    for old, new in zip(before, after):
+        assert old[base] != new[base]
+        assert old[str(workdir / "tower.json")] == new[str(workdir / "tower.json")]
 
 
 def test_tower_run_torus_target(workdir, capsys):
@@ -283,14 +329,22 @@ def test_csv_fields_are_plain_numbers(workdir, capsys):
     values = workdir / "values.csv"
     l2_args = ["--voltages", str(workdir / "v2.json"), "--grid", grid, "--out", str(values)]
     assert run(["l2", "torus", "--base", str(workdir / "b2.json")] + l2_args) == 0
+    zeros = workdir / "zeros.csv"
+    assert run(["zeta", "zeros", "--graph", str(workdir / "k4.json"), "--out", str(zeros)]) == 0
+    cdf_args = ["--spec", str(workdir / "tower_l.json"), "--out", str(workdir / "cdf")]
+    assert run(["l2", "cdf"] + cdf_args) == 0
     capsys.readouterr()
-    files = sorted((workdir / "run").glob("errors_N*.csv")) + [values]
-    assert len(files) == 3
-    for path in files:
+    files = sorted((workdir / "run").glob("errors_N*.csv")) + [values, zeros]
+    files += sorted((workdir / "cdf").glob("cdf_N*.csv"))
+    assert len(files) == 6
+    for path in files + [workdir / "run" / "set_c.csv"]:
         rows = path.read_text().strip().splitlines()[1:]
         assert rows
         for row in rows:
-            [float(field) for field in row.split(",")]
+            fields = row.split(",")
+            if path.name == "set_c.csv":
+                assert fields.pop(0) in ("circle", "slit_pos", "slit_neg")
+            [float(field) for field in fields]
 
 
 def test_l2_torus_eval(workdir, capsys):
@@ -459,6 +513,23 @@ def test_exit_codes(workdir, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert f'tower spec "{key}" must be an integer, got {value[-1]!r}' in err
     assert not (workdir / "bt").exists()
+    # a grid that keeps no point: input error, and no file written
+    empty = ["--grid", "disk:0.1:1:0.01"]
+    for argv in (
+        ["deitmar", "check", "--graph", str(workdir / "k4.json"), *empty],
+        ["l2", "torus", "--base", str(workdir / "b2.json"), "--voltages", str(workdir / "v2.json"),
+         *empty, "--out", str(workdir / "e" / "values.csv")],
+        ["tower", "run", "--spec", str(workdir / "tower.json"), "--target", "constant:1",
+         *empty, "--out", str(workdir / "e")],
+    ):
+        assert run(argv) == 1
+        assert "the grid contains no admissible points" in capsys.readouterr().err
+    assert not (workdir / "e").exists()
+    # an output path that cannot be written: input error naming it
+    (workdir / "afile").write_text("")
+    for out in (workdir, workdir / "afile" / "zeros.csv"):
+        assert run(["zeta", "zeros", "--graph", str(workdir / "k4.json"), "--out", str(out)]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
 
 
 def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):

@@ -255,7 +255,8 @@ def test_tower_spec_loading(tmp_path):
     assert tower3.levels == lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 1024)).levels
     bad = tmp_path / "bad.json"
     for doc in ({"base": "loop.json", "kind": "mystery"}, {**lattice, "voltages": [1, 0]},
-                {**lattice, "voltages": [[1, 0], [0.5, 1]]}, {**lattice, "voltages": [[1, 0], [1]]}):
+                {**lattice, "voltages": [[1, 0], [0.5, 1]]}, {**lattice, "voltages": [[1, 0], [1]]},
+                {**lattice, "base": 5}):
         bad.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             load_tower_spec(bad)

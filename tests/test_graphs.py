@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from graphzeta import (
     cycle_graph,
     graph_from_json,
     graph_to_json,
+    graphs,
     load_graph,
     path_graph,
     petersen_graph,
@@ -96,7 +99,7 @@ def test_json_roundtrip(tmp_path):
     doc = graph_to_json(K4)
     assert doc["vertices"] == 4
     assert graph_from_json(doc) == K4
-    path = tmp_path / "g.json"
+    path = tmp_path / "new" / "g.json"  # the writer creates the directory
     save_graph(PETERSEN, path)
     assert load_graph(path) == PETERSEN
     raw = json.loads(path.read_text())
@@ -116,6 +119,29 @@ def test_load_errors(tmp_path):
             load_graph(unreadable)
     with pytest.raises(InputError):
         graph_from_json({"edges": [[0, 1]]})
+
+
+def test_graphs_holds_the_only_file_writer():
+    # every output goes through graphs.write_text; no other module creates a
+    # directory or writes a file itself
+    writers = {"write_text", "write_bytes", "mkdir", "makedirs", "touch"}
+    found = []
+    for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in writers:
+                if not (isinstance(func.value, ast.Name) and func.value.id == "graphs"):
+                    found.append(f"{path.name}:{node.lineno} .{func.attr}()")
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+                    found.append(f"{path.name}:{node.lineno} open() for writing")
+    assert found == []
 
 
 @given(
