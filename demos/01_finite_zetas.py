@@ -11,7 +11,8 @@ from graphzeta import (
     cycle_graph,
     det_poly,
     euler_log_coeffs,
-    functional_equation_residual,
+    functional_equation_mismatch,
+    functional_equation_sides,
     petersen_graph,
     zeta_eval,
     zeta_function,
@@ -52,10 +53,14 @@ def main():
         print(f"  c_{m} = {a} vs {b}  {marker}")
     assert euler == closed
 
-    print("\n== functional equation residual at a few points ==")
+    print("\n== functional equation: both sides at a few points, then exactly ==")
     for u in (0.3 + 0.2j, -0.7 + 0.1j, 1.2 - 0.4j):
-        r = functional_equation_residual(g, u)
-        print(f"  u = {u}: residual {abs(r):.2e}")
+        lhs, rhs = functional_equation_sides(g, u)
+        print(f"  u = {u}: |LHS - RHS| = {abs(lhs - rhs):.2e}")
+    # q^v a_j == q^j a_(2v-j) on the integer coefficients a_j of det_poly
+    mismatch = functional_equation_mismatch(g)
+    print("  exact coefficient identity:", "holds" if mismatch is None else f"fails at j = {mismatch}")
+    assert mismatch is None
 
     print("\nc_3 of K4 is", euler[2], "= -(number of oriented triangles)/3 =",
           Fraction(-24, 3))

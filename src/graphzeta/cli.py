@@ -38,15 +38,19 @@ from .graphs import (
     write_rows,
     write_text,
 )
-from .l2 import L2Zeta, empirical_cdf, l2_zeta_abelian, level_spectrum, torus_l2
+from .l2 import L2Zeta, l2_zeta_abelian, level_cdf, torus_l2
 from .zeta import (
-    det_poly,
     euler_log_coeffs,
+    functional_equation_mismatch,
     zeta_eval,
     zeta_function,
     zeta_log_coeffs,
     zeta_zeros,
 )
+
+
+ZEROS_TOL = 1e-8  # `zeta zeros --check-c`: most distance of a zero from C
+DEITMAR_TOL = 1e-10  # `deitmar check`: largest residual that passes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,13 +186,13 @@ def _cmd_zeta_zeros(args) -> tuple[dict, int]:
         "out": args.out,
         "inputs": _hash_inputs([args.graph]),
     }
-    parameters = {"tol": args.tol, "check_c": bool(args.check_c)}
+    parameters = {"tol": ZEROS_TOL, "check_c": bool(args.check_c)}
     summary = _manifested(summary, Path(f"{args.out}.manifest.json"), parameters)
     code = 0
     if args.check_c:
-        ok = report.max_distance <= args.tol
+        ok = report.max_distance <= ZEROS_TOL
         summary["all_on_C"] = ok
-        summary["tol"] = args.tol
+        summary["tol"] = ZEROS_TOL
         if not ok:
             code = 2
     return summary, code
@@ -211,14 +215,7 @@ def _cmd_zeta_euler_check(args) -> tuple[dict, int]:
 
 
 def _cmd_zeta_functional_check(args) -> tuple[dict, int]:
-    g = load_graph(args.graph)
-    q, v = regular_q(g), g.vertex_count
-    # As 2|E| = (q+1)|V|, Z(1/(q u)) = ((1-u^2)/(q^2 u^2-1))^chi q^(v-2e) u^(-2e) Z(u)
-    # is P(1/(q u)) = P(u) / (q u^2)^v for P = det_poly(g) = sum_j a_j u^j, a
-    # polynomial of degree 2v: the identity q^v a_j = q^j a_(2v-j) for every j.
-    a = det_poly(g).coefficients
-    a += (0,) * (2 * v + 1 - len(a))
-    mismatch = next((j for j in range(2 * v + 1) if q**v * a[j] != q**j * a[2 * v - j]), None)
+    mismatch = functional_equation_mismatch(load_graph(args.graph))
     summary = {
         "command": "zeta functional-check",
         "graph": args.graph,
@@ -349,15 +346,15 @@ def _cmd_l2_torus(args) -> tuple[dict, int]:
 
 def _cmd_l2_cdf(args) -> tuple[dict, int]:
     tower, inputs = _load_tower(args.spec)
-    cdfs = [empirical_cdf(level_spectrum(level), level.index) for level in tower.levels]
+    cdfs = [level_cdf(level) for level in tower.levels]  # every level before any file
     files = [str(Path(args.out) / f"cdf_N{level.index}.csv") for level in tower.levels]
-    for path, cdf in zip(files, cdfs):
-        write_rows(path, ("lambda", "F"), cdf.to_rows())
+    for path, (points, values) in zip(files, cdfs):
+        write_rows(path, ("lambda", "F"), zip(points.tolist(), values.tolist()))
     summary = {
         "command": "l2 cdf",
         "spec": args.spec,
         "indices": list(tower.indices),
-        "masses": [cdf.mass for cdf in cdfs],
+        "masses": [float(values[-1]) for _, values in cdfs],
         "out": args.out,
         "files": files,
         "inputs": inputs,
@@ -374,14 +371,14 @@ def _cmd_deitmar_check(args) -> tuple[dict, int]:
         grid = GridSpec(q=q, radius=0.6 * q**-0.5, resolution=12)
     points = grid.array
     worst = float(np.max(deitmar_residual(g, points)))
-    ok = worst < args.tol
+    ok = worst < DEITMAR_TOL
     summary = {
         "command": "deitmar check",
         "graph": args.graph,
         "points": len(points),
         "grid": grid.describe(),
         "max_residual": worst,
-        "tol": args.tol,
+        "tol": DEITMAR_TOL,
         "pass": ok,
         "inputs": _hash_inputs([args.graph]),
     }
@@ -410,7 +407,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--check-c", action="store_true", dest="check_c")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(handler=_cmd_zeta_zeros)
 
     p = zeta_sub.add_parser("euler-check", help="Euler product vs closed form, exactly")
@@ -471,7 +467,6 @@ def _build_parser() -> _Parser:
     p = deitmar_sub.add_parser("check", help="residual of the tree-cover identity")
     p.add_argument("--graph", required=True)
     p.add_argument("--grid", default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(handler=_cmd_deitmar_check)
 
     return parser

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covers import Tower
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, ResourceError
 from .graphs import MultiGraph, regular_q, write_rows, write_text
-from .l2 import L2Zeta, SpectralCDF, _count_at_most, _level_blocks, _log_sum
+from .l2 import NODE_BUDGET, L2Zeta, _count_at_most, _level_blocks, _log_sum
 from .region import check_q, omega_contains, require_inside, set_c_polyline
 from .zeta import det_poly, zeta_eval, zeta_function
 
@@ -34,7 +34,7 @@ class GridSpec:
     over [-radius, radius]^2 and kept when they lie in the closed disk of
     the given radius and satisfy the margin condition against C. The
     default margin is 0.05 * q^(-1/2). A grid that keeps no point is an
-    InputError.
+    InputError; one of more than NODE_BUDGET lattice points a ResourceError.
     """
 
     q: int
@@ -50,6 +50,11 @@ class GridSpec:
             )
         if self.resolution < 1:
             raise InputError("resolution must be >= 1")
+        if self.resolution**2 > NODE_BUDGET:
+            raise ResourceError(
+                f"a grid of resolution {self.resolution} has {self.resolution**2} lattice "
+                f"points, over the node budget of {NODE_BUDGET}"
+            )
         if self.margin is None:
             object.__setattr__(self, "margin", 0.05 * self.q ** -0.5)
         if self.margin < 0:
@@ -60,15 +65,9 @@ class GridSpec:
     @cached_property
     def points(self) -> tuple[complex, ...]:
         axis = np.linspace(-self.radius, self.radius, self.resolution)
-        out = []
-        for y in axis:
-            for x in axis:
-                u = complex(x, y)
-                if abs(u) <= self.radius * (1 + 1e-12) and omega_contains(
-                    self.q, u, self.margin
-                ):
-                    out.append(u)
-        return tuple(out)
+        u = axis[None, :] + 1j * axis[:, None]  # row-major: y down the rows, x along them
+        keep = (np.abs(u) <= self.radius * (1 + 1e-12)) & omega_contains(self.q, u, self.margin)
+        return tuple(u[keep].tolist())
 
     @property
     def array(self) -> np.ndarray:
@@ -156,11 +155,12 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
 
 def cdf_convergence(
     tower: Tower,
-    target: "SpectralCDF | Callable[[np.ndarray], np.ndarray]",
+    target: Callable[[np.ndarray], np.ndarray],
     lambdas: Sequence[float],
 ) -> list[float]:
     """Sup distance between each level's empirical spectral distribution
-    and the target, over the given continuity points."""
+    and the target, a function of an array of lambdas, over the given
+    continuity points."""
     lams = np.asarray(lambdas, dtype=float)
     if lams.size == 0:
         raise InputError("need at least one evaluation point")

@@ -64,10 +64,6 @@ class MultiGraph:
         return self.vertex_count - len(self.edges)
 
     @cached_property
-    def loop_count(self) -> int:
-        return sum(1 for x, y in self.edges if x == y)
-
-    @cached_property
     def adjacency(self) -> np.ndarray:
         """Symmetric adjacency matrix; loops count 2 on the diagonal."""
         a = np.zeros((self.vertex_count, self.vertex_count), dtype=np.float64)
@@ -129,14 +125,6 @@ class RegularityInfo:
     q: int | None
 
 
-@dataclass(frozen=True)
-class SpectrumData:
-    """Adjacency eigenvalues sorted ascending, with the trivial bound max degree."""
-
-    eigenvalues: np.ndarray
-    spectral_bound: int
-
-
 def build_graph(
     vertex_count: int,
     edges: "list[tuple[int, int]] | tuple[tuple[int, int], ...]",
@@ -173,13 +161,13 @@ def require_size(vertices: int, what: str) -> None:
 
 
 @lru_cache(maxsize=16)
-def spectrum(g: MultiGraph) -> SpectrumData:
-    """Eigenvalues of the adjacency matrix via the dense symmetric solver.
+def spectrum(g: MultiGraph) -> np.ndarray:
+    """Eigenvalues of the adjacency matrix via the dense symmetric solver,
+    sorted ascending and read-only.
 
-    Eigenvalues come back sorted ascending. A graph over SIZE_CAP vertices
-    raises ResourceError before its adjacency matrix exists; solver failure
-    is reported as a NumericError rather than a partial spectrum. Results
-    are memoized for the last 16 graphs.
+    A graph over SIZE_CAP vertices raises ResourceError before its adjacency
+    matrix exists; solver failure is reported as a NumericError rather than
+    a partial spectrum. Results are memoized for the last 16 graphs.
     """
     require_size(g.vertex_count, f"a dense spectrum of {g.name or 'the graph'}")
     try:
@@ -187,8 +175,7 @@ def spectrum(g: MultiGraph) -> SpectrumData:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
     eigs.setflags(write=False)
-    bound = max(g.degree_sequence) if g.vertex_count else 0
-    return SpectrumData(eigenvalues=eigs, spectral_bound=int(bound))
+    return eigs
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +233,17 @@ def json_int(value, what: str) -> int:
 
 
 def graph_from_json(doc: dict) -> MultiGraph:
+    """The graph of a JSON document; ResourceError past SIZE_CAP vertices,
+    before anything sized by the vertex count exists."""
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputError('graph JSON needs "vertices" and "edges" keys')
+    vertices = json_int(doc["vertices"], "vertices")
+    require_size(vertices, "a graph file")
     try:
         edges = [(json_int(x, "an edge end"), json_int(y, "an edge end")) for x, y in doc["edges"]]
     except (TypeError, ValueError) as exc:  # edges or an edge that is not a list of two
         raise InputError(f"malformed graph JSON: {exc}") from exc
-    return build_graph(json_int(doc["vertices"], "vertices"), edges, doc.get("name"))
+    return build_graph(vertices, edges, doc.get("name"))
 
 
 def save_graph(g: MultiGraph, path: "str | Path") -> None:

@@ -32,42 +32,6 @@ LOG_CHUNK = 2**18  # points x eigenvalues whose logarithms are held at once
 CDF_POINTS_PER_DIM = 4096
 
 
-@dataclass(frozen=True)
-class SpectralCDF:
-    """A right-continuous step function F(lam) = (jumps at or below lam) / N."""
-
-    jump_points: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, lam):
-        idx = np.searchsorted(self.jump_points, lam, side="right")
-        padded = np.concatenate(([0.0], self.values))
-        out = padded[idx]
-        return float(out) if np.isscalar(lam) else out
-
-    @property
-    def mass(self) -> float:
-        return float(self.values[-1]) if len(self.values) else 0.0
-
-    def to_rows(self) -> list[tuple[float, float]]:
-        return [(float(x), float(v)) for x, v in zip(self.jump_points, self.values)]
-
-
-def empirical_cdf(eigenvalues: np.ndarray, n: int) -> SpectralCDF:
-    """Eigenvalue counting function with mass (number of eigenvalues) / n.
-
-    For a tower level of index n over a one-vertex base the total mass is 1;
-    in general it is the base's vertex count.
-    """
-    if n < 1:
-        raise InputError("normalization must be >= 1")
-    points, counts = np.unique(np.asarray(eigenvalues, dtype=float), return_counts=True)
-    values = np.cumsum(counts) / float(n)
-    points.setflags(write=False)
-    values.setflags(write=False)
-    return SpectralCDF(jump_points=points, values=values)
-
-
 # ---------------------------------------------------------------------------
 # torus symbols
 
@@ -87,12 +51,7 @@ class TorusSymbol:
     terms: tuple[tuple[int, int, tuple[int, ...], int], ...]
 
     def matrices(self, thetas: np.ndarray) -> np.ndarray:
-        """Stack of symbol matrices at rows of `thetas` (shape (m, rank))."""
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 1:
-            thetas = thetas[None, :]
-        if thetas.shape[1] != self.rank:
-            raise InputError(f"theta rows must have length {self.rank}")
+        """Stack of symbol matrices at the rows of `thetas`, shape (m, rank)."""
         out = np.zeros((thetas.shape[0], self.vertex_count, self.vertex_count), dtype=complex)
         for x, y, freq, coeff in self.terms:
             out[:, x, y] += coeff * np.exp(1j * (thetas @ np.asarray(freq, dtype=float)))
@@ -198,12 +157,13 @@ def _level_blocks(level: TowerLevel):
     return _node_eigenvalues(sym, n)
 
 
-def level_spectrum(level: TowerLevel) -> np.ndarray:
-    """All adjacency eigenvalues of a tower level (`_level_blocks`),
-    sorted ascending and read-only."""
-    eigs = np.sort(np.concatenate(list(_level_blocks(level))))
-    eigs.setflags(write=False)
-    return eigs
+def level_cdf(level: TowerLevel) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral distribution of a tower level: its distinct adjacency
+    eigenvalues (`_level_blocks`) ascending, and at each the number of
+    eigenvalues at or below it divided by the level's index. The last
+    value is the base's vertex count."""
+    points, counts = np.unique(np.concatenate(list(_level_blocks(level))), return_counts=True)
+    return points, np.cumsum(counts) / level.index
 
 
 def _grid_log_det(sym: TorusSymbol, q: int, us: np.ndarray, m: int) -> np.ndarray:

@@ -34,16 +34,6 @@ class IntPolynomial:
             acc = acc * u + c
         return acc
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return IntPolynomial(tuple(out))
-
     def divide_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact division over the integers; raises ValueError if not exact."""
         if divisor.coefficients == (0,):

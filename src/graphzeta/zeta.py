@@ -208,12 +208,11 @@ def zeta_zeros(g: MultiGraph) -> ZeroReport:
     """
     q = regular_q(g)
     chi = g.euler_characteristic
-    spec = spectrum(g)
-    eigs, bound = spec.eigenvalues, max(1.0, float(spec.spectral_bound))
-    # group equal eigenvalues so multiplicities carry through the formula
+    # group equal eigenvalues so multiplicities carry through the formula;
+    # q + 1 bounds them all
     groups: list[tuple[float, int]] = []
-    for lam in eigs:
-        if groups and abs(lam - groups[-1][0]) <= _GROUP_TOL * bound:
+    for lam in spectrum(g):
+        if groups and abs(lam - groups[-1][0]) <= _GROUP_TOL * (q + 1):
             groups[-1] = (groups[-1][0], groups[-1][1] + 1)
         else:
             groups.append((float(lam), 1))
@@ -260,7 +259,7 @@ def nth_root_det(g: MultiGraph, n: int, u):
     q = regular_q(g)
     us = np.asarray(u, dtype=complex)
     require_inside(q, us)
-    logs = _log_sum([spectrum(g).eigenvalues], q, us.reshape(-1))
+    logs = _log_sum([spectrum(g)], q, us.reshape(-1))
     values = np.exp(logs / n).reshape(us.shape)
     return complex(values) if us.shape == () else values
 
@@ -302,10 +301,18 @@ def functional_equation_sides(g: MultiGraph, u: complex) -> tuple[complex, compl
     return lhs, rhs
 
 
-def functional_equation_residual(g: MultiGraph, u: complex) -> complex:
-    """LHS - RHS; its magnitude should be < 1e-9 * max(|LHS|, |RHS|, 1)."""
-    lhs, rhs = functional_equation_sides(g, u)
-    return lhs - rhs
+def functional_equation_mismatch(g: MultiGraph) -> int | None:
+    """The smallest j where the functional equation fails, or None when it holds.
+
+    As 2|E| = (q+1)|V|, the equation Z(1/(q u)) = ((1-u^2)/(q^2 u^2-1))^chi
+    q^(v-2e) u^(-2e) Z(u) is P(1/(q u)) = P(u) / (q u^2)^v for P =
+    det_poly(g) = sum_j a_j u^j, a polynomial of degree 2v: the identity
+    q^v a_j = q^j a_(2v-j) for every j = 0..2v, checked exactly.
+    """
+    q, v = regular_q(g), g.vertex_count
+    a = det_poly(g).coefficients
+    a += (0,) * (2 * v + 1 - len(a))
+    return next((j for j in range(2 * v + 1) if q**v * a[j] != q**j * a[2 * v - j]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +320,19 @@ def functional_equation_residual(g: MultiGraph, u: complex) -> complex:
 
 
 def _transfer_matrix(g: MultiGraph) -> np.ndarray:
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    tails, heads = ends.ravel(), ends[:, ::-1].ravel()
-    t = heads[:, None] == tails[None, :]
-    a = np.arange(len(tails))
-    t[a, a ^ 1] = False
-    return t
-
-
-def transfer_operator(g: MultiGraph) -> list[list[int]]:
-    """0/1 matrix on oriented edges: consecutive without immediate reversal.
+    """Boolean matrix on oriented edges: consecutive without immediate reversal.
 
     Oriented edge 2i is edge i traversed as stored, 2i+1 the reverse; the
     reversal of index a is a XOR 1. Traversing a loop twice in the same
     direction is allowed; immediately re-traversing any edge backwards is
     not.
     """
-    return _transfer_matrix(g).astype(np.int64).tolist()
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    tails, heads = ends.ravel(), ends[:, ::-1].ravel()
+    t = heads[:, None] == tails[None, :]
+    a = np.arange(len(tails))
+    t[a, a ^ 1] = False
+    return t
 
 
 def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:

@@ -115,6 +115,12 @@ def test_zeta_zeros_check(workdir, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "re,im,multiplicity,dist_to_C"
     assert len(lines) == 1 + doc["distinct_zeros"]
+    # the tolerance is a constant, reported in the summary and the manifest
+    assert doc["tol"] == 1e-8
+    assert json.loads((workdir / "zeros.csv.manifest.json").read_text())["parameters"]["tol"] == 1e-8
+    argv = ["zeta", "zeros", "--graph", str(workdir / "k4.json"), "--out", str(out), "--tol", "1e-9"]
+    assert run(argv) == 1
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 def test_zeta_zeros_needs_no_determinant(workdir, capsys, monkeypatch):
@@ -147,7 +153,7 @@ def test_zeta_functional_check(workdir, capsys, monkeypatch):
     assert run(k4 + ["--tol", "1e-9"]) == 1
     assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
     # one coefficient of K4's (1, 0, 2, -8, -3, -16, 8, 0, 16) off by one
-    monkeypatch.setattr(cli, "det_poly", lambda g: IntPolynomial((1, 0, 2, -7, -3, -16, 8, 0, 16)))
+    monkeypatch.setattr(zeta, "det_poly", lambda g: IntPolynomial((1, 0, 2, -7, -3, -16, 8, 0, 16)))
     assert run(k4) == 2
     doc = summary_of(capsys)
     assert doc["pass"] is False and doc["first_mismatch"] == 3
@@ -433,7 +439,9 @@ def test_deitmar_check(workdir, capsys):
     code = run(["deitmar", "check", "--graph", str(workdir / "k4.json")])
     assert code == 0
     doc = summary_of(capsys)
-    assert doc["pass"] is True and doc["max_residual"] < 1e-10
+    assert doc["pass"] is True and doc["max_residual"] < 1e-10 and doc["tol"] == 1e-10
+    assert run(["deitmar", "check", "--graph", str(workdir / "k4.json"), "--tol", "1e-9"]) == 1
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 def test_exit_codes(workdir, capsys, monkeypatch):
@@ -567,20 +575,43 @@ def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
 
 
 def test_dense_spectrum_vertex_cap(workdir, capsys, monkeypatch):
+    # a graph file over the cap is refused as it loads, before any dense matrix
     save_graph(cycle_graph(graphs.SIZE_CAP + 1), workdir / "c10001.json")
     argv = ["zeta", "zeros", "--graph", str(workdir / "c10001.json"), "--out", str(workdir / "z.csv")]
     assert run(argv) == 2
-    assert "a dense spectrum of C10001 needs 10001 vertices, over the cap of 10000" in capsys.readouterr().err
+    assert "a graph file needs 10001 vertices, over the cap of 10000" in capsys.readouterr().err
     assert not (workdir / "z.csv").exists()
-    # a level's parent symbol is diagonalized densely too
+    # graphs built in memory meet the cap at the dense solvers: the spectrum,
+    # and the symbol of a level's parent
+    with pytest.raises(errors.ResourceError, match="a dense spectrum of C10001 needs 10001 vertices"):
+        graphs.spectrum(cycle_graph(graphs.SIZE_CAP + 1))
+    level = covers.cyclic_tower(K4, (1, 0, 0, 0, 0, 0), (1, 2)).levels[-1]
     monkeypatch.setattr(graphs, "SIZE_CAP", 3)
-    (workdir / "k4c.json").write_text(
-        json.dumps({"base": "k4.json", "kind": "cyclic", "voltages": [1, 0, 0, 0, 0, 0], "orders": [1, 2]})
+    with pytest.raises(errors.ResourceError, match="a dense symbol eigensolve needs 4 vertices, over the cap of 3"):
+        l2.level_cdf(level)
+
+
+OVERSIZED_COMMANDS = {  # a 10^11-vertex graph file as every graph argument
+    "zeta compute": ["zeta", "compute", "--graph", "big.json"],
+    "zeta zeros": ["zeta", "zeros", "--graph", "big.json", "--out", "out/zeros.csv"],
+    "l2 torus": ["l2", "torus", "--base", "big.json", "--voltages", "vbig.json", "--eval", "0.1"],
+    "deitmar check": ["deitmar", "check", "--graph", "big.json"],
+    "tower build": ["tower", "build", "--spec", "tower_big.json", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED_COMMANDS))
+def test_oversized_graph_file_exits_2(workdir, capsys, monkeypatch, command):
+    (workdir / "big.json").write_text(json.dumps({"vertices": 100000000000, "edges": []}))
+    (workdir / "vbig.json").write_text(json.dumps({"voltages": [], "rank": 1}))
+    (workdir / "tower_big.json").write_text(
+        json.dumps({"base": "big.json", "kind": "cyclic", "voltages": [], "orders": [1]})
     )
-    argv = ["l2", "cdf", "--spec", str(workdir / "k4c.json"), "--out", str(workdir / "c")]
-    assert run(argv) == 2
-    assert "a dense symbol eigensolve needs 4 vertices, over the cap of 3" in capsys.readouterr().err
-    assert not (workdir / "c").exists()
+    monkeypatch.chdir(workdir)
+    assert run(OVERSIZED_COMMANDS[command]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a graph file needs 100000000000 vertices, over the cap of 10000\n"
+    assert not (workdir / "out").exists()
 
 
 IRREGULAR_COMMANDS = {

@@ -6,17 +6,17 @@ import pytest
 from graphzeta import (
     GridSpec,
     InputError,
+    ResourceError,
     UnsupportedError,
     VoltageAssignment,
     cdf_convergence,
     convergence,
     cyclic_tower,
     deitmar_residual,
-    empirical_cdf,
     homology_tower,
     l2,
     lattice_tower,
-    level_spectrum,
+    level_cdf,
     normalized_zeta,
     omega_contains,
     path_graph,
@@ -40,6 +40,31 @@ def test_grid_spec_points():
         assert omega_contains(1, u, grid.margin * 0.999)
     # row-major and deterministic
     assert pts == GridSpec(q=1, radius=0.5, resolution=5).points
+
+
+def test_grid_points_are_the_row_major_admissible_lattice_points():
+    # the pointwise definition: rows of constant imaginary part, bottom up
+    for q, radius, resolution, margin in ((1, 0.5, 5, None), (2, 0.6, 17, 0.01),
+                                          (3, 0.56, 9, 0.004), (3, 0.3, 40, 0.0)):
+        grid = GridSpec(q=q, radius=radius, resolution=resolution, margin=margin)
+        axis = np.linspace(-radius, radius, resolution)
+        expected = [
+            complex(x, y) for y in axis for x in axis
+            if abs(complex(x, y)) <= radius * (1 + 1e-12)
+            and omega_contains(q, complex(x, y), grid.margin)
+        ]
+        assert list(grid.points) == expected
+        assert all(type(u) is complex for u in grid.points)
+
+
+def test_grid_resolution_is_bounded_by_the_node_budget(monkeypatch):
+    # resolution^2 lattice points at most: 2048^2 = 2^22
+    with pytest.raises(ResourceError, match="resolution 2049 has 4198401 lattice points"):
+        GridSpec(q=2, radius=0.5, resolution=2049)
+    monkeypatch.setattr(convergence, "NODE_BUDGET", 24)
+    assert len(GridSpec(q=2, radius=0.5, resolution=4).points) > 0
+    with pytest.raises(ResourceError, match="over the node budget of 24"):
+        GridSpec(q=2, radius=0.5, resolution=5)
 
 
 def test_grid_spec_validation():
@@ -113,8 +138,10 @@ def test_cdf_convergence_to_arcsine():
 
 
 def test_cdf_convergence_accepts_spectral_cdf_target():
+    # the target is the counting function of the top level's dense spectrum
     tower = cyclic_tower(LOOP, (1,), (1, 2, 4))
-    target = empirical_cdf(spectrum(tower.levels[-1].graph).eigenvalues, 4)
+    eigs = spectrum(tower.levels[-1].graph)
+    target = lambda lams: np.searchsorted(eigs, lams, side="right") / 4
     sups = cdf_convergence(tower, target, np.linspace(-1.9, 1.9, 21))
     assert sups[-1] == pytest.approx(0.0, abs=1e-12)
 
@@ -137,20 +164,21 @@ def test_tower_errors_do_not_depend_on_log_chunk(monkeypatch):
 
 
 def test_tower_and_cdf_convergence_never_build_a_level_spectrum(monkeypatch):
-    # counts are integers, so streamed CDFs equal the sorted-spectrum ones exactly
+    # counts are integers, so streamed CDFs equal the whole-spectrum ones exactly
     tower = homology_tower(B2, 2, 2)
     lambdas = np.linspace(-4.1, 4.1, 37) + 0.001
-    target = empirical_cdf(np.linspace(-4.0, 4.0, 17), 17)
+    target = lambda lams: np.searchsorted(np.linspace(-4.0, 4.0, 17), lams, side="right") / 17
     expected = []
     for level in tower.levels:
-        sorted_cdf = empirical_cdf(level_spectrum(level), level.index)
-        expected.append(float(np.max(np.abs(sorted_cdf(lambdas) - target(lambdas)))))
+        points, values = level_cdf(level)
+        at = np.concatenate(([0.0], values))[np.searchsorted(points, lambdas, side="right")]
+        expected.append(float(np.max(np.abs(at - target(lambdas)))))
 
     def refuse(level):
         raise AssertionError("a level spectrum was built")
 
     for module in (l2, convergence):
-        monkeypatch.setattr(module, "level_spectrum", refuse, raising=False)
+        monkeypatch.setattr(module, "level_cdf", refuse, raising=False)
     assert cdf_convergence(tower, target, lambdas) == expected
     report = tower_convergence(tower, tree_l2_reference(), GridSpec(q=3, radius=0.4, resolution=5))
     assert len(report.levels) == 3

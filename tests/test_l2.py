@@ -20,10 +20,8 @@ from graphzeta import (
     TowerLevel,
     bouquet_graph,
     covers,
-    cycle_graph,
     cyclic_tower,
     derived_graph,
-    empirical_cdf,
     equivariant_walk_counts,
     l2,
     l2_log_det,
@@ -31,9 +29,8 @@ from graphzeta import (
     l2_zeta_abelian,
     homology_tower,
     lattice_tower,
-    level_spectrum,
+    level_cdf,
     path_graph,
-    spectrum,
     symbol_spectral_cdf,
     torus_l2,
     torus_symbol,
@@ -58,14 +55,13 @@ def test_symbol_of_the_loop_is_two_cos():
 def test_symbol_at_zero_is_adjacency():
     for base, volt in [(LOOP, VZ), (B2, VZ2)]:
         sym = torus_symbol(base, volt)
-        assert np.allclose(sym.matrices(np.zeros(volt.rank))[0], base.adjacency)
+        assert np.allclose(sym.matrices(np.zeros((1, volt.rank)))[0], base.adjacency)
 
 
 def test_symbol_is_hermitian():
     sym = torus_symbol(B2, VZ2)
     rng = np.random.default_rng(3)
-    for theta in rng.uniform(-np.pi, np.pi, (5, 2)):
-        m = sym.matrices(theta)[0]
+    for m in sym.matrices(rng.uniform(-np.pi, np.pi, (5, 2))):
         assert np.allclose(m, m.conj().T)
 
 
@@ -178,25 +174,18 @@ def test_tree_reference():
     assert ref.description == "constant 1 (regular tree cover)"
 
 
-def test_empirical_cdf_counting():
-    s = spectrum(cycle_graph(4))  # eigenvalues -2, 0, 0, 2
-    cdf = empirical_cdf(s.eigenvalues, 4)
-    # query between jumps; the jumps themselves carry eigensolver noise
-    assert cdf(-3.0) == 0.0
-    assert cdf(-1.0) == pytest.approx(0.25)
-    assert cdf(1.0) == pytest.approx(0.75)
-    assert cdf(2.5) == pytest.approx(1.0)
-    assert cdf.mass == pytest.approx(1.0)
-    rows = cdf.to_rows()
-    assert rows[0][0] == pytest.approx(-2.0)
-
-
-def test_empirical_cdf_vectorized():
-    cdf = empirical_cdf(spectrum(cycle_graph(6)).eigenvalues, 6)
-    lam = np.array([-3.0, 0.5, 3.0])
-    out = cdf(lam)
-    assert out.shape == (3,)
-    assert out[0] == 0.0 and out[2] == pytest.approx(1.0)
+def test_level_cdf_counting():
+    # the index-4 level over the loop is the 4-cycle: eigenvalues -2, 0, 0, 2
+    points, values = level_cdf(cyclic_tower(LOOP, (1,), (1, 4)).levels[-1])
+    assert np.all(np.diff(points) > 0)
+    assert points[0] == pytest.approx(-2.0) and points[-1] == pytest.approx(2.0)
+    # query between jumps; the jumps themselves carry rounding noise
+    steps = np.concatenate(([0.0], values))
+    at = steps[np.searchsorted(points, [-3.0, -1.0, 1.0, 2.5], side="right")]
+    assert at.tolist() == [0.0, 0.25, 0.75, 1.0]
+    # the mass is the base's vertex count
+    points, values = level_cdf(cyclic_tower(K4, K4_SHIFTS, (1, 8)).levels[-1])
+    assert values[-1] == 4.0
 
 
 def test_symbol_cdf_against_counting_oracle():
@@ -308,12 +297,14 @@ LEVEL_TOWERS = {
 def test_level_spectrum_matches_dense_eigvalsh(name):
     tower = LEVEL_TOWERS[name]()
     for level in tower.levels:
-        got = level_spectrum(level)
+        got = np.sort(np.concatenate(list(l2._level_blocks(level))))
         dense = np.sort(np.linalg.eigvalsh(level.graph.adjacency))
         assert got.shape == dense.shape
-        assert not got.flags.writeable
-        assert np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - dense)) < 1e-10
+        # the distribution counts every eigenvalue once, at its distinct value
+        points, values = level_cdf(level)
+        assert points.tolist() == np.unique(got).tolist()
+        assert values[-1] * level.index == dense.size
 
 
 def test_level_parents():
@@ -345,4 +336,4 @@ def test_level_spectrum_needs_equal_orders():
     volt = VoltageAssignment.product([(1, 1)], (2, 3))
     level = TowerLevel(6, LOOP, volt)
     with pytest.raises(InputError, match="equal cyclic orders"):
-        level_spectrum(level)
+        level_cdf(level)
