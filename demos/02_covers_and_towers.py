@@ -1,4 +1,4 @@
-"""Covers from voltage assignments and the three tower constructions.
+"""Covers from voltage assignments and the two tower constructions.
 
 Run: python3 demos/02_covers_and_towers.py
 """
@@ -8,7 +8,6 @@ from graphzeta import (
     bouquet_graph,
     complete_graph,
     covering_projection,
-    cyclic_tower,
     cycle_graph,
     derived_graph,
     det_poly,
@@ -37,8 +36,8 @@ def main():
     print("  det_poly(K4) divides det_poly(cover):",
           det_poly(k4).divides(det_poly(cover)))
 
-    print("\n== cyclic tower over the loop ==")
-    tower = cyclic_tower(loop, (1,), (1, 2, 4, 8, 16))
+    print("\n== cyclic tower over the loop: the rank-1 lattice tower ==")
+    tower = lattice_tower(loop, [(1,)], (1, 2, 4, 8, 16))
     for lvl in tower.levels:
         print(f"  index {lvl.index:>3}: {lvl.graph.vertex_count} vertices,"
               f" connected: {lvl.graph.is_connected}")

@@ -11,7 +11,6 @@ from graphzeta import (
     GridSpec,
     VoltageAssignment,
     bouquet_graph,
-    cyclic_tower,
     homology_tower,
     lattice_tower,
     torus_l2,
@@ -75,7 +74,7 @@ def main():
             "cycles",
             run_case(
                 "cycles",
-                cyclic_tower(loop, (1,), (1, 2, 4, 8, 16)),
+                lattice_tower(loop, [(1,)], (1, 2, 4, 8, 16)),
                 tree_l2_reference(),
                 GridSpec(q=1, radius=0.5, resolution=15),
                 outdir,

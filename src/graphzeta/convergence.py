@@ -20,8 +20,8 @@ import numpy as np
 
 from .covers import Tower
 from .errors import DomainError, InputError, ResourceError
-from .graphs import MultiGraph, regular_q, write_rows, write_text
-from .l2 import NODE_BUDGET, L2Zeta, _count_at_most, _level_blocks, _log_sum
+from .graphs import NODE_BUDGET, MultiGraph, regular_q, write_rows, write_text
+from .l2 import L2Zeta, _count_at_most, _level_blocks, _log_sum
 from .region import check_q, omega_contains, require_inside, set_c_polyline
 from .zeta import det_poly, zeta_eval, zeta_function
 

@@ -11,14 +11,14 @@ covers sharing one base, with level indices N_1 = 1 | N_2 | N_3 | ...
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InputError, NumericError
-from .graphs import MultiGraph, build_graph, json_int, load_graph, read_json, require_size
+from .errors import InputError, NumericError, ResourceError
+from .graphs import NODE_BUDGET, MultiGraph, json_int, load_graph, read_json, require_size
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class VoltageAssignment:
     `orders` gives the cyclic orders (n_1, ..., n_k) of a finite group, or
     None for the free abelian group of the given rank. `voltages` holds one
     k-tuple per base edge, aligned with the base's edge order and applying
-    to the stored orientation.
+    to the stored orientation. Finite voltages are stored reduced modulo
+    their orders.
     """
 
     voltages: tuple[tuple[int, ...], ...]
@@ -38,14 +39,18 @@ class VoltageAssignment:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise InputError("voltage rank must be >= 1")
+        for sigma in self.voltages:
+            if len(sigma) != self.rank:
+                raise InputError(f"voltage {sigma!r} does not have rank {self.rank}")
         if self.orders is not None:
             if len(self.orders) != self.rank:
                 raise InputError("orders and rank disagree")
             if any(n < 1 for n in self.orders):
                 raise InputError("cyclic orders must be >= 1")
-        for sigma in self.voltages:
-            if len(sigma) != self.rank:
-                raise InputError(f"voltage {sigma!r} does not have rank {self.rank}")
+            reduced = tuple(
+                tuple(c % n for c, n in zip(sigma, self.orders)) for sigma in self.voltages
+            )
+            object.__setattr__(self, "voltages", reduced)
 
     @property
     def is_finite(self) -> bool:
@@ -81,21 +86,7 @@ class VoltageAssignment:
 
     def reduced(self, orders: Sequence[int]) -> "VoltageAssignment":
         """The same voltages taken modulo the given cyclic orders."""
-        orders = tuple(int(n) for n in orders)
-        if len(orders) != self.rank:
-            raise InputError("orders and rank disagree")
-        vs = tuple(
-            tuple(c % n for c, n in zip(sigma, orders)) for sigma in self.voltages
-        )
-        return VoltageAssignment(vs, orders, self.rank)
-
-
-def _group_elements(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return list(iter_product(*(range(n) for n in orders)))
-
-
-def _group_index(orders: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return {g: i for i, g in enumerate(_group_elements(orders))}
+        return VoltageAssignment(self.voltages, tuple(int(n) for n in orders), self.rank)
 
 
 def derived_graph(base: MultiGraph, volt: VoltageAssignment) -> MultiGraph:
@@ -107,16 +98,13 @@ def derived_graph(base: MultiGraph, volt: VoltageAssignment) -> MultiGraph:
     any of it is built.
     """
     if not volt.is_finite:
-        raise InputError("derived_graph needs a finite voltage group")
+        raise InputError("a derived cover needs a finite voltage group (orders)")
     if len(volt.voltages) != base.edge_count:
-        raise InputError(
-            f"{len(volt.voltages)} voltages for {base.edge_count} edges"
-        )
+        raise InputError(f"{len(volt.voltages)} voltages for {base.edge_count} edges")
     orders = volt.orders
-    assert orders is not None
     require_size(base.vertex_count * math.prod(orders), "the cover")
-    elements = _group_elements(orders)
-    index = _group_index(orders)
+    elements = list(iter_product(*(range(n) for n in orders)))
+    index = {g: i for i, g in enumerate(elements)}
     size = len(elements)
     edges = []
     for (x, y), sigma in zip(base.edges, volt.voltages):
@@ -126,7 +114,7 @@ def derived_graph(base: MultiGraph, volt: VoltageAssignment) -> MultiGraph:
     name = None
     if base.name:
         name = f"{base.name}~{'x'.join(str(n) for n in orders)}"
-    return build_graph(base.vertex_count * size, edges, name)
+    return MultiGraph(base.vertex_count * size, tuple(edges), name)
 
 
 def covering_projection(base: MultiGraph, cover: MultiGraph) -> tuple[int, ...]:
@@ -198,7 +186,6 @@ class Tower:
     base: MultiGraph
     levels: tuple[TowerLevel, ...]
     provenance: str
-    limit_verified: bool = False
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -225,23 +212,18 @@ class Tower:
     def indices(self) -> tuple[int, ...]:
         return tuple(level.index for level in self.levels)
 
-
-def cyclic_tower(base: MultiGraph, shifts: Sequence[int], orders: Sequence[int]) -> Tower:
-    """Covers over Z/n for a divisibility chain of orders starting at 1.
-
-    The rank-1 case of `lattice_tower`: the integer voltages are reduced
-    modulo each order, so the levels are the finite quotients of the single
-    Z-cover the shifts describe.
-    """
-    tower = lattice_tower(base, [(s,) for s in shifts], orders)
-    shifts, orders = [int(s) for s in shifts], [int(n) for n in orders]
-    return replace(tower, provenance=f"cyclic covers, shifts {shifts}, orders {orders}")
+    @property
+    def limit_verified(self) -> bool:
+        """True when the indices strictly increase: no level repeats the one below."""
+        return all(a < b for a, b in zip(self.indices, self.indices[1:]))
 
 
 def lattice_tower(
     base: MultiGraph, voltages: Sequence[Sequence[int]], orders: Sequence[int]
 ) -> Tower:
-    """Covers over (Z/n)^k for a chain of n, the finite quotients of a Z^k cover.
+    """Covers over (Z/n)^k for a chain of n starting at 1, the finite
+    quotients of the Z^k cover the integer voltages describe (k = 1 gives
+    cyclic covers).
 
     No level graph is built here, so the levels may be of any size.
     """
@@ -250,21 +232,10 @@ def lattice_tower(
     orders = [int(n) for n in orders]
     if not orders or orders[0] != 1:
         raise InputError("orders must start at 1 (the base level)")
-    for a, b in zip(orders, orders[1:]):
-        if b % a:
-            raise InputError(f"orders must form a divisibility chain ({a} !| {b})")
-    if len(volt_free.voltages) != base.edge_count:
-        raise InputError(
-            f"{len(volt_free.voltages)} voltages for {base.edge_count} edges"
-        )
-    levels = [TowerLevel(1, base, VoltageAssignment.trivial(base.edge_count))]
-    levels += [TowerLevel(n**k, base, volt_free.reduced((n,) * k)) for n in orders[1:]]
-    increasing = all(b > a for a, b in zip(orders, orders[1:]))
     return Tower(
         base=base,
-        levels=tuple(levels),
+        levels=tuple(TowerLevel(n**k, base, volt_free.reduced((n,) * k)) for n in orders),
         provenance=f"(Z/n)^{k} covers, voltages {[list(v) for v in volt_free.voltages]}, n in {orders}",
-        limit_verified=increasing,
     )
 
 
@@ -279,14 +250,14 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def spanning_tree_edges(g: MultiGraph, root: int = 0) -> tuple[int, ...]:
-    """Edge indices of the breadth-first spanning tree grown from `root`."""
+def spanning_tree_edges(g: MultiGraph) -> tuple[int, ...]:
+    """Edge indices of the breadth-first spanning tree grown from vertex 0."""
     if not g.is_connected:
         raise InputError("spanning tree requires a connected graph")
     visited = [False] * g.vertex_count
-    visited[root] = True
+    visited[0] = True
     tree: list[int] = []
-    frontier = [root]
+    frontier = [0]
     while frontier:
         nxt: list[int] = []
         for v in frontier:
@@ -307,7 +278,12 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
     (Z/p)^r, r = edges - vertices + 1, and the next level is the derived
     graph. Every level but the top is built for its spanning tree, so one
     over SIZE_CAP vertices raises ResourceError; the top level is not built.
+    A p over NODE_BUDGET, which no level above the base could fit, raises
+    ResourceError before p is tested for primality.
     """
+    if p > NODE_BUDGET:
+        raise ResourceError(f"p = {p} is over the node budget of {NODE_BUDGET}: "
+                            "a homology level above the base has index at least p")
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     if depth < 0:
@@ -339,7 +315,6 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
         base=base,
         levels=tuple(levels),
         provenance=f"iterated mod-{p} homology covers, depth {depth}",
-        limit_verified=True,
     )
 
 
@@ -347,21 +322,25 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
 # JSON formats
 
 
+def _json_ints(value, what: str) -> list[int]:
+    """The integers of a JSON list (orders, a voltage row); else InputError naming `what`."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of integers, got {value!r}")
+    return [json_int(c, f"an entry of {what}") for c in value]
+
+
 def voltage_from_json(doc: dict) -> VoltageAssignment:
     """Voltage file: {"voltages": [[..], ..], "orders": [n, ..]} or {"rank": k};
-    with neither, a free assignment of the rank of its first voltage."""
+    with neither, a free assignment of the rank of its first voltage. Rank-1
+    voltages may be given as one integer per edge."""
     if not isinstance(doc, dict) or not isinstance(doc.get("voltages"), list):
         raise InputError('voltage JSON needs a "voltages" list')
-    voltages = doc["voltages"]
-    if voltages and not isinstance(voltages[0], list):
-        voltages = [[v] for v in voltages]
-    try:
-        voltages = [[json_int(c, "a voltage") for c in sigma] for sigma in voltages]
-        if "orders" in doc:
-            orders = [json_int(n, "a cyclic order") for n in doc["orders"]]
-            return VoltageAssignment.product(voltages, orders)
-    except TypeError as exc:  # a voltage or the orders not a list
-        raise InputError(f"malformed voltage JSON: {exc}") from exc
+    rows = doc["voltages"]
+    if rows and not isinstance(rows[0], list):
+        rows = [[v] for v in rows]
+    voltages = [_json_ints(sigma, "a voltage") for sigma in rows]
+    if "orders" in doc:
+        return VoltageAssignment.product(voltages, _json_ints(doc["orders"], "the cyclic orders"))
     rank = json_int(doc["rank"], "rank") if "rank" in doc else None
     return VoltageAssignment.free(voltages, rank)
 
@@ -391,11 +370,12 @@ def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
 
     Cyclic towers need "voltages" (one integer per base edge) and "orders";
     lattice towers need "voltages" (one list of k integers per base edge,
-    for (Z/n)^k levels) and "orders"; homology towers need "p" and "depth".
-    Any other key is an InputError. Relative base paths resolve against
-    `base_dir`.
+    for (Z/n)^k levels) and "orders"; both are built by `lattice_tower`.
+    Homology towers need "p" and "depth". Any other key, or a document that
+    is not a JSON object, is an InputError. Relative base paths resolve
+    against `base_dir`.
     """
-    if "base" not in doc or "kind" not in doc:
+    if not isinstance(doc, dict) or "base" not in doc or "kind" not in doc:
         raise InputError('tower spec needs "base" and "kind"')
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
@@ -409,16 +389,13 @@ def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
     base = load_graph(spec_base_path(doc, base_dir))
     if kind == "homology":
         return homology_tower(base, *(json_int(doc[key], key) for key in ("p", "depth")))
-    for key in ("voltages", "orders"):
-        if not isinstance(doc[key], list):
-            raise InputError(f'tower spec "{key}" must be a list')
-    orders = [json_int(n, 'an entry of tower spec "orders"') for n in doc["orders"]]
-    entry = 'an entry of tower spec "voltages"'
+    orders = _json_ints(doc["orders"], 'tower spec "orders"')
     if kind == "cyclic":
-        return cyclic_tower(base, [json_int(s, entry) for s in doc["voltages"]], orders)
-    if not all(isinstance(sigma, list) for sigma in doc["voltages"]):
-        raise InputError('lattice tower spec "voltages" must be lists of integers')
-    voltages = [[json_int(c, entry) for c in sigma] for sigma in doc["voltages"]]
+        voltages = [[s] for s in _json_ints(doc["voltages"], 'tower spec "voltages"')]
+    elif isinstance(doc["voltages"], list):
+        voltages = [_json_ints(sigma, 'a row of tower spec "voltages"') for sigma in doc["voltages"]]
+    else:
+        raise InputError(f'lattice tower spec "voltages" must be a list of lists, got {doc["voltages"]!r}')
     return lattice_tower(base, voltages, orders)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import InputError, NumericError, ResourceError, UnsupportedError
 
 SIZE_CAP = 10_000  # most vertices of a graph that is derived or densely diagonalized
+NODE_BUDGET = 2**22  # most nodes of a quadrature, most eigenvalues of a level spectrum
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,6 @@ class RegularityInfo:
 
     is_regular: bool
     q: int | None
-
-
-def build_graph(
-    vertex_count: int,
-    edges: "list[tuple[int, int]] | tuple[tuple[int, int], ...]",
-    name: str | None = None,
-) -> MultiGraph:
-    """Construct a multigraph, validating endpoints and vertex count."""
-    return MultiGraph(vertex_count, tuple((int(x), int(y)) for x, y in edges), name)
 
 
 def regularity(g: MultiGraph) -> RegularityInfo:
@@ -243,7 +235,7 @@ def graph_from_json(doc: dict) -> MultiGraph:
         edges = [(json_int(x, "an edge end"), json_int(y, "an edge end")) for x, y in doc["edges"]]
     except (TypeError, ValueError) as exc:  # edges or an edge that is not a list of two
         raise InputError(f"malformed graph JSON: {exc}") from exc
-    return build_graph(vertices, edges, doc.get("name"))
+    return MultiGraph(vertices, tuple(edges), doc.get("name"))
 
 
 def save_graph(g: MultiGraph, path: "str | Path") -> None:

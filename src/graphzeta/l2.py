@@ -23,11 +23,10 @@ import numpy as np
 
 from .covers import TowerLevel, VoltageAssignment
 from .errors import DomainError, InputError, ResourceError
-from .graphs import MultiGraph, regular_q, require_size
+from .graphs import NODE_BUDGET, MultiGraph, regular_q, require_size
 from .region import check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
-NODE_BUDGET = 2**22  # most nodes of a quadrature, most eigenvalues of a level spectrum
 LOG_CHUNK = 2**18  # points x eigenvalues whose logarithms are held at once
 CDF_POINTS_PER_DIM = 4096
 
@@ -160,10 +159,15 @@ def _level_blocks(level: TowerLevel):
 def level_cdf(level: TowerLevel) -> tuple[np.ndarray, np.ndarray]:
     """The spectral distribution of a tower level: its distinct adjacency
     eigenvalues (`_level_blocks`) ascending, and at each the number of
-    eigenvalues at or below it divided by the level's index. The last
-    value is the base's vertex count."""
-    points, counts = np.unique(np.concatenate(list(_level_blocks(level))), return_counts=True)
-    return points, np.cumsum(counts) / level.index
+    eigenvalues up to the next one divided by the level's index; the last
+    value is the base's vertex count. Character blocks round a repeated
+    eigenvalue differently, so a run of sorted eigenvalues with gaps of at
+    most 1e-12 times the largest degree is one, listed at its first value."""
+    eigs = np.sort(np.concatenate(list(_level_blocks(level))))
+    jumps = np.diff(eigs) > 1e-12 * max(level.parent.degree_sequence)
+    firsts = np.concatenate(([True], jumps))
+    counts = np.flatnonzero(np.concatenate((jumps, [True]))) + 1
+    return eigs[firsts], counts / level.index
 
 
 def _grid_log_det(sym: TorusSymbol, q: int, us: np.ndarray, m: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from graphzeta import (
     GridSpec,
     VoltageAssignment,
     cdf_convergence,
-    cyclic_tower,
     deitmar_residual,
     derived_graph,
     det_poly,
@@ -161,7 +160,7 @@ def test_05_analytic_roots():
 
 def test_06_cycle_tower_converges():
     with criterion(6, "cycle tower converges to the constant target", budget=5.0):
-        tower = cyclic_tower(LOOP, (1,), (1, 2, 4, 8, 16))
+        tower = lattice_tower(LOOP, [(1,)], (1, 2, 4, 8, 16))
         grid = GridSpec(q=1, radius=0.5, resolution=21)
         report = tower_convergence(tower, tree_l2_reference(), grid)
         errs = report.sup_errors
@@ -191,7 +190,7 @@ def test_08_homology_tower_converges():
 
 def test_09_cdf_approaches_arcsine():
     with criterion(9, "cycle spectra approach the arcsine law", budget=5.0):
-        tower = cyclic_tower(LOOP, (1,), (1, 2, 10, 50, 200))
+        tower = lattice_tower(LOOP, [(1,)], (1, 2, 10, 50, 200))
 
         def arcsine(lams):
             lams = np.clip(np.asarray(lams, dtype=float), -2.0, 2.0)

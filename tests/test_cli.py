@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -511,6 +512,20 @@ def test_exit_codes(workdir, capsys, monkeypatch):
         assert run(argv) == 1
         assert f"a voltage must be an integer, got {bad!r}" in capsys.readouterr().err
     assert not (workdir / "c.json").exists()
+    # covers take finite voltages and L2 limits free ones, whichever command reads them
+    (workdir / "vc.json").write_text(json.dumps({"voltages": [1, 0], "orders": [2]}))
+    (workdir / "vz.json").write_text(json.dumps({"voltages": [1], "rank": 1}))
+    for argv, message in (
+        (["cover", "build", "--base", str(workdir / "loop.json"), "--voltages", str(workdir / "vz.json"),
+          "--out", str(workdir / "c.json")], "a derived cover needs a finite voltage group"),
+        (["l2", "torus", "--base", str(workdir / "b2.json"), "--voltages", str(workdir / "vc.json"),
+          "--grid", "disk:0.3:5:0.02", "--out", str(workdir / "c.json")], "need a free abelian"),
+        (["tower", "run", "--spec", str(workdir / "tower.json"), "--target", "torus:vc.json",
+          "--grid", "disk:0.3:3:0.02", "--out", str(workdir / "c.json")], "need a free abelian"),
+    ):
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+    assert not (workdir / "c.json").exists()
     # a cyclic tower spec entry that is not an integer: input error naming the field
     for key, value in (("orders", [1, "a"]), ("voltages", ["x"])):
         spec = {"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2]}
@@ -520,7 +535,28 @@ def test_exit_codes(workdir, capsys, monkeypatch):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert f'tower spec "{key}" must be an integer, got {value[-1]!r}' in err
+    # an order of 0 is refused before any voltage is reduced modulo it
+    (workdir / "bad_t.json").write_text(
+        json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2, 0]})
+    )
+    spec_bad = ["--spec", str(workdir / "bad_t.json")]
+    for argv in (
+        ["tower", "build", *spec_bad, "--out", str(workdir / "bt")],
+        ["tower", "run", *spec_bad, "--target", "constant:1", "--grid", "disk:0.3:3:0.02",
+         "--out", str(workdir / "bt")],
+        ["l2", "cdf", *spec_bad, "--out", str(workdir / "bt")],
+    ):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: cyclic orders must be >= 1\n"
+    # a constant target is a finite complex number, read as --eval reads one
+    run_bt = ["tower", "run", "--spec", str(workdir / "tower.json"), "--grid", "disk:0.3:3:0.02",
+              "--out", str(workdir / "bt")]
+    for value in ("nan", "inf", "1+infj", "one"):
+        assert run([*run_bt, "--target", f"constant:{value}"]) == 1
+        assert repr(value) in capsys.readouterr().err
     assert not (workdir / "bt").exists()
+    assert run([*run_bt, "--target", "constant:1 + 0j"]) == 0
+    assert summary_of(capsys)["target"] == "constant:1 + 0j"
     # a grid that keeps no point: input error, and no file written
     empty = ["--grid", "disk:0.1:1:0.01"]
     for argv in (
@@ -572,6 +608,19 @@ def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
                 "over the node budget of 16") in err
     assert not (workdir / "r").exists()
     assert not (workdir / "c").exists()
+    # a homology prime over the budget is refused before it is tested for primality
+    (workdir / "mersenne.json").write_text(
+        json.dumps({"base": "k4.json", "kind": "homology", "p": 2**61 - 1, "depth": 1})
+    )
+    spec = ["--spec", str(workdir / "mersenne.json")]
+    for argv in (["tower", "run", *spec, *run_args], ["tower", "build", *spec, "--out", str(workdir / "c")],
+                 ["l2", "cdf", *spec, "--out", str(workdir / "c")]):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "p = 2305843009213693951 is over the node budget of 4194304" in capsys.readouterr().err
+    assert not (workdir / "r").exists()
+    assert not (workdir / "c").exists()
 
 
 def test_dense_spectrum_vertex_cap(workdir, capsys, monkeypatch):
@@ -585,10 +634,52 @@ def test_dense_spectrum_vertex_cap(workdir, capsys, monkeypatch):
     # and the symbol of a level's parent
     with pytest.raises(errors.ResourceError, match="a dense spectrum of C10001 needs 10001 vertices"):
         graphs.spectrum(cycle_graph(graphs.SIZE_CAP + 1))
-    level = covers.cyclic_tower(K4, (1, 0, 0, 0, 0, 0), (1, 2)).levels[-1]
+    level = covers.lattice_tower(K4, [(1,)] + [(0,)] * 5, (1, 2)).levels[-1]
     monkeypatch.setattr(graphs, "SIZE_CAP", 3)
     with pytest.raises(errors.ResourceError, match="a dense symbol eigensolve needs 4 vertices, over the cap of 3"):
         l2.level_cdf(level)
+
+
+FILE_ARGUMENTS = {  # every file a command reads, as "bad.json" with the others valid
+    "zeta compute": ["zeta", "compute", "--graph", "bad.json", "--emit", "out/poly.json"],
+    "zeta zeros": ["zeta", "zeros", "--graph", "bad.json", "--out", "out/zeros.csv"],
+    "zeta euler-check": ["zeta", "euler-check", "--graph", "bad.json"],
+    "zeta functional-check": ["zeta", "functional-check", "--graph", "bad.json"],
+    "deitmar check": ["deitmar", "check", "--graph", "bad.json"],
+    "cover build base": ["cover", "build", "--base", "bad.json", "--voltages", "vc.json",
+                         "--out", "out/cover.json"],
+    "cover build voltages": ["cover", "build", "--base", "loop.json", "--voltages", "bad.json",
+                             "--out", "out/cover.json"],
+    "l2 torus base": ["l2", "torus", "--base", "bad.json", "--voltages", "v2.json",
+                      "--grid", "disk:0.3:5:0.02", "--out", "out/values.csv"],
+    "l2 torus voltages": ["l2", "torus", "--base", "b2.json", "--voltages", "bad.json",
+                          "--grid", "disk:0.3:5:0.02", "--out", "out/values.csv"],
+    "tower build spec": ["tower", "build", "--spec", "bad.json", "--out", "out"],
+    "tower build spec base": ["tower", "build", "--spec", "tower_bad.json", "--out", "out"],
+    "tower run spec": ["tower", "run", "--spec", "bad.json", "--target", "constant:1",
+                       "--grid", "disk:0.3:3:0.02", "--out", "out"],
+    "tower run spec base": ["tower", "run", "--spec", "tower_bad.json", "--target", "constant:1",
+                            "--grid", "disk:0.3:3:0.02", "--out", "out"],
+    "tower run target": ["tower", "run", "--spec", "tower.json", "--target", "torus:bad.json",
+                         "--grid", "disk:0.3:3:0.02", "--out", "out"],
+    "l2 cdf spec": ["l2", "cdf", "--spec", "bad.json", "--out", "out"],
+    "l2 cdf spec base": ["l2", "cdf", "--spec", "tower_bad.json", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_ARGUMENTS))
+def test_file_that_is_not_an_object_exits_1(workdir, capsys, monkeypatch, command):
+    (workdir / "vc.json").write_text(json.dumps({"voltages": [1], "orders": [2]}))
+    (workdir / "tower_bad.json").write_text(
+        json.dumps({"base": "bad.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2]})
+    )
+    monkeypatch.chdir(workdir)
+    for doc in (5, None, [], "x"):
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        assert run(FILE_ARGUMENTS[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (workdir / "out").exists()
 
 
 OVERSIZED_COMMANDS = {  # a 10^11-vertex graph file as every graph argument

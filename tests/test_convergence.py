@@ -11,7 +11,6 @@ from graphzeta import (
     VoltageAssignment,
     cdf_convergence,
     convergence,
-    cyclic_tower,
     deitmar_residual,
     homology_tower,
     l2,
@@ -79,7 +78,7 @@ def test_grid_spec_validation():
 
 
 def test_cyclic_tower_converges_to_tree_reference():
-    tower = cyclic_tower(LOOP, (1,), (1, 2, 4, 8, 16))
+    tower = lattice_tower(LOOP, [(1,)], (1, 2, 4, 8, 16))
     grid = GridSpec(q=1, radius=0.5, resolution=9)
     report = tower_convergence(tower, tree_l2_reference(), grid)
     errs = report.sup_errors
@@ -102,11 +101,11 @@ def test_lattice_tower_converges_to_torus_target():
 
 def test_tower_errors_match_dense_normalized_zeta():
     # the character route against normalized_zeta on each level graph
-    shifts = (1, 0, 2, -1, 0, 1)
-    torus = torus_l2(K4, VoltageAssignment.free([(s,) for s in shifts]))
+    shifts = [(s,) for s in (1, 0, 2, -1, 0, 1)]
+    torus = torus_l2(K4, VoltageAssignment.free(shifts))
     grid = GridSpec(q=2, radius=0.5, resolution=8, margin=0.05)
     cases = (
-        (cyclic_tower(K4, shifts, (1, 2, 4, 8, 16)), torus),
+        (lattice_tower(K4, shifts, (1, 2, 4, 8, 16)), torus),
         (homology_tower(K4, 3, 1), tree_l2_reference()),
     )
     for tower, target in cases:
@@ -118,14 +117,14 @@ def test_tower_errors_match_dense_normalized_zeta():
 
 
 def test_tower_convergence_validates_grid():
-    tower = cyclic_tower(LOOP, (1,), (1, 2))
+    tower = lattice_tower(LOOP, [(1,)], (1, 2))
     with pytest.raises(InputError):
         tower_convergence(tower, tree_l2_reference(), GridSpec(q=2, radius=0.3, resolution=5))
 
 
 def test_cdf_convergence_to_arcsine():
     # eigenvalue distribution of big cycles approaches the arcsine law
-    tower = cyclic_tower(LOOP, (1,), (1, 2, 10, 50, 200))
+    tower = lattice_tower(LOOP, [(1,)], (1, 2, 10, 50, 200))
 
     def arcsine(lams):
         lams = np.clip(np.asarray(lams, dtype=float), -2.0, 2.0)
@@ -139,7 +138,7 @@ def test_cdf_convergence_to_arcsine():
 
 def test_cdf_convergence_accepts_spectral_cdf_target():
     # the target is the counting function of the top level's dense spectrum
-    tower = cyclic_tower(LOOP, (1,), (1, 2, 4))
+    tower = lattice_tower(LOOP, [(1,)], (1, 2, 4))
     eigs = spectrum(tower.levels[-1].graph)
     target = lambda lams: np.searchsorted(eigs, lams, side="right") / 4
     sups = cdf_convergence(tower, target, np.linspace(-1.9, 1.9, 21))
@@ -148,9 +147,9 @@ def test_cdf_convergence_accepts_spectral_cdf_target():
 
 def test_tower_errors_do_not_depend_on_log_chunk(monkeypatch):
     # each point's error is the same alone or with the whole grid, whatever the chunk
-    shifts = (1, 0, 2, -1, 0, 1)
-    tower = cyclic_tower(K4, shifts, (1, 2, 4, 8, 16))
-    target = torus_l2(K4, VoltageAssignment.free([(s,) for s in shifts]))
+    shifts = [(s,) for s in (1, 0, 2, -1, 0, 1)]
+    tower = lattice_tower(K4, shifts, (1, 2, 4, 8, 16))
+    target = torus_l2(K4, VoltageAssignment.free(shifts))
     grid = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
     alone = []
     for u in grid.points:
@@ -204,7 +203,7 @@ def test_deitmar_requirements():
 
 
 def test_write_convergence_report(tmp_path):
-    tower = cyclic_tower(LOOP, (1,), (1, 2, 4))
+    tower = lattice_tower(LOOP, [(1,)], (1, 2, 4))
     grid = GridSpec(q=1, radius=0.4, resolution=5)
     report = tower_convergence(tower, tree_l2_reference(), grid)
     paths = write_convergence_report(report, tmp_path)
@@ -226,7 +225,7 @@ def test_write_convergence_report(tmp_path):
 
 
 def test_unverified_limit_is_flagged():
-    tower = cyclic_tower(LOOP, (1,), (1, 2, 2))  # repeated level, limit not certified
+    tower = lattice_tower(LOOP, [(1,)], (1, 2, 2))  # repeated level, limit not certified
     grid = GridSpec(q=1, radius=0.3, resolution=4)
     report = tower_convergence(tower, tree_l2_reference(), grid)
     assert not report.limit_verified

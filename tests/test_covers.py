@@ -5,17 +5,16 @@ import pytest
 
 from graphzeta import (
     InputError,
+    MultiGraph,
     NumericError,
     ResourceError,
     Tower,
     TowerLevel,
     VoltageAssignment,
     bouquet_graph,
-    build_graph,
     covers,
     covering_projection,
     cycle_graph,
-    cyclic_tower,
     derived_graph,
     det_poly,
     graphs,
@@ -37,10 +36,17 @@ def test_voltage_validation():
         VoltageAssignment(((1,),), (3, 5), 2)  # rank mismatch in a voltage
     with pytest.raises(InputError):
         VoltageAssignment(((1, 2),), (3,), 1)
-    v = VoltageAssignment.cyclic((1, 0, 2), 4)
+    v = VoltageAssignment.cyclic((5, 0, -2), 4)
     assert v.is_finite and v.orders == (4,)
+    assert v.voltages == ((1,), (0,), (2,))  # finite voltages are stored reduced
     f = VoltageAssignment.free(((1, 0), (0, 1)))
     assert not f.is_finite and f.rank == 2
+    assert f.reduced((1, 3)) == VoltageAssignment(((0, 0), (0, 1)), (1, 3), 2)
+    # orders are checked before anything is reduced modulo them
+    with pytest.raises(InputError, match="cyclic orders must be >= 1"):
+        VoltageAssignment.cyclic((1,), 0)
+    with pytest.raises(InputError, match="orders and rank disagree"):
+        f.reduced((2,))
 
 
 def test_loop_cyclic_cover_is_a_cycle():
@@ -101,16 +107,20 @@ def test_cover_det_poly_divisible_by_base():
 
 
 def test_cyclic_tower_structure():
-    tower = cyclic_tower(LOOP, (1,), (1, 2, 4, 8))
+    tower = lattice_tower(LOOP, [(1,)], (1, 2, 4, 8))
     assert tower.indices == (1, 2, 4, 8)
     assert [lvl.graph.vertex_count for lvl in tower.levels] == [1, 2, 4, 8]
     assert tower.levels[0].graph == LOOP
     assert tower.limit_verified
-    assert tower.provenance == "cyclic covers, shifts [1], orders [1, 2, 4, 8]"
-    with pytest.raises(InputError):
-        cyclic_tower(LOOP, (1,), (2, 4))  # must start at the base
-    with pytest.raises(InputError):
-        cyclic_tower(LOOP, (1,), (1, 2, 3))  # 2 does not divide 3
+    assert tower.provenance == "(Z/n)^1 covers, voltages [[1]], n in [1, 2, 4, 8]"
+    with pytest.raises(InputError, match="must start at 1"):
+        lattice_tower(LOOP, [(1,)], (2, 4))
+    with pytest.raises(InputError, match=r"divisibility chain \(2 !\| 3\)"):
+        lattice_tower(LOOP, [(1,)], (1, 2, 3))
+    with pytest.raises(InputError, match="cyclic orders must be >= 1"):
+        lattice_tower(LOOP, [(1,)], (1, 2, 0))  # 2 | 0, but no group has order 0
+    with pytest.raises(InputError, match="one per parent edge"):
+        lattice_tower(LOOP, [(1,), (0,)], (1, 2))
 
 
 def test_lattice_tower_structure():
@@ -147,6 +157,9 @@ def test_homology_parent_over_the_vertex_cap(monkeypatch):
     assert homology_tower(B2, 2, 2).indices == (1, 4, 128)
     with pytest.raises(InputError):
         homology_tower(B2, 4, 1)  # 4 is not prime
+    # a prime past the node budget is refused before the primality test would run
+    with pytest.raises(ResourceError, match="p = 2305843009213693951 is over the node budget"):
+        homology_tower(B2, 2**61 - 1, 0)
 
 
 def test_spanning_tree():
@@ -163,7 +176,7 @@ def test_spanning_tree():
 
 
 def test_tower_invariants_enforced():
-    lvl = cyclic_tower(LOOP, (1,), (1, 2)).levels
+    lvl = lattice_tower(LOOP, [(1,)], (1, 2)).levels
     with pytest.raises(InputError, match="first level"):
         Tower(base=LOOP, levels=(lvl[1],), provenance="manual")
     broken = {
@@ -185,11 +198,11 @@ def test_tower_invariants_enforced():
 @pytest.mark.parametrize(
     "tower",
     [
-        cyclic_tower(K4, (1, 2, 0, 1, 1, 0), (1, 2, 4)),
+        lattice_tower(K4, [(s,) for s in (1, 2, 0, 1, 1, 0)], (1, 2, 4)),
         lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 4)),
         homology_tower(B2, 2, 2),
         homology_tower(cycle_graph(3), 2, 2),
-        homology_tower(build_graph(2, [(0, 1)] * 3), 2, 2),
+        homology_tower(MultiGraph(2, [(0, 1)] * 3), 2, 2),
         homology_tower(path_graph(3), 3, 2),
     ],
     ids=["cyclic K4", "lattice B2", "B2 mod 2", "C3 mod 2", "theta mod 2", "rank-0 step"],
@@ -209,7 +222,7 @@ def test_level_graphs_are_validated_covers(tower):
 
 
 def test_a_wrong_derived_graph_fails_on_read(monkeypatch):
-    tower = cyclic_tower(K4, (1, 2, 0, 1, 1, 0), (1, 2))
+    tower = lattice_tower(K4, [(s,) for s in (1, 2, 0, 1, 1, 0)], (1, 2))
     # a cycle has the cover's vertex count but the wrong vertex stars
     monkeypatch.setattr(covers, "derived_graph", lambda parent, volt: cycle_graph(8))
     with pytest.raises(NumericError, match="internal error"):

@@ -20,7 +20,6 @@ from graphzeta import (
     TowerLevel,
     bouquet_graph,
     covers,
-    cyclic_tower,
     derived_graph,
     equivariant_walk_counts,
     l2,
@@ -176,16 +175,17 @@ def test_tree_reference():
 
 def test_level_cdf_counting():
     # the index-4 level over the loop is the 4-cycle: eigenvalues -2, 0, 0, 2
-    points, values = level_cdf(cyclic_tower(LOOP, (1,), (1, 4)).levels[-1])
-    assert np.all(np.diff(points) > 0)
-    assert points[0] == pytest.approx(-2.0) and points[-1] == pytest.approx(2.0)
-    # query between jumps; the jumps themselves carry rounding noise
-    steps = np.concatenate(([0.0], values))
-    at = steps[np.searchsorted(points, [-3.0, -1.0, 1.0, 2.5], side="right")]
-    assert at.tolist() == [0.0, 0.25, 0.75, 1.0]
+    points, values = level_cdf(lattice_tower(LOOP, [(1,)], (1, 4)).levels[-1])
+    # the two zeros come out of different character blocks a few ulps apart: one row
+    assert len(points) == 3
+    assert points.tolist() == pytest.approx([-2.0, 0.0, 2.0], abs=1e-15)
+    assert values.tolist() == [0.25, 0.75, 1.0]
     # the mass is the base's vertex count
-    points, values = level_cdf(cyclic_tower(K4, K4_SHIFTS, (1, 8)).levels[-1])
+    points, values = level_cdf(lattice_tower(K4, K4_SHIFTS, (1, 8)).levels[-1])
     assert values[-1] == 4.0
+    # Petersen's mod-2 homology cover: 2^6 x 10 eigenvalues, 19 distinct ones
+    points, values = level_cdf(homology_tower(PETERSEN, 2, 1).levels[-1])
+    assert len(points) == 19 and values[-1] == 10.0
 
 
 def test_symbol_cdf_against_counting_oracle():
@@ -279,13 +279,13 @@ def test_array_evaluation_matches_scalar_evaluation():
 # ---------------------------------------------------------------------------
 # level spectra from characters, against dense eigvalsh of the level graph
 
-K4_SHIFTS = (1, 0, 2, -1, 0, 1)
+K4_SHIFTS = tuple((s,) for s in (1, 0, 2, -1, 0, 1))
 K4_RANK2 = ((1, 0), (0, 1), (0, 0), (1, 1), (0, 0), (2, -1))
-PETERSEN_SHIFTS = (1, 0, -1, 2, 0, 0, 1, 1, -2, 0, 1, 0, 0, -1, 1)
+PETERSEN_SHIFTS = tuple((s,) for s in (1, 0, -1, 2, 0, 0, 1, 1, -2, 0, 1, 0, 0, -1, 1))
 LEVEL_TOWERS = {
-    "base": lambda: cyclic_tower(PETERSEN, PETERSEN_SHIFTS, (1,)),
-    "cyclic K4": lambda: cyclic_tower(K4, K4_SHIFTS, (1, 2, 4, 8, 16, 64)),
-    "cyclic Petersen": lambda: cyclic_tower(PETERSEN, PETERSEN_SHIFTS, (1, 3, 6, 12, 24)),
+    "base": lambda: lattice_tower(PETERSEN, PETERSEN_SHIFTS, (1,)),
+    "cyclic K4": lambda: lattice_tower(K4, K4_SHIFTS, (1, 2, 4, 8, 16, 64)),
+    "cyclic Petersen": lambda: lattice_tower(PETERSEN, PETERSEN_SHIFTS, (1, 3, 6, 12, 24)),
     "rank-2 K4 lattice": lambda: lattice_tower(K4, K4_RANK2, (1, 2, 4, 8, 16)),
     "K4 mod-7 homology": lambda: homology_tower(K4, 7, 1),
     "B2 mod-2 homology": lambda: homology_tower(B2, 2, 2),
@@ -301,10 +301,17 @@ def test_level_spectrum_matches_dense_eigvalsh(name):
         dense = np.sort(np.linalg.eigvalsh(level.graph.adjacency))
         assert got.shape == dense.shape
         assert np.max(np.abs(got - dense)) < 1e-10
-        # the distribution counts every eigenvalue once, at its distinct value
+        # the distribution lists each eigenvalue once, at the first float of its
+        # run, with the count of every eigenvalue below the next listed one
         points, values = level_cdf(level)
-        assert points.tolist() == np.unique(got).tolist()
+        assert np.all(np.diff(points) > 1e-12 * max(level.parent.degree_sequence))
+        assert np.isin(points, got).all()
+        below_next = np.searchsorted(got, np.append(points[1:], np.inf))
+        assert values.tolist() == (below_next / level.index).tolist()
         assert values[-1] * level.index == dense.size
+        # and merges only rounding: every eigenvalue lies within 1e-13 of its row
+        rows = np.searchsorted(points, got, side="right") - 1
+        assert np.max(got - points[rows]) < 1e-13
 
 
 def test_level_parents():

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from graphzeta import (
     DomainError,
     InputError,
+    MultiGraph,
     ResourceError,
     UnsupportedError,
     bouquet_graph,
-    build_graph,
     complete_graph,
     cycle_graph,
     det_poly,
@@ -95,13 +95,13 @@ def test_linearizations_agree_on_regular_graphs():
 
 def test_modular_route_matches_bareiss_oracle():
     edge_cases = [
-        build_graph(1, []),  # a single vertex with no edges
-        build_graph(3, [(0, 1), (1, 1)]),  # vertex 2 is isolated
+        MultiGraph(1, []),  # a single vertex with no edges
+        MultiGraph(3, [(0, 1), (1, 1)]),  # vertex 2 is isolated
         path_graph(5),  # degree-1 ends
-        build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]),  # loops, a double edge
-        build_graph(7, K4.edges + ((4, 5), (5, 6), (6, 4))),  # K4 beside a triangle
-        build_graph(4, [(0, 1), (2, 3)]),  # 1-regular: q = 0
-        build_graph(3, []),  # no edges: 0-regular, q = -1
+        MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]),  # loops, a double edge
+        MultiGraph(7, K4.edges + ((4, 5), (5, 6), (6, 4))),  # K4 beside a triangle
+        MultiGraph(4, [(0, 1), (2, 3)]),  # 1-regular: q = 0
+        MultiGraph(3, []),  # no edges: 0-regular, q = -1
     ]
     for g in [K4, PETERSEN, B2, LOOP, *CYCLES.values(), *RANDOM_CUBIC, *edge_cases]:
         p = det_poly(g)
@@ -122,7 +122,7 @@ def test_bass_identity_checks_det_poly():
     # Bass: det(I - t T) = (1 - t^2)^(-chi) det(I - A t + Q t^2), with T the
     # oriented-edge transfer operator; the power goes to whichever side keeps
     # both sides integral
-    loops_and_double_edge = build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)])
+    loops_and_double_edge = MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)])
     for g in REGULAR_CORPUS + [loops_and_double_edge, path_graph(4)]:
         t_mat, chi, p = _transfer_matrix(g).astype(int).tolist(), g.euler_characteristic, det_poly(g)
         for t in (-2, -1, 2, 3):
@@ -390,8 +390,8 @@ def test_det_poly_vanishes_at_one_iff_connected_with_cycles():
 )
 def test_det_poly_is_relabeling_invariant(data):
     n, edges, perm = data
-    g = build_graph(n, edges)
-    h = build_graph(n, [(perm[x], perm[y]) for x, y in edges])
+    g = MultiGraph(n, edges)
+    h = MultiGraph(n, [(perm[x], perm[y]) for x, y in edges])
     assert det_poly(g).to_list() == det_poly(h).to_list()
 
 
