@@ -15,17 +15,16 @@ from graphzeta import (
     functional_equation_sides,
     petersen_graph,
     zeta_eval,
-    zeta_function,
     zeta_log_coeffs,
     zeta_zeros,
 )
 
 
 def show(g):
-    z = zeta_function(g)
-    print(f"\n{g.name}: {g.vertex_count} vertices, {g.edge_count} edges, chi = {z.chi}")
+    print(f"\n{g.name}: {g.vertex_count} vertices, {g.edge_count} edges, "
+          f"chi = {g.euler_characteristic}")
     print("  det poly:", det_poly(g).to_list())
-    print("  Z(0.1)  :", zeta_eval(z, 0.1))
+    print("  Z(0.1)  :", zeta_eval(g, 0.1))
 
 
 def main():

@@ -40,10 +40,10 @@ from .graphs import (
 )
 from .l2 import L2Zeta, l2_zeta_abelian, level_cdf, torus_l2
 from .zeta import (
+    det_poly,
     euler_log_coeffs,
     functional_equation_mismatch,
     zeta_eval,
-    zeta_function,
     zeta_log_coeffs,
     zeta_zeros,
 )
@@ -99,6 +99,13 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+def _eval_report(text: str, evaluate) -> dict:
+    """The `eval` block of a summary: the point `text` and its value under `evaluate`."""
+    u = _parse_complex(text)
+    value = evaluate(u)
+    return {"u_re": u.real, "u_im": u.imag, "value_re": value.real, "value_im": value.imag}
+
+
 def _parse_grid(text: str, q: int) -> GridSpec:
     parts = text.split(":")
     if len(parts) != 4 or parts[0] != "disk":
@@ -123,8 +130,7 @@ def _parse_target(text: str, base, spec_dir: Path) -> tuple[L2Zeta, list[Path]]:
     if text.startswith("torus:"):
         volt_path = Path(text.split(":", 1)[1])
         if not volt_path.is_absolute():
-            candidate = spec_dir / volt_path
-            volt_path = candidate if candidate.exists() else volt_path
+            volt_path = spec_dir / volt_path
         return torus_l2(base, load_voltages(volt_path)), [volt_path]
     raise InputError(
         f"unknown target {text!r}; expected constant:<value> or torus:<voltage-file>"
@@ -137,30 +143,23 @@ def _parse_target(text: str, base, spec_dir: Path) -> tuple[L2Zeta, list[Path]]:
 
 def _cmd_zeta_compute(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
-    z = zeta_function(g)
+    poly = det_poly(g)
     info = regularity(g)
     summary = {
         "command": "zeta compute",
         "graph": args.graph,
         "vertices": g.vertex_count,
         "edges": g.edge_count,
-        "chi": z.chi,
+        "chi": g.euler_characteristic,
         "regular": info.is_regular,
         "q": info.q,
-        "det_poly_degree": z.det_poly.degree,
+        "det_poly_degree": poly.degree,
         "inputs": _hash_inputs([args.graph]),
     }
     if args.eval is not None:
-        u = _parse_complex(args.eval)
-        value = zeta_eval(z, u)
-        summary["eval"] = {
-            "u_re": u.real,
-            "u_im": u.imag,
-            "value_re": value.real,
-            "value_im": value.imag,
-        }
+        summary["eval"] = _eval_report(args.eval, lambda u: zeta_eval(g, u))
     if args.emit is not None:
-        write_text(args.emit, json.dumps(z.det_poly.to_list()) + "\n")
+        write_text(args.emit, json.dumps(poly.to_list()) + "\n")
         summary["emit"] = args.emit
         summary = _manifested(summary, Path(f"{args.emit}.manifest.json"), {})
     return summary, 0
@@ -310,19 +309,12 @@ def _cmd_l2_torus(args) -> tuple[dict, int]:
     }
     if args.eval is None and args.grid is None:
         raise InputError("l2 torus needs --eval or --grid")
+    if args.grid is not None and args.out is None:
+        raise InputError("--grid output needs --out <csv>")
+    grid = None if args.grid is None else _parse_grid(args.grid, q)
     if args.eval is not None:
-        u = _parse_complex(args.eval)
-        value = l2_zeta_abelian(base, volt, u)
-        summary["eval"] = {
-            "u_re": u.real,
-            "u_im": u.imag,
-            "value_re": value.real,
-            "value_im": value.imag,
-        }
-    if args.grid is not None:
-        if args.out is None:
-            raise InputError("--grid output needs --out <csv>")
-        grid = _parse_grid(args.grid, q)
+        summary["eval"] = _eval_report(args.eval, lambda u: l2_zeta_abelian(base, volt, u))
+    if grid is not None:
         values = l2_zeta_abelian(base, volt, grid.array)
         rows = ((u.real, u.imag, v.real, v.imag) for u, v in zip(grid.points, values))
         write_rows(args.out, ("re", "im", "value_re", "value_im"), rows)

@@ -279,11 +279,15 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
     graph. Every level but the top is built for its spanning tree, so one
     over SIZE_CAP vertices raises ResourceError; the top level is not built.
     A p over NODE_BUDGET, which no level above the base could fit, raises
-    ResourceError before p is tested for primality.
+    ResourceError before p is tested for primality, and so does a depth over
+    log2(NODE_BUDGET) = 22: each step multiplies the index by p or repeats it.
     """
     if p > NODE_BUDGET:
         raise ResourceError(f"p = {p} is over the node budget of {NODE_BUDGET}: "
                             "a homology level above the base has index at least p")
+    if depth > NODE_BUDGET.bit_length() - 1:
+        raise ResourceError(f"depth {depth} is over {NODE_BUDGET.bit_length() - 1} = log2 of the node "
+                            f"budget {NODE_BUDGET}: deeper levels are repeats or over the budget")
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     if depth < 0:

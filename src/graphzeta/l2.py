@@ -24,7 +24,7 @@ import numpy as np
 from .covers import TowerLevel, VoltageAssignment
 from .errors import DomainError, InputError, ResourceError
 from .graphs import NODE_BUDGET, MultiGraph, regular_q, require_size
-from .region import check_q, require_inside
+from .region import at_points, check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
 LOG_CHUNK = 2**18  # points x eigenvalues whose logarithms are held at once
@@ -109,8 +109,10 @@ def _log_sum(blocks, q: int, us: np.ndarray) -> np.ndarray:
     Each block is one run of eigenvalues, so a point's sum does not depend
     on which other points are evaluated with it. Points go a group at a
     time, group x run at most LOG_CHUNK entries (one point if its run
-    alone holds more).
+    alone holds more). Before any block is read, every point must be inside
+    the region bounded by C and more than 1e-12 away from it.
     """
+    require_inside(q, us)
     acc = np.zeros(us.shape, dtype=complex)
     shift = q * us * us
     for run in blocks:
@@ -187,39 +189,36 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     refinement's node eigenvalues. Raises ResourceError, naming a point
     that has not converged, when the next doubling would pass NODE_BUDGET
     nodes in total. Every point must lie inside the open region bounded by
-    C and at least 1e-12 away from it.
+    C and more than 1e-12 away from it.
     """
-    us = np.asarray(u, dtype=complex)
-    require_inside(q, us)
-    points = us.ravel()
-    values = np.full(points.shape, np.nan, dtype=complex)
-    changes = np.full(points.shape, np.nan)
-    active = np.arange(points.size)
-    m = 16
-    while active.size:
-        if m**sym.rank > NODE_BUDGET:
-            i = active[0]
-            raise ResourceError(
-                f"torus quadrature at u = {points[i]} needs more than {NODE_BUDGET} "
-                f"nodes (next refinement {m}^{sym.rank}, last change {changes[i]:.3g})"
-            )
-        refined = _grid_log_det(sym, q, points[active], m)
-        changes[active] = np.abs(refined - values[active])
-        values[active] = refined
-        active = active[~(changes[active] < QUADRATURE_TOL)]
-        m *= 2
-    return complex(values[0]) if us.ndim == 0 else values.reshape(us.shape)
+
+    def refine(points: np.ndarray) -> np.ndarray:
+        values = np.full(points.shape, np.nan, dtype=complex)
+        changes = np.full(points.shape, np.nan)
+        active = np.arange(points.size)
+        m = 16
+        while active.size:
+            if m**sym.rank > NODE_BUDGET:
+                i = active[0]
+                raise ResourceError(
+                    f"torus quadrature at u = {points[i]} needs more than {NODE_BUDGET} "
+                    f"nodes (next refinement {m}^{sym.rank}, last change {changes[i]:.3g})"
+                )
+            refined = _grid_log_det(sym, q, points[active], m)
+            changes[active] = np.abs(refined - values[active])
+            values[active] = refined
+            active = active[~(changes[active] < QUADRATURE_TOL)]
+            m *= 2
+        return values
+
+    return at_points(u, refine)
 
 
 def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
     """The L2 zeta value (1 - u^2)^(-chi) * exp(torus log-determinant) at a
     point (a complex) or an array of points (an array of the same shape)."""
-    q = regular_q(base)
-    us = np.asarray(u, dtype=complex)
-    flat = us.reshape(-1)  # a point takes the same array arithmetic alone as in a grid
-    log_dets = l2_log_det(torus_symbol(base, volt), q, flat)
-    values = (1.0 - flat * flat) ** (-base.euler_characteristic) * np.exp(log_dets)
-    return complex(values[0]) if us.ndim == 0 else values.reshape(us.shape)
+    q, sym, chi = regular_q(base), torus_symbol(base, volt), base.euler_characteristic
+    return at_points(u, lambda us: (1.0 - us * us) ** (-chi) * np.exp(l2_log_det(sym, q, us)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +262,26 @@ def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
     check_q(q)
     if terms < 1:
         raise InputError("terms must be >= 1")
-    us = np.asarray(u, dtype=complex)
-    points, limit = us.ravel().tolist(), 1.0 / (2.0 * (q + 1.0))
-    for z in points:
-        if abs(z) >= limit:
-            raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(z):.6g})")
-    walks = equivariant_walk_counts(sym, terms)
-    values = []
-    for z in points:
-        total = 0.0 + 0.0j
-        for m in range(1, terms + 1):
-            inner = 0.0 + 0.0j
-            for j in range(m + 1):
-                inner += math.comb(m, j) * (z**j) * ((-q * z * z) ** (m - j)) * float(walks[j])
-            total -= inner / m
-        values.append(total)
-    return values[0] if us.ndim == 0 else np.array(values, dtype=complex).reshape(us.shape)
+    limit = 1.0 / (2.0 * (q + 1.0))
+
+    def series(us: np.ndarray) -> np.ndarray:
+        points = us.tolist()
+        for z in points:
+            if abs(z) >= limit:
+                raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(z):.6g})")
+        walks = equivariant_walk_counts(sym, terms)
+        values = []
+        for z in points:
+            total = 0.0 + 0.0j
+            for m in range(1, terms + 1):
+                inner = 0.0 + 0.0j
+                for j in range(m + 1):
+                    inner += math.comb(m, j) * (z**j) * ((-q * z * z) ** (m - j)) * float(walks[j])
+                total -= inner / m
+            values.append(total)
+        return np.array(values, dtype=complex)
+
+    return at_points(u, series)
 
 
 # ---------------------------------------------------------------------------

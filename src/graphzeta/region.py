@@ -24,31 +24,27 @@ def check_q(q: int) -> None:
         raise InputError("q must be an integer >= 1")
 
 
-def _segment_distance(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Distance from points x+iy to the real segment [a, b] (a <= b)."""
-    dx = np.maximum(np.maximum(a - x, x - b), 0.0)
-    return np.hypot(dx, y)
+def at_points(u, f, one=complex):
+    """`f` applied to the points of `u` as one flat complex array: a point
+    gives `one` of its value, an array an array of the same shape. A point
+    alone thus takes the same arithmetic as inside any array."""
+    us = np.asarray(u, dtype=complex)
+    values = f(us.reshape(-1))
+    return one(values[0]) if us.ndim == 0 else values.reshape(us.shape)
 
 
 def slit_distance(q: int, u) -> "float | np.ndarray":
-    """Distance to the real slits [-1, -1/q] and [1/q, 1]."""
+    """Distance to the real slits [-1, -1/q] and [1/q, 1]: by symmetry, the
+    distance from |Re u| + i Im u to [1/q, 1]."""
     check_q(q)
-    z = np.asarray(u, dtype=complex)
-    x, y = z.real, z.imag
-    d = np.minimum(
-        _segment_distance(x, y, 1.0 / q, 1.0),
-        _segment_distance(x, y, -1.0, -1.0 / q),
-    )
-    return float(d) if np.isscalar(u) or d.shape == () else d
+    return at_points(u, lambda z: np.hypot(
+        np.maximum(np.maximum(1.0 / q - np.abs(z.real), np.abs(z.real) - 1.0), 0.0), z.imag), float)
 
 
 def distance_to_C(q: int, u) -> "float | np.ndarray":
     """Distance to the boundary set C (circle plus slits)."""
     check_q(q)
-    z = np.asarray(u, dtype=complex)
-    circle = np.abs(np.abs(z) - q ** -0.5)
-    d = np.minimum(circle, slit_distance(q, z))
-    return float(d) if np.isscalar(u) or d.shape == () else d
+    return at_points(u, lambda z: np.minimum(np.abs(np.abs(z) - q ** -0.5), slit_distance(q, z)), float)
 
 
 def omega_contains(q: int, u, margin: float = 0.0) -> "bool | np.ndarray":
@@ -61,22 +57,18 @@ def omega_contains(q: int, u, margin: float = 0.0) -> "bool | np.ndarray":
     check_q(q)
     if margin < 0:
         raise InputError("margin must be >= 0")
-    z = np.asarray(u, dtype=complex)
     radius = q ** -0.5
-    dist = slit_distance(q, z)
     if margin == 0.0:
-        inside = (np.abs(z) < radius) & (dist > 0.0)
-    else:
-        inside = (np.abs(z) <= radius - margin) & (dist >= margin)
-    return bool(inside) if np.isscalar(u) or inside.shape == () else inside
+        return at_points(u, lambda z: (np.abs(z) < radius) & (slit_distance(q, z) > 0.0), bool)
+    return at_points(u, lambda z: (np.abs(z) <= radius - margin) & (slit_distance(q, z) >= margin), bool)
 
 
 def require_inside(q: int, u) -> None:
     """DomainError naming the first of the points `u` that is not inside the
     open region bounded by C and more than 1e-12 away from C, where
     logarithms of the determinant factors are safe to take."""
-    us = np.asarray(u, dtype=complex)
-    inside = np.asarray(omega_contains(q, us)) & (np.asarray(distance_to_C(q, us)) > _CUT_MARGIN)
+    us = np.asarray(u, dtype=complex).reshape(-1)
+    inside = omega_contains(q, us) & (distance_to_C(q, us) > _CUT_MARGIN)
     if not inside.all():
         raise DomainError(
             f"u = {complex(us[~inside][0])} is outside the open region bounded by C "

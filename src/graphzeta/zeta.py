@@ -29,23 +29,12 @@ from .errors import DomainError, InputError, NumericError, ResourceError
 from .graphs import MultiGraph, regular_q, regularity, spectrum
 from .l2 import _log_sum
 from .polynomials import IntPolynomial
-from .region import distance_to_C, require_inside
+from .region import at_points, distance_to_C
 
 ORDER_CAP = 512  # largest matrix order the determinant kernel takes
 WALK_CAP = 2048  # most oriented edges the closed-walk counter takes
 _PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
-
-
-@dataclass(frozen=True)
-class ZetaFunction:
-    """chi and the integer determinant polynomial."""
-
-    chi: int
-    det_poly: IntPolynomial
-
-    def __call__(self, u):
-        return zeta_eval(self, u)
 
 
 @dataclass(frozen=True)
@@ -180,17 +169,17 @@ def _det_poly(g: MultiGraph) -> IntPolynomial:
     return _regular_det_poly(g, info.q) if info.is_regular else _linearized_det_poly(g)
 
 
-def zeta_function(g: MultiGraph) -> ZetaFunction:
-    return ZetaFunction(chi=g.euler_characteristic, det_poly=det_poly(g))
+def zeta_eval(g: MultiGraph, u):
+    """Z(g, u) = (1 - u^2)^(-chi) * det_poly(g)(u) at a point (a complex) or
+    an array of points (an array of the same shape)."""
+    chi, poly = g.euler_characteristic, det_poly(g)
 
+    def value(us: np.ndarray) -> np.ndarray:
+        if chi > 0 and np.any(np.abs(1.0 - us * us) < 1e-12):
+            raise DomainError("zeta has a pole at u = +-1 when chi > 0")
+        return (1.0 - us * us) ** (-chi) * poly(us)
 
-def zeta_eval(z: ZetaFunction, u):
-    """Evaluate Z(u) = (1 - u^2)^(-chi) * det_poly(u)."""
-    us = np.asarray(u, dtype=complex)
-    if z.chi > 0 and np.any(np.abs(1.0 - us * us) < 1e-12):
-        raise DomainError("zeta has a pole at u = +-1 when chi > 0")
-    value = (1.0 - us * us) ** (-z.chi) * z.det_poly(us)
-    return complex(value) if us.shape == () else value
+    return at_points(u, value)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +246,7 @@ def nth_root_det(g: MultiGraph, n: int, u):
     if n < 1:
         raise InputError("root order must be >= 1")
     q = regular_q(g)
-    us = np.asarray(u, dtype=complex)
-    require_inside(q, us)
-    logs = _log_sum([spectrum(g)], q, us.reshape(-1))
-    values = np.exp(logs / n).reshape(us.shape)
-    return complex(values) if us.shape == () else values
+    return at_points(u, lambda us: np.exp(_log_sum([spectrum(g)], q, us) / n))
 
 
 def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
@@ -270,10 +255,7 @@ def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
         raise InputError(
             f"chi({g.name or 'level'}) = {g.euler_characteristic} != {n} * {chi_base}"
         )
-    us = np.asarray(u, dtype=complex)
-    flat = us.reshape(-1)  # a point takes the same array arithmetic alone as in a grid
-    value = (1.0 - flat * flat) ** (-chi_base) * nth_root_det(g, n, flat)
-    return complex(value[0]) if us.shape == () else value.reshape(us.shape)
+    return at_points(u, lambda us: (1.0 - us * us) ** (-chi_base) * nth_root_det(g, n, us))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +271,13 @@ def functional_equation_sides(g: MultiGraph, u: complex) -> tuple[complex, compl
     for bad, why in ((1.0, "u = +-1"), (1.0 / (q * q), "q^2 u^2 = 1")):
         if abs(u * u - bad) < 1e-12:
             raise DomainError(f"functional equation has a pole where {why}")
-    z = zeta_function(g)
     v, e = g.vertex_count, g.edge_count
-    lhs = zeta_eval(z, 1.0 / (q * u))
+    lhs = zeta_eval(g, 1.0 / (q * u))
     rhs = (
-        ((1.0 - u * u) / (q * q * u * u - 1.0)) ** z.chi
+        ((1.0 - u * u) / (q * q * u * u - 1.0)) ** g.euler_characteristic
         * q ** (v - 2 * e)
         * u ** (-2 * e)
-        * zeta_eval(z, u)
+        * zeta_eval(g, u)
     )
     return lhs, rhs
 
@@ -339,22 +320,26 @@ def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:
     """N_m = trace(T^m) for m = 1..terms, exactly.
 
     Every entry and partial sum of T^m is at most 2E (d_max - 1)^m, so the
-    float64 products are exact while 2E max(1, d_max - 1)^terms < 2^53.
-    Raises ResourceError past that bound or past WALK_CAP oriented edges.
+    float64 products are exact while max(1, 2E) max(2, d_max - 1)^terms < 2^53,
+    never past 52 terms. Raises ResourceError, before any work, past that
+    bound or past WALK_CAP oriented edges.
     """
     oriented = 2 * g.edge_count
-    if oriented == 0:
-        return [0] * terms
     if oriented > WALK_CAP:
         raise ResourceError(
             f"closed walk counts take at most {WALK_CAP} oriented edges, got {oriented}"
         )
-    d_max = max(g.degree_sequence)
-    if oriented * max(1, d_max - 1) ** terms >= 2**53:
+    d_max = max(g.degree_sequence, default=0)
+    bound = 0  # the most terms that stay exact
+    while max(1, oriented) * max(2, d_max - 1) ** (bound + 1) < 2**53:
+        bound += 1
+    if terms > bound:
         raise ResourceError(
             f"closed walks of length {terms} on {oriented} oriented edges of degree up to "
-            f"{d_max} may number 2^53 or more, past exact float64 counts"
+            f"{d_max} may number 2^53 or more: exact float64 counts reach only {bound} terms"
         )
+    if oriented == 0:
+        return [0] * terms
     t = _transfer_matrix(g).astype(np.float64)
     counts = []
     power = t

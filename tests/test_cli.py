@@ -623,6 +623,80 @@ def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
     assert not (workdir / "c").exists()
 
 
+def refused_quickly(argv, code, capsys) -> str:
+    """Runs argv, asserts its exit code within 1 s, and returns its one-line error."""
+    start = time.perf_counter()
+    assert run(argv) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_euler_check_terms_are_bounded_before_any_work(workdir, capsys):
+    # max(1, 2E) max(2, d_max - 1)^terms < 2^53 for every graph: C3 (d_max 2) and a
+    # graph with no edges are bounded too, and no graph passes 52 terms
+    save_graph(cycle_graph(3), workdir / "c3.json")
+    save_graph(path_graph(1), workdir / "dot.json")
+    for name, oriented, bound in (("c3.json", 6, 50), ("k4.json", 12, 49), ("dot.json", 0, 52)):
+        argv = ["zeta", "euler-check", "--graph", str(workdir / name), "--terms"]
+        err = refused_quickly([*argv, "1000000000000"], 2, capsys)
+        assert f"length 1000000000000 on {oriented} oriented edges" in err
+        assert f"exact float64 counts reach only {bound} terms" in err
+        assert run([*argv, str(bound)]) == 0
+        assert summary_of(capsys)["match"] is True
+
+
+def test_homology_depth_is_bounded(workdir, capsys):
+    # a tree's steps have rank 0 and repeat the level below, so only the bound ends them
+    save_graph(path_graph(3), workdir / "p3.json")
+    (workdir / "deep.json").write_text(
+        json.dumps({"base": "p3.json", "kind": "homology", "p": 3, "depth": 10**9})
+    )
+    spec, out = ["--spec", str(workdir / "deep.json")], ["--out", str(workdir / "d")]
+    for argv in (["tower", "build", *spec, *out],
+                 ["tower", "run", *spec, "--target", "constant:1", "--grid", "disk:0.3:3:0.02", *out],
+                 ["l2", "cdf", *spec, *out]):
+        err = refused_quickly(argv, 2, capsys)
+        assert "depth 1000000000 is over 22 = log2 of the node budget 4194304" in err
+    assert not (workdir / "d").exists()
+
+
+def test_torus_target_is_read_beside_the_spec(workdir, capsys, monkeypatch):
+    # a relative target path resolves against the spec's directory, as its base does
+    specdir = workdir / "specdir"
+    specdir.mkdir()
+    save_graph(cycle_graph(1), specdir / "loop.json")
+    (specdir / "tower.json").write_text(
+        json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [1], "orders": [1, 2]})
+    )
+    (workdir / "vz.json").write_text(json.dumps({"voltages": [1], "rank": 1}))
+    monkeypatch.chdir(workdir)
+    argv = ["tower", "run", "--spec", "specdir/tower.json", "--target", "torus:vz.json",
+            "--grid", "disk:0.3:3:0.02", "--out", "r"]
+    err = refused_quickly(argv, 1, capsys)
+    assert f"cannot read voltage file {Path('specdir') / 'vz.json'}" in err
+    assert not (workdir / "r").exists()
+    (workdir / "vz.json").rename(specdir / "vz.json")
+    assert run(argv) == 0
+    assert str(Path("specdir") / "vz.json") in summary_of(capsys)["inputs"]
+
+
+def test_l2_torus_checks_every_argument_before_it_evaluates(workdir, capsys, monkeypatch):
+    # on the rank-3 cover of K4 this point alone takes seconds of quadrature
+    (workdir / "v3.json").write_text(
+        json.dumps({"voltages": [[0, 0, 0]] * 3 + [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "rank": 3})
+    )
+    monkeypatch.setattr(cli, "l2_zeta_abelian", lambda *args: pytest.fail("evaluated"))
+    argv = ["l2", "torus", "--base", str(workdir / "k4.json"), "--voltages", str(workdir / "v3.json"),
+            "--eval", "0.47+0.02j"]
+    err = refused_quickly([*argv, "--grid", "disk:0.3:3:0.02"], 1, capsys)
+    assert "--grid output needs --out <csv>" in err
+    err = refused_quickly([*argv, "--grid", "disk:oops", "--out", str(workdir / "v.csv")], 1, capsys)
+    assert "grid must look like disk:<radius>:<resolution>:<margin>, got 'disk:oops'" in err
+    assert not (workdir / "v.csv").exists()
+
+
 def test_dense_spectrum_vertex_cap(workdir, capsys, monkeypatch):
     # a graph file over the cap is refused as it loads, before any dense matrix
     save_graph(cycle_graph(graphs.SIZE_CAP + 1), workdir / "c10001.json")

@@ -160,6 +160,11 @@ def test_homology_parent_over_the_vertex_cap(monkeypatch):
     # a prime past the node budget is refused before the primality test would run
     with pytest.raises(ResourceError, match="p = 2305843009213693951 is over the node budget"):
         homology_tower(B2, 2**61 - 1, 0)
+    # past depth 22 = log2(NODE_BUDGET) a step repeats its level (rank 0) or passes the budget
+    with pytest.raises(ResourceError, match="depth 23 is over 22 = log2 of the node budget 4194304"):
+        homology_tower(path_graph(3), 3, 23)
+    assert homology_tower(path_graph(3), 3, 22).indices == (1,) * 23
+    assert homology_tower(path_graph(3), 3, 2).indices == (1, 1, 1)
 
 
 def test_spanning_tree():

@@ -4,12 +4,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphzeta import (
+    DomainError,
     InputError,
+    VoltageAssignment,
+    deitmar_residual,
     distance_to_C,
+    l2,
+    l2_log_det,
+    l2_series_oracle,
+    l2_zeta_abelian,
+    normalized_zeta,
+    nth_root_det,
     omega_contains,
     set_c_polyline,
     slit_distance,
+    torus_symbol,
+    zeta_eval,
 )
+
+from corpus import B2, K4, PETERSEN
 
 
 def test_membership_examples():
@@ -90,3 +103,54 @@ def test_symbol_values_avoid_the_log_cut(data):
         return
     w = 1.0 - lam * u + q * u * u
     assert w.real > 0.0 or w.imag != 0.0
+
+
+# ---------------------------------------------------------------------------
+# one shape rule for every evaluator of points
+
+VZ2 = VoltageAssignment.free(((1, 0), (0, 1)), rank=2)
+SYM = torus_symbol(B2, VZ2)
+EVALUATORS = {
+    "zeta_eval": (complex, lambda u: zeta_eval(PETERSEN, u)),
+    "nth_root_det": (complex, lambda u: nth_root_det(PETERSEN, 5, u)),
+    "normalized_zeta": (complex, lambda u: normalized_zeta(PETERSEN, 5, -1, u)),
+    "deitmar_residual": (float, lambda u: deitmar_residual(PETERSEN, u)),
+    "l2_log_det": (complex, lambda u: l2_log_det(SYM, 3, u)),
+    "l2_zeta_abelian": (complex, lambda u: l2_zeta_abelian(B2, VZ2, u)),
+    "l2_series_oracle": (complex, lambda u: l2_series_oracle(SYM, 3, u, 12)),
+    "slit_distance": (float, lambda u: slit_distance(3, u)),
+    "distance_to_C": (float, lambda u: distance_to_C(3, u)),
+    "omega_contains": (bool, lambda u: omega_contains(3, u)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_a_point_alone_is_its_entry_in_an_array(name):
+    # inside the region for q = 2 and q = 3, and inside the series oracle's |u| < 1/8
+    one, evaluate = EVALUATORS[name]
+    rng = np.random.default_rng(14)
+    radius, phi = 0.12 * np.sqrt(rng.uniform(0, 1, (4, 6))), rng.uniform(0, 2 * np.pi, (4, 6))
+    us = radius * np.exp(1j * phi)
+    values = evaluate(us)
+    assert isinstance(values, np.ndarray) and values.shape == us.shape
+    for u, entry in zip(us.ravel().tolist(), values.ravel()):
+        alone = evaluate(u)
+        assert type(alone) is one
+        assert np.asarray(alone).tobytes() == np.asarray(entry).tobytes(), (u, alone, entry)
+
+
+def test_points_within_1e_12_of_C_take_no_logarithm():
+    # the one region gate is where the logarithm is, before any eigenvalue is read
+    def unread():
+        raise AssertionError("a block was read")
+        yield
+
+    near = ((2.0**-0.5 - 5e-13) * 1j, 0.5 + 5e-13j, -0.5 - 5e-13j)  # the circle, both slits
+    for u in near:
+        with pytest.raises(DomainError):
+            l2._log_sum(unread(), 2, np.array([0.1, u]))
+        with pytest.raises(DomainError, match="within 1e-12"):
+            deitmar_residual(K4, np.array([0.1, u]))
+        with pytest.raises(DomainError):
+            deitmar_residual(K4, u)
+    assert deitmar_residual(K4, (2.0**-0.5 - 2e-12) * 1j) < 1e-10
