@@ -122,17 +122,18 @@ class ConvergenceReport:
 
 def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> ConvergenceReport:
     """Per-level sup of |normalized zeta - target| over the grid; the target
-    is evaluated on all grid points in one call, and each level's zeta from
-    its character spectrum, streamed one block of eigenvalues at a time."""
+    is evaluated on all grid points in one call once every level is in
+    NODE_BUDGET, each level from its character spectrum, block by block."""
     points = grid.array
     chi_base = tower.base.euler_characteristic
     q = regular_q(tower.base)
     if q != grid.q:
         raise InputError(f"grid q = {grid.q} does not match the tower base's q = {q}")
+    blocks = [_level_blocks(level) for level in tower.levels]
     target_values = np.broadcast_to(target.evaluate(points), points.shape)
     levels = []
-    for level in tower.levels:
-        logs = _log_sum(_level_blocks(level), q, points)
+    for level, level_blocks in zip(tower.levels, blocks):
+        logs = _log_sum(level_blocks, q, points)
         values = (1.0 - points * points) ** (-chi_base) * np.exp(logs / level.index)
         errors = np.abs(values - target_values)
         worst = int(np.argmax(errors))

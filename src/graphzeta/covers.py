@@ -250,24 +250,26 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _spanning_forest(g: MultiGraph):
+    """Breadth-first spanning forest grown from the first vertex of each
+    component: (edge index, tree vertex, new vertex) per tree edge."""
+    seen = [False] * g.vertex_count
+    for root in range(g.vertex_count):
+        queue = [] if seen[root] else [root]
+        seen[root] = True
+        for v in queue:  # grows while it is read: first in, first out
+            for eidx, other in g.incidences[v]:
+                if not seen[other]:
+                    seen[other] = True
+                    queue.append(other)
+                    yield eidx, v, other
+
+
 def spanning_tree_edges(g: MultiGraph) -> tuple[int, ...]:
     """Edge indices of the breadth-first spanning tree grown from vertex 0."""
     if not g.is_connected:
         raise InputError("spanning tree requires a connected graph")
-    visited = [False] * g.vertex_count
-    visited[0] = True
-    tree: list[int] = []
-    frontier = [0]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for eidx, other in g.incidences[v]:
-                if not visited[other]:
-                    visited[other] = True
-                    tree.append(eidx)
-                    nxt.append(other)
-        frontier = nxt
-    return tuple(sorted(tree))
+    return tuple(sorted(eidx for eidx, _, _ in _spanning_forest(g)))
 
 
 def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:

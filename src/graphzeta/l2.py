@@ -2,27 +2,30 @@
 
 A free-abelian voltage assignment on a finite base graph describes an
 infinite Z^k cover. Its adjacency operator diagonalizes over the k-torus
-into a field of v x v Hermitian matrices (the symbol); normalized traces
-become torus integrals, evaluated here by the periodic trapezoid rule with
-adaptive refinement. The L2 zeta function of the cover is
+into a field of v x v Hermitian matrices (the symbol), and the L2 zeta
+function of the cover is
 
     Z(u) = (1 - u^2)^(-chi) * exp( (2 pi)^(-k) Int log det(I - d(t) u + q u^2) dt )
 
-with chi and q taken from the base. Empirical spectral distribution
-functions of finite covers, which converge to the L2 spectral function,
-live here as well.
+with chi and q taken from the base. Along one axis the determinant is a
+Laurent polynomial whose mean comes exactly from its roots (the Mahler
+measure form of the Fuglede-Kadison determinant); the other axes take the
+periodic trapezoid rule with adaptive refinement. Empirical spectral
+distributions of finite covers, which converge to the L2 spectral
+function, live here as well.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .covers import TowerLevel, VoltageAssignment
-from .errors import DomainError, InputError, ResourceError
+from .covers import TowerLevel, VoltageAssignment, _spanning_forest
+from .errors import DomainError, InputError, NumericError, ResourceError
 from .graphs import NODE_BUDGET, MultiGraph, regular_q, require_size
 from .region import at_points, check_q, require_inside
 
@@ -63,19 +66,23 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
     Every edge contributes both orientations, so loops add
     coefficient * (exp(i t.s) + exp(-i t.s)) to their diagonal entry and
     the symbol at t = 0 equals the base adjacency matrix (loops count 2).
+    Voltages are gauged to s + phi(x) - phi(y) on (x, y), a unitary conjugation
+    of d(t), with phi making the breadth-first spanning forest carry 0.
     """
     if volt.is_finite:
         raise InputError("torus symbols need a free abelian (rank k) voltage assignment")
     if len(volt.voltages) != base.edge_count:
         raise InputError(f"{len(volt.voltages)} voltages for {base.edge_count} edges")
-    acc: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    phi = [(0,) * volt.rank] * base.vertex_count
+    for eidx, x, y in _spanning_forest(base):
+        sign = 1 if base.edges[eidx][0] == x else -1
+        phi[y] = tuple(p + sign * c for p, c in zip(phi[x], volt.voltages[eidx]))
+    acc: Counter = Counter()
     for (x, y), sigma in zip(base.edges, volt.voltages):
-        neg = tuple(-c for c in sigma)
-        acc[(x, y, sigma)] = acc.get((x, y, sigma), 0) + 1
-        acc[(y, x, neg)] = acc.get((y, x, neg), 0) + 1
-    terms = tuple(
-        (x, y, freq, coeff) for (x, y, freq), coeff in sorted(acc.items())
-    )
+        sigma = tuple(c + a - b for c, a, b in zip(sigma, phi[x], phi[y]))
+        acc[(x, y, sigma)] += 1
+        acc[(y, x, tuple(-c for c in sigma))] += 1
+    terms = tuple((x, y, freq, coeff) for (x, y, freq), coeff in sorted(acc.items()))
     return TorusSymbol(vertex_count=base.vertex_count, rank=volt.rank, terms=terms)
 
 
@@ -83,45 +90,48 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
 # torus quadrature
 
 
-def _node_eigenvalues(sym: TorusSymbol, m: int):
-    """Eigenvalues of the symbol at the m^k trapezoid nodes, one block of
-    nodes at a time as a flat run, so that a block's matrices hold about 4e6
-    entries (one matrix if it alone holds more). A symbol over SIZE_CAP
-    vertices raises ResourceError before any matrix exists."""
+def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1):
+    """Eigenvalues of the symbol at the trapezoid nodes, m[i] on axis i (m on
+    every axis if an int), as flat runs node by node, one block of nodes at
+    a time: a whole number of runs of `line` nodes (at least one run) whose
+    matrices hold about 4e6 entries. A symbol over SIZE_CAP vertices raises
+    ResourceError before any matrix exists."""
     require_size(sym.vertex_count, "a dense symbol eigensolve")
-    k = sym.rank
-    axes = 2.0 * np.pi * np.arange(m) / m
-    total = m**k
-    block = max(1, 4_000_000 // max(1, sym.vertex_count**2))
+    counts = tuple(int(c) for c in np.broadcast_to(m, sym.rank))
+    axes = [2.0 * np.pi * np.arange(c) / c for c in counts]
+    total = math.prod(counts)
+    block = max(1, 4_000_000 // max(1, sym.vertex_count**2) // line) * line
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total))
-        coords = np.unravel_index(idx, (m,) * k)
-        eigs = sym.matrices(np.column_stack([axes[c] for c in coords]))
+        coords = np.unravel_index(idx, counts)
+        eigs = sym.matrices(np.column_stack([axis[c] for axis, c in zip(axes, coords)]))
         if sym.vertex_count > 1:  # a 1 x 1 Hermitian matrix is its own (real) eigenvalue
             eigs = np.linalg.eigvalsh(eigs)  # drops the matrices before the next block
         yield eigs.reshape(-1).real
 
 
-def _log_sum(blocks, q: int, us: np.ndarray) -> np.ndarray:
+def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
     """Sum of log(1 - lam u + q u^2) over the eigenvalues lam of `blocks`,
     at each point of the 1-d array `us`.
 
-    Each block is one run of eigenvalues, so a point's sum does not depend
-    on which other points are evaluated with it. Points go a group at a
-    time, group x run at most LOG_CHUNK entries (one point if its run
-    alone holds more). Before any block is read, every point must be inside
-    the region bounded by C and more than 1e-12 away from it.
+    A flat block is one run; a (nodes, v) block gives a sum per node that
+    `fold` maps to one value per point (by default, their sum). Points go a
+    group at a time, at most LOG_CHUNK entries of group x block (one point
+    if more), and no point's sum depends on another's. No block is read
+    unless every point is inside the region bounded by C, 1e-12 clear of it.
     """
     require_inside(q, us)
     acc = np.zeros(us.shape, dtype=complex)
     shift = q * us * us
-    for run in blocks:
-        group = max(1, LOG_CHUNK // run.size)
+    for block in blocks:
+        block = np.atleast_2d(block)  # a flat run is one node
+        group = max(1, LOG_CHUNK // block.size)
         for i in range(0, us.size, group):
             # in place: numpy reuses no temporary when an operand broadcasts
-            z = 1.0 - run * us[i : i + group, None]
-            z += shift[i : i + group, None]
-            acc[i : i + group] += np.sum(np.log(z, out=z), axis=1)
+            z = 1.0 - block * us[i : i + group, None, None]
+            z += shift[i : i + group, None, None]
+            sums = np.sum(np.log(z, out=z), axis=2)
+            acc[i : i + group] += sums.sum(axis=1) if fold is None else fold(sums)
     return acc
 
 
@@ -179,18 +189,73 @@ def _grid_log_det(sym: TorusSymbol, q: int, us: np.ndarray, m: int) -> np.ndarra
     return _log_sum(_node_eigenvalues(sym, m), q, us) / m**sym.rank
 
 
-def l2_log_det(sym: TorusSymbol, q: int, u):
-    """Normalized trace of log(I - d(t) u + q u^2) over the torus.
+def _line_sums(sums: np.ndarray, degree: int) -> np.ndarray:
+    """Per row of `sums`, the sum over its runs of 2D + 1 entries (D =
+    `degree`) of the mean over |z| = 1 of log P, where a run holds
+    S_s = log P(w^s), w = exp(2 pi i / (2D + 1)), of its own Laurent
+    polynomial P of degrees -D..D.
 
-    `u` is a point or an array of points; a point gives a complex, an array
-    an array of the same shape. Each point starts from 16 nodes per
-    dimension and doubles until two successive values agree within
-    QUADRATURE_TOL; converged points drop out, the others share each
-    refinement's node eigenvalues. Raises ResourceError, naming a point
-    that has not converged, when the next doubling would pass NODE_BUDGET
-    nodes in total. Every point must lie inside the open region bounded by
-    C and more than 1e-12 away from it.
+    Over the roots r of z^D P, Jensen's formula anchored at z = 1 gives
+    S_0 - sum_{|r|>1} log(1 - 1/r) - sum_{|r|<1} log(1 - r). At D = 1 the
+    roots come from the stable quadratic formula. Otherwise top and bottom
+    coefficients below 1e-14 of the largest are dropped as roots at infinity
+    and at 0, and the roots are eigenvalues of companion matrices, about
+    LOG_CHUNK entries of them at a time (one matrix if more). A run's mean
+    is NaN unless the roots outside, with those at infinity, number D.
     """
+    width = 2 * degree + 1
+    lines = sums.reshape(-1, width)
+    # the coefficients of z^D P, highest first; a common factor moves no root
+    scaled = np.exp(lines - lines.real.max(axis=1, keepdims=True))
+    coef = np.fft.fft(scaled)[:, (degree - np.arange(width)) % width]
+    if degree == 1:  # the stable quadratic: a / q' inverts the outer root, c / q' is the other
+        a, b, c = coef.T
+        root = np.sqrt(b * b - 4.0 * a * c)
+        big = -0.5 * (b + np.where((b.conj() * root).real >= 0, root, -root))
+        inside = np.stack([a, c], axis=1) / big[:, None]
+        outside = (np.abs(inside[:, 0]) < 1) + (np.abs(inside[:, 1]) > 1)
+    else:
+        tiny = np.abs(coef) < 1e-14 * np.abs(coef).max(axis=1, keepdims=True)
+        top, bottom = tiny.argmin(axis=1), tiny[:, ::-1].argmin(axis=1)
+        inside = np.zeros((len(lines), 2 * degree), dtype=complex)  # r, or 1 / r if |r| > 1
+        outside = top.copy()
+        for t, b in set(zip(top.tolist(), bottom.tolist())):
+            rows = np.flatnonzero((top == t) & (bottom == b))
+            order = width - 1 - t - b
+            step = max(1, LOG_CHUNK // max(1, order * order))  # companion entries held at once
+            for pick in np.split(rows, range(step, rows.size, step)):
+                poly = coef[pick, t : width - b]
+                companion = np.tile(np.eye(order, k=-1, dtype=complex), (len(pick), 1, 1))
+                companion[:, :1] = (-poly[:, 1:] / poly[:, :1])[:, None]
+                roots = np.linalg.eigvals(companion)
+                out = np.abs(roots) > 1
+                inside[pick, :order] = np.divide(1.0, roots, out=roots, where=out)
+                outside[pick] += out.sum(axis=1)
+    ok = outside == degree
+    means = lines[:, 0] - np.log1p(-np.where(ok[:, None], inside, 0.0)).sum(axis=1)
+    return np.where(ok, means, np.nan).reshape(len(sums), -1).sum(axis=1)
+
+
+def l2_log_det(sym: TorusSymbol, q: int, u):
+    """Normalized trace of log(I - d(t) u + q u^2) over the torus, at a point
+    (giving a complex) or an array of points (giving an array of its shape).
+
+    On the axis j of least degree bound D = sum over edges of |s_j|,
+    `_line_sums` takes each line's mean exactly from 2D + 1 nodes; the other
+    axes (none at rank 1) take a trapezoid of m = 16, 32, ... nodes each
+    until two values agree within QUADRATURE_TOL, converged points dropping
+    out. A refinement is charged max(2D + 1, (2D)^2) nodes per line, (2D)^2
+    for a root solve of degree 2D. ResourceError names a point
+    whose next refinement would pass NODE_BUDGET, NumericError one whose
+    root count is not D. Every point must be inside the region bounded by C
+    and more than 1e-12 away from it.
+    """
+    k, v = sym.rank, sym.vertex_count
+    bounds = [sum(abs(f[i]) * c for _, _, f, c in sym.terms) // 2 for i in range(k)]
+    degree = min(bounds)
+    j, width = bounds.index(degree), 2 * degree + 1
+    last = tuple((x, y, f[:j] + f[j + 1 :] + f[j : j + 1], c) for x, y, f, c in sym.terms)
+    lines = TorusSymbol(v, k, last)  # axis j moved last
 
     def refine(points: np.ndarray) -> np.ndarray:
         values = np.full(points.shape, np.nan, dtype=complex)
@@ -198,16 +263,25 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
         active = np.arange(points.size)
         m = 16
         while active.size:
-            if m**sym.rank > NODE_BUDGET:
+            if max(width, 4 * degree**2) * m ** (k - 1) > NODE_BUDGET:
                 i = active[0]
                 raise ResourceError(
                     f"torus quadrature at u = {points[i]} needs more than {NODE_BUDGET} "
-                    f"nodes (next refinement {m}^{sym.rank}, last change {changes[i]:.3g})"
+                    f"nodes (next refinement {m}^{k - 1} lines of degree bound {degree}, "
+                    f"last change {changes[i]:.3g})"
                 )
-            refined = _grid_log_det(sym, q, points[active], m)
+            blocks = _node_eigenvalues(lines, (m,) * (k - 1) + (width,), width)
+            nodes = (run.reshape(-1, v) for run in blocks)
+            sums = _log_sum(nodes, q, points[active], lambda s: _line_sums(s, degree))
+            refined = sums / m ** (k - 1)
+            if np.isnan(refined).any():
+                raise NumericError(
+                    f"u = {points[active][np.isnan(refined)][0]}: the determinant along "
+                    f"torus axis {j} does not have {degree} roots outside the unit circle"
+                )
             changes[active] = np.abs(refined - values[active])
             values[active] = refined
-            active = active[~(changes[active] < QUADRATURE_TOL)]
+            active = active[~(changes[active] < QUADRATURE_TOL)] if k > 1 else active[:0]
             m *= 2
         return values
 

@@ -293,6 +293,21 @@ def test_manifests_hash_the_spec_base(workdir, capsys):
         assert old[str(workdir / "tower.json")] == new[str(workdir / "tower.json")]
 
 
+def test_tower_run_refuses_an_over_budget_level_before_the_target(workdir, capsys, monkeypatch):
+    # the top level of this K4 lattice spec has 128^3 characters x 4 vertices,
+    # 8,388,608 eigenvalues
+    rank3 = [[0, 0, 0]] * 3 + [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    (workdir / "v3.json").write_text(json.dumps({"voltages": rank3, "rank": 3}))
+    spec = {"base": "k4.json", "kind": "lattice", "voltages": rank3, "orders": [1, 2, 128]}
+    (workdir / "big.json").write_text(json.dumps(spec))
+    unread = l2.L2Zeta(evaluate=lambda u: pytest.fail("the target was evaluated"))
+    monkeypatch.setattr(cli, "torus_l2", lambda base, volt: unread)
+    argv = ["tower", "run", "--spec", str(workdir / "big.json"), "--target", "torus:v3.json",
+            "--grid", "disk:0.47:5:0.01", "--out", str(workdir / "run")]
+    assert run(argv) == 2
+    assert "8388608 eigenvalues" in capsys.readouterr().err
+
+
 def test_tower_run_torus_target(workdir, capsys):
     # unroll one loop of the bouquet: levels are cycles with a loop at
     # every vertex, the limit is the matching Z-cover
@@ -370,6 +385,23 @@ def test_l2_torus_eval(workdir, capsys):
     assert code == 0
     doc = summary_of(capsys)
     assert doc["eval"]["value_re"] == pytest.approx(0.99979573, abs=1e-6)
+
+
+def test_l2_torus_eval_near_the_slit(workdir, capsys):
+    # 3 x 4096 nodes, where 4096^2 nodes on the square would pass the node budget
+    argv = ["l2", "torus", "--base", str(workdir / "b2.json"),
+            "--voltages", str(workdir / "v2.json"), "--eval", "0.55+0.05j"]
+    assert run(argv) == 0
+    assert summary_of(capsys)["eval"]["value_re"] == pytest.approx(0.9875714, abs=1e-6)
+
+
+def test_l2_torus_refuses_a_root_solve_over_the_node_budget(workdir, capsys):
+    # voltage 10^6 on the loop: a companion matrix of order 2 x 10^6 for the point
+    (workdir / "v1.json").write_text(json.dumps({"voltages": [[1000000]], "rank": 1}))
+    argv = ["l2", "torus", "--base", str(workdir / "loop.json"),
+            "--voltages", str(workdir / "v1.json"), "--eval", "0.3+0.1j"]
+    assert run(argv) == 2
+    assert "degree bound 1000000" in capsys.readouterr().err
 
 
 def test_l2_cdf(workdir, capsys):
@@ -683,7 +715,7 @@ def test_torus_target_is_read_beside_the_spec(workdir, capsys, monkeypatch):
 
 
 def test_l2_torus_checks_every_argument_before_it_evaluates(workdir, capsys, monkeypatch):
-    # on the rank-3 cover of K4 this point alone takes seconds of quadrature
+    # every argument is checked before the rank-3 cover of K4 is evaluated
     (workdir / "v3.json").write_text(
         json.dumps({"voltages": [[0, 0, 0]] * 3 + [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "rank": 3})
     )

@@ -14,6 +14,8 @@ from graphzeta import (
     DomainError,
     GridSpec,
     InputError,
+    MultiGraph,
+    NumericError,
     ResourceError,
     UnsupportedError,
     VoltageAssignment,
@@ -222,11 +224,21 @@ def test_rank3_symbol_cdf_against_a_dense_cover(monkeypatch):
 
 
 def test_quadrature_node_budget_raises(monkeypatch):
-    # 0.01 converges at 32^2 nodes, the point near the slit needs more
+    # B2's Z^2 symbol has degree bound 1 on each axis: m lines of 3 nodes, each
+    # charged 2^2 for its companion matrix. 0.01 converges at 32 lines; the point
+    # near the slit is named with its next refinement, 64 lines, which never runs
     sym = torus_symbol(B2, VZ2)
-    monkeypatch.setattr(l2, "NODE_BUDGET", 32**2)
-    with pytest.raises(ResourceError, match=r"u = \(0\.4\+0\.01j\).*64\^2"):
+    read, node_eigenvalues = [], l2._node_eigenvalues
+
+    def counting(s, m, line=1):
+        read.append(m)
+        return node_eigenvalues(s, m, line)
+
+    monkeypatch.setattr(l2, "_node_eigenvalues", counting)
+    monkeypatch.setattr(l2, "NODE_BUDGET", 4 * 32)
+    with pytest.raises(ResourceError, match=r"u = \(0\.4\+0\.01j\).*64\^1 lines"):
         l2_log_det(sym, 3, np.array([0.01, 0.4 + 0.01j]))
+    assert read == [(16, 3), (32, 3)]
 
 
 def test_chunked_log_sum_matches_one_block(monkeypatch):
@@ -277,6 +289,137 @@ def test_array_evaluation_matches_scalar_evaluation():
 
 
 # ---------------------------------------------------------------------------
+# the Laurent route: one torus axis in closed form, against the node trapezoid
+
+K4_RANK3 = ((0, 0, 0),) * 3 + ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def degree_bounds(sym):
+    return [sum(abs(f[j]) * c for _, _, f, c in sym.terms) // 2 for j in range(sym.rank)]
+
+
+def test_b2_near_the_slit_matches_the_one_variable_closed_form():
+    # the mean over t2 of log(a - b cos t2) is Log((a + sqrt(a^2 - b^2)) / 2),
+    # written out longhand; a 4096-node trapezoid in t1 then converges
+    q, u, m = 3, 0.55 + 0.05j, 4096
+    t1 = 2.0 * np.pi * np.arange(m) / m
+    a = 1.0 + q * u * u - 2.0 * u * np.cos(t1)
+    b = 2.0 * u
+    oracle = np.mean(np.log((a + np.sqrt(a * a - b * b)) / 2.0))
+    assert abs(l2_log_det(torus_symbol(B2, VZ2), q, u) - oracle) < 1e-10
+
+
+def test_k4_rank3_near_the_slit_matches_the_node_trapezoid():
+    # 128^3 nodes: the trapezoid has converged far below 1e-12 at this point
+    sym = torus_symbol(K4, VoltageAssignment.free(K4_RANK3))
+    u = np.array([0.5 + 0.01j])
+    assert abs(l2_log_det(sym, 2, u) - l2._grid_log_det(sym, 2, u, 128))[0] < 1e-12
+
+
+def test_rank3_limit_reads_lines_not_cubes(monkeypatch):
+    # node matrices read: at most 3 x m^2 for m = 16 .. 256 (m^3 for m = 16 .. 128 was 2,396,160)
+    read, node_eigenvalues = [], l2._node_eigenvalues
+
+    def counting(sym, m, line=1):
+        for run in node_eigenvalues(sym, m, line):
+            read.append(run.size // sym.vertex_count)
+            yield run
+
+    monkeypatch.setattr(l2, "_node_eigenvalues", counting)
+    l2_log_det(torus_symbol(K4, VoltageAssignment.free(K4_RANK3)), 2, 0.5 + 0.01j)
+    assert 0 < sum(read) <= 3 * sum(m * m for m in (16, 32, 64, 128, 256)) == 261_888
+
+
+def test_a_wrong_root_count_names_the_point(monkeypatch):
+    # past the region gate, on the slit, a line's roots outside the circle are not D = 1
+    monkeypatch.setattr(l2, "require_inside", lambda q, us: None)
+    with pytest.raises(NumericError, match=r"u = \(0\.6\+0j\).*does not have 1 roots outside"):
+        l2_log_det(torus_symbol(B2, VZ2), 3, np.array([0.1, 0.6]))
+
+
+def presented(rng, base, voltages):
+    """A seeded isomorphic presentation: relabelled vertices, shuffled and
+    partly reversed edges, a gauge change and a signed permutation of axes."""
+    n, k = base.vertex_count, len(voltages[0])
+    perm, axes, signs = rng.permutation(n), rng.permutation(k), rng.choice((-1, 1), k)
+    phi = rng.integers(-2, 3, (n, k))
+    edges, volts = [], []
+    for e in rng.permutation(base.edge_count):
+        (x, y), s = base.edges[e], signs * np.asarray(voltages[e])[axes]
+        s = s + phi[y] - phi[x]
+        if rng.random() < 0.5:
+            x, y, s = y, x, -s
+        edges.append((int(perm[x]), int(perm[y])))
+        volts.append(tuple(int(c) for c in s))
+    return MultiGraph(n, tuple(edges)), VoltageAssignment.free(volts, k)
+
+
+def test_laurent_route_is_invariant_under_presentation():
+    # 32^3 nodes have converged at these points; every presentation's tree gauge
+    # brings the degree bound down to 1
+    us = np.array([0.2 + 0.1j, -0.3 + 0.2j, 0.1j, 0.4 - 0.1j])
+    oracle = l2._grid_log_det(torus_symbol(K4, VoltageAssignment.free(K4_RANK3)), 2, us, 32)
+    rng = np.random.default_rng(15)
+    for _ in range(4):
+        base, volt = presented(rng, K4, K4_RANK3)
+        sym = torus_symbol(base, volt)
+        assert min(degree_bounds(sym)) == 1
+        assert np.max(np.abs(l2_log_det(sym, 2, us) - oracle)) < 1e-12
+
+
+def test_laurent_route_drops_roots_at_infinity(monkeypatch):
+    # in the tree gauge K4_SHIFTS has bound 2 (two edges carry -1, both at vertex 3)
+    # and degree 1, so the top coefficient is dropped and no 4 x 4 companion is solved
+    sym = torus_symbol(K4, VoltageAssignment.free(K4_SHIFTS))
+    assert degree_bounds(sym) == [2]
+    sizes, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.shape[-1]) or eigvals(a))
+    us = np.array([0.1 + 0.1j, 0.47 + 0.02j, 0.0, -0.5 + 0.1j, 0.3])
+    assert np.max(np.abs(l2_log_det(sym, 2, us) - l2._grid_log_det(sym, 2, us, 512))) < 1e-12
+    assert sizes and max(sizes) < 4
+
+
+def test_laurent_route_solves_companions_of_high_degree(monkeypatch):
+    # voltage 7 on the loop substitutes 7t for t, which leaves the torus mean as it
+    # is: degree bound 7, one companion matrix of order 14 per point
+    us = np.array([0.1 + 0.1j, -0.6 + 0.3j, 0.0, 0.8j, 0.9])
+    sym = torus_symbol(LOOP, VoltageAssignment.free(((7,),)))
+    seven = l2_log_det(sym, 1, us)
+    one = torus_symbol(LOOP, VoltageAssignment.free(((1,),)))
+    assert np.max(np.abs(seven - l2_log_det(one, 1, us))) < 1e-12
+    assert np.max(np.abs(seven - l2._grid_log_det(one, 1, us, 1024))) < 1e-12
+    batches, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: batches.append(len(a)) or eigvals(a))
+    monkeypatch.setattr(l2, "LOG_CHUNK", 2 * 14**2)  # two companion matrices at a time
+    assert np.array_equal(l2_log_det(sym, 1, us), seven)
+    assert max(batches) == 2
+
+
+def test_a_root_solve_over_the_node_budget_is_refused():
+    # voltage 1025 on the loop asks for a companion matrix of order 2050: over 2^22 entries
+    volt = VoltageAssignment.free(((1025,),))
+    with pytest.raises(ResourceError, match=r"u = \(0\.3\+0\.1j\).*degree bound 1025"):
+        l2_log_det(torus_symbol(LOOP, volt), 1, 0.3 + 0.1j)
+
+
+def test_laurent_route_on_an_unused_axis():
+    # no edge moves along the second axis: bound 0, one node per line, no roots
+    sym = torus_symbol(K4, VoltageAssignment.free(tuple((s, 0) for (s,) in K4_SHIFTS)))
+    assert degree_bounds(sym)[1] == 0
+    us = np.array([0.1 + 0.1j, -0.4 + 0.05j, 0.0, 0.3j])
+    assert np.max(np.abs(l2_log_det(sym, 2, us) - l2._grid_log_det(sym, 2, us, 256))) < 1e-12
+
+
+def test_laurent_route_on_a_disconnected_base():
+    # two copies of K4: a spanning forest, one tree for each
+    base = MultiGraph(8, K4.edges + tuple((x + 4, y + 4) for x, y in K4.edges))
+    volt = VoltageAssignment.free(K4_SHIFTS + tuple((s,) for s in (0, 3, -1, 1, 2, 0)))
+    sym = torus_symbol(base, volt)
+    us = np.array([0.1 + 0.1j, 0.45 + 0.02j, 0.0, -0.5 + 0.1j])
+    assert np.max(np.abs(l2_log_det(sym, 2, us) - l2._grid_log_det(sym, 2, us, 512))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # level spectra from characters, against dense eigvalsh of the level graph
 
 K4_SHIFTS = tuple((s,) for s in (1, 0, 2, -1, 0, 1))
@@ -312,6 +455,13 @@ def test_level_spectrum_matches_dense_eigvalsh(name):
         # and merges only rounding: every eigenvalue lies within 1e-13 of its row
         rows = np.searchsorted(points, got, side="right") - 1
         assert np.max(got - points[rows]) < 1e-13
+
+
+def test_a_long_level_is_read_in_blocks_of_4e6_matrix_entries():
+    # a Petersen level of 65536 characters, 4e6 / 10^2 = 40000 of them per block
+    level = lattice_tower(PETERSEN, PETERSEN_SHIFTS, (1, 65536)).levels[1]
+    first = next(iter(l2._level_blocks(level)))
+    assert first.size * PETERSEN.vertex_count == 4_000_000
 
 
 def test_level_parents():
