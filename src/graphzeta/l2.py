@@ -299,28 +299,61 @@ def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
 # series oracle: equivariant walk counting
 
 
+def _whole(value, what: str, least: int) -> int:
+    """`value` as an int of at least `least` (a bool is not one); else InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _walk_bound(sym: TorusSymbol, length: int) -> int:
+    """v Delta^length, Delta the largest row sum of |coefficients| (the cover's
+    largest degree): no sum of walk counts of at most `length` steps passes it."""
+    rows = [sum(abs(c) for x, _, _, c in sym.terms if x == s) for s in range(sym.vertex_count)]
+    return sym.vertex_count * max(rows, default=0) ** length
+
+
 def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     """W_j = closed walks of length j in the Z^k cover, summed over base
-    vertices, for j = 0..length; exact integer dynamic programming."""
-    if length < 0:
-        raise InputError("length must be >= 0")
-    steps: list[tuple[int, int, tuple[int, ...], int]] = list(sym.terms)
-    counts = [0] * (length + 1)
-    counts[0] = sym.vertex_count
-    for start in range(sym.vertex_count):
-        state: dict[tuple[int, tuple[int, ...]], int] = {
-            (start, (0,) * sym.rank): 1
-        }
-        for j in range(1, length + 1):
-            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-            for (x, disp), cnt in state.items():
-                for sx, sy, freq, coeff in steps:
-                    if sx != x:
-                        continue
-                    key = (sy, tuple(d + f for d, f in zip(disp, freq)))
-                    nxt[key] = nxt.get(key, 0) + cnt * coeff
-            state = nxt
-            counts[j] += state.get((start, (0,) * sym.rank), 0)
+    vertices, for j = 0..length, exactly. For one start s at a time, N_a[y, d],
+    the walks of length a from (s, 0) to (y, d), is one array over the box of
+    displacements h = ceil(length / 2) steps reach; a step adds one shifted
+    slice per term. Each term (x, y, f, c) needs its reverse (y, x, -f, c),
+    else InputError: the cover is undirected, so W_{a+b} = sum N_a N_b.
+    Every entry and sum is at most `_walk_bound`: int64 below 2^63, Python
+    ints from there. ResourceError, before any array, when h v^2 (box size)
+    passes NODE_BUDGET.
+    """
+    length = _whole(length, "length", 0)
+    v, weights = sym.vertex_count, Counter()
+    for x, y, f, c in sym.terms:
+        weights[(x, y, tuple(f))] += c
+    if any(weights[(y, x, tuple(-i for i in f))] != c for (x, y, f), c in weights.items()):
+        raise InputError("walk counts need every symbol term (x, y, f, c) paired with (y, x, -f, c)")
+    half = -(-length // 2)
+    spans = [(half * min(0, *a), half * max(0, *a)) for a in zip(*(f for _, _, f in weights))]
+    box = tuple(hi - lo + 1 for lo, hi in spans)
+    charge = half * v * v * math.prod(box)
+    if charge > NODE_BUDGET:
+        raise ResourceError(
+            f"walks of length {length} need {charge} state entries, "
+            f"over the node budget of {NODE_BUDGET}"
+        )
+    dtype = np.int64 if _walk_bound(sym, length) < 2**63 else object
+    counts = [v] + [0] * length
+    for start in range(v):
+        cur = np.zeros((v,) + box, dtype)
+        cur[(start,) + tuple(-lo for lo, _ in spans)] = 1
+        for a in range(1, half + 1):
+            nxt = np.zeros_like(cur)
+            for (x, y, f), c in weights.items():
+                src = tuple(slice(max(0, -s), n - max(0, s)) for s, n in zip(f, box))
+                dst = tuple(slice(max(0, s), n - max(0, -s)) for s, n in zip(f, box))
+                nxt[(y,) + dst] += c * cur[(x,) + src]
+            counts[2 * a - 1] += int(np.dot(cur.ravel(), nxt.ravel()))
+            if 2 * a <= length:
+                counts[2 * a] += int(np.dot(nxt.ravel(), nxt.ravel()))
+            cur = nxt
     return counts
 
 
@@ -332,16 +365,19 @@ def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
     that 40-ish terms reach full double precision. Independent of the
     quadrature route. `u` is a point (giving a complex) or an array of
     points (giving an array of that shape); the walks are counted once.
+    ResourceError, before any walk, when a walk count (`_walk_bound`) or a
+    binomial (2^terms) may pass the float range.
     """
     check_q(q)
-    if terms < 1:
-        raise InputError("terms must be >= 1")
+    terms = _whole(terms, "terms", 1)
+    if terms >= 1024 or _walk_bound(sym, terms) > float(np.finfo(float).max):
+        raise ResourceError(f"a series of {terms} terms may pass the float range")
     limit = 1.0 / (2.0 * (q + 1.0))
 
     def series(us: np.ndarray) -> np.ndarray:
         points = us.tolist()
         for z in points:
-            if abs(z) >= limit:
+            if not abs(z) < limit:
                 raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(z):.6g})")
         walks = equivariant_walk_counts(sym, terms)
         values = []

@@ -6,7 +6,9 @@ stubs uniformly, so every sample is exactly 3-regular even when it picks
 up loops or doubled edges. `det_at` is the determinant oracle: Bareiss
 elimination on the integer matrix I - A t + Q t^2. `factorization_error`
 is the floating-point oracle for regular graphs: the product of
-1 - lam u + q u^2 over the adjacency eigenvalues lam.
+1 - lam u + q u^2 over the adjacency eigenvalues lam. `walk_counts_by_dict`
+is the walk-count oracle for torus symbols: one dictionary of states per
+start, walked the whole length.
 """
 
 import random
@@ -85,3 +87,24 @@ def det_at(g: MultiGraph, t: int) -> int:
             for i in range(v)
         ]
     )
+
+
+def walk_counts_by_dict(sym, length: int) -> list[int]:
+    """W_j = closed walks of length j in the Z^k cover of a torus symbol,
+    summed over base vertices, for j = 0..length: a dictionary walk of every
+    length from each start, with no symmetry assumed."""
+    counts = [0] * (length + 1)
+    counts[0] = sym.vertex_count
+    origin = (0,) * sym.rank
+    for start in range(sym.vertex_count):
+        state = {(start, origin): 1}
+        for j in range(1, length + 1):
+            nxt: dict = {}
+            for (x, disp), cnt in state.items():
+                for sx, sy, freq, coeff in sym.terms:
+                    if sx == x:
+                        key = (sy, tuple(d + f for d, f in zip(disp, freq)))
+                        nxt[key] = nxt.get(key, 0) + cnt * coeff
+            state = nxt
+            counts[j] += state.get((start, origin), 0)
+    return counts

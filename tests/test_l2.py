@@ -1,8 +1,9 @@
 """Torus symbols, quadrature, and the series oracle.
 
 Independent oracles: central binomial closed-walk counts on the integer
-lattices, a dense theta-grid evaluation of the log-determinant, and the
-counting definition of the spectral distribution.
+lattices, a dictionary walk of every length from each start, a dense
+theta-grid evaluation of the log-determinant, and the counting definition
+of the spectral distribution.
 """
 
 import math
@@ -19,9 +20,11 @@ from graphzeta import (
     ResourceError,
     UnsupportedError,
     VoltageAssignment,
+    TorusSymbol,
     TowerLevel,
     bouquet_graph,
     covers,
+    cycle_graph,
     derived_graph,
     equivariant_walk_counts,
     l2,
@@ -39,7 +42,7 @@ from graphzeta import (
     tree_l2_reference,
 )
 
-from corpus import B2, K4, LOOP, PETERSEN
+from corpus import B2, K4, LOOP, PETERSEN, walk_counts_by_dict
 
 VZ = VoltageAssignment.free(((1,),), rank=1)
 VZ2 = VoltageAssignment.free(((1, 0), (0, 1)), rank=2)
@@ -133,6 +136,9 @@ def test_series_oracle_enforces_small_u():
     sym = torus_symbol(B2, VZ2)
     with pytest.raises(DomainError):
         l2_series_oracle(sym, 3, 0.2)  # needs |u| < 1/8
+    for bad in (float("nan"), complex(0.01, float("nan")), float("inf")):
+        with pytest.raises(DomainError):
+            l2_series_oracle(sym, 3, bad)
 
 
 def test_quadrature_domain_gating():
@@ -494,3 +500,99 @@ def test_level_spectrum_needs_equal_orders():
     level = TowerLevel(6, LOOP, volt)
     with pytest.raises(InputError, match="equal cyclic orders"):
         level_cdf(level)
+
+
+# ---------------------------------------------------------------------------
+# walk counts at half length, against the dictionary walk of every length
+
+
+WALK_COVERS = {
+    "K4 rank 2": (K4, K4_RANK2, 14),
+    "K4 rank 3": (K4, K4_RANK3, 11),
+    "Petersen shifts": (PETERSEN, PETERSEN_SHIFTS, 12),
+    "B2 Z^2": (B2, VZ2.voltages, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_COVERS))
+def test_walk_counts_match_the_dictionary_walk_on_presentations(name):
+    base, voltages, length = WALK_COVERS[name]
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        sym = torus_symbol(*presented(rng, base, voltages))
+        counts = equivariant_walk_counts(sym, length)
+        assert counts == walk_counts_by_dict(sym, length), name
+        assert all(type(c) is int for c in counts)
+        # an odd length ends on N_a N_(a+1) where an even one ends on N_a^2
+        assert equivariant_walk_counts(sym, length - 1) == counts[:-1]
+
+
+def test_walk_counts_take_symmetric_symbols_with_repeated_terms():
+    # two terms (0, 0, (1,), 1) and one (0, 0, (-1,), 2): a walk on Z with two
+    # ways to step right and two to step left
+    sym = TorusSymbol(1, 1, ((0, 0, (1,), 1), (0, 0, (1,), 1), (0, 0, (-1,), 2)))
+    assert equivariant_walk_counts(sym, 9) == walk_counts_by_dict(sym, 9)
+    assert equivariant_walk_counts(sym, 9)[8] == math.comb(8, 4) * 2**8
+
+
+@pytest.mark.parametrize("length", range(30, 37))
+def test_walk_counts_cross_from_int64_to_python_ints(length):
+    # on B2 Delta = 4: the bound 4^length reaches 2^63 at 32, where the counts go on
+    # in Python ints; W_36 = C(36, 18)^2 is the first count past 2^63
+    expected = [math.comb(j, j // 2) ** 2 if j % 2 == 0 else 0 for j in range(length + 1)]
+    assert equivariant_walk_counts(torus_symbol(B2, VZ2), length) == expected
+
+
+def test_walk_counts_are_charged_against_the_node_budget(monkeypatch):
+    sym = torus_symbol(B2, VZ2)
+    # 160 terms: 80 half-length steps over a 161 x 161 box, exact
+    counts = equivariant_walk_counts(sym, 160)
+    assert counts[160] == math.comb(160, 80) ** 2 and counts[159] == 0
+    # 60 terms charge 30 steps x 61 x 61 entries = 111,630
+    monkeypatch.setattr(l2, "NODE_BUDGET", 111_630)
+    assert len(equivariant_walk_counts(sym, 60)) == 61
+    monkeypatch.setattr(l2, "NODE_BUDGET", 111_629)
+    with pytest.raises(ResourceError, match=r"length 60 need 111630 state entries"):
+        equivariant_walk_counts(sym, 60)
+    monkeypatch.undo()
+    # refused before any array: the box alone would hold 10^12 entries
+    with pytest.raises(ResourceError, match=r"length 1000000 need 500001000000500000"):
+        equivariant_walk_counts(sym, 10**6)
+    with pytest.raises(ResourceError, match="1000000 terms"):
+        l2_series_oracle(sym, 3, 0.01, 10**6)
+
+
+def test_series_oracle_refuses_counts_past_the_float_range():
+    # binomials and Z's walks reach 2^1100 > 1.8e308; converted, they overflowed a float
+    with pytest.raises(ResourceError, match="1100 terms"):
+        l2_series_oracle(torus_symbol(cycle_graph(1), VZ), 1, 0.01, 1100)
+    # B2's walks may reach 4^512 = 2^1024 while the binomials stay below 2^512
+    with pytest.raises(ResourceError, match="512 terms"):
+        l2_series_oracle(torus_symbol(B2, VZ2), 3, 0.01, 512)
+
+
+def test_walk_counts_and_series_check_their_arguments():
+    sym = torus_symbol(B2, VZ2)
+    for bad in (2.5, True, -1, "3", None):
+        with pytest.raises(InputError):
+            equivariant_walk_counts(sym, bad)
+    for bad in (2.5, True, 0, "3"):
+        with pytest.raises(InputError):
+            l2_series_oracle(sym, 3, 0.01, bad)
+    assert equivariant_walk_counts(sym, np.int64(4)) == [1, 0, 4, 0, 36]
+    # a step with no reverse: the cover's walks are not symmetric
+    with pytest.raises(InputError, match="paired"):
+        equivariant_walk_counts(TorusSymbol(1, 1, ((0, 0, (1,), 1),)), 4)
+    with pytest.raises(InputError, match="paired"):
+        equivariant_walk_counts(TorusSymbol(1, 1, ((0, 0, (1,), 1),) * 2 + ((0, 0, (-1,), 1),)), 4)
+
+
+def test_series_oracle_is_the_series_of_the_reference_walks(monkeypatch):
+    us = np.array([0.05, -0.06 + 0.01j, 0.1j, 0.12])
+    rng = np.random.default_rng(7)
+    cases = [(torus_symbol(B2, VZ2), 3, 40), (torus_symbol(*presented(rng, K4, K4_RANK2)), 2, 16)]
+    for sym, q, terms in cases:
+        values = l2_series_oracle(sym, q, us, terms)
+        monkeypatch.setattr(l2, "equivariant_walk_counts", walk_counts_by_dict)
+        assert np.array_equal(l2_series_oracle(sym, q, us, terms), values)
+        monkeypatch.undo()
