@@ -284,6 +284,8 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
                 "sup_error": row.sup_error,
                 "vertices": level.index * tower.base.vertex_count,
                 "characters": math.prod(level.voltages.orders),
+                "route": "characters" if row.rho_max is None else "lines",
+                "rho_max": row.rho_max,
             }
             for row, level in zip(report.levels, tower.levels)
         ],

@@ -21,7 +21,7 @@ import numpy as np
 from .covers import Tower
 from .errors import InputError, ResourceError
 from .graphs import NODE_BUDGET, MultiGraph, regular_q, write_rows, write_text
-from .l2 import L2Zeta, _count_at_most, _level_blocks, _log_sum
+from .l2 import L2Zeta, _count_at_most, _level_blocks, _level_log_sums
 from .region import at_points, check_q, omega_contains, require_inside, set_c_polyline
 from .zeta import det_poly, zeta_eval
 
@@ -85,10 +85,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class LevelReport:
+    """A level's errors over the grid; `rho_max` is None unless its
+    log-sums were read from the roots of its line."""
+
     index: int
     sup_error: float
     argmax: complex
     errors: np.ndarray
+    rho_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -123,17 +127,18 @@ class ConvergenceReport:
 def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> ConvergenceReport:
     """Per-level sup of |normalized zeta - target| over the grid; the target
     is evaluated on all grid points in one call once every level is in
-    NODE_BUDGET, each level from its character spectrum, block by block."""
+    NODE_BUDGET. Each level's log-sums come from `_level_log_sums`: from
+    the roots of its line (rank 1, solved once per distinct symbol) or from
+    its characters, block by block."""
     points = grid.array
     chi_base = tower.base.euler_characteristic
     q = regular_q(tower.base)
     if q != grid.q:
         raise InputError(f"grid q = {grid.q} does not match the tower base's q = {q}")
-    blocks = [_level_blocks(level) for level in tower.levels]
+    log_sums = _level_log_sums(tower.levels, q, points)
     target_values = np.broadcast_to(target.evaluate(points), points.shape)
     levels = []
-    for level, level_blocks in zip(tower.levels, blocks):
-        logs = _log_sum(level_blocks, q, points)
+    for level, (logs, rho_max) in zip(tower.levels, log_sums):
         values = (1.0 - points * points) ** (-chi_base) * np.exp(logs / level.index)
         errors = np.abs(values - target_values)
         worst = int(np.argmax(errors))
@@ -143,6 +148,7 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
                 sup_error=float(errors[worst]),
                 argmax=complex(points[worst]),
                 errors=errors,
+                rho_max=rho_max,
             )
         )
     return ConvergenceReport(

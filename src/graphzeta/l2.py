@@ -66,8 +66,10 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
     Every edge contributes both orientations, so loops add
     coefficient * (exp(i t.s) + exp(-i t.s)) to their diagonal entry and
     the symbol at t = 0 equals the base adjacency matrix (loops count 2).
-    Voltages are gauged to s + phi(x) - phi(y) on (x, y), a unitary conjugation
-    of d(t), with phi making the breadth-first spanning forest carry 0.
+    On each axis the voltages are either kept or gauged to s + phi(x) - phi(y)
+    on (x, y), a unitary conjugation of d(t), with phi making the
+    breadth-first spanning forest carry 0: whichever has the smaller degree
+    bound (the sum over edges of |s|), the gauge on a tie.
     """
     if volt.is_finite:
         raise InputError("torus symbols need a free abelian (rank k) voltage assignment")
@@ -77,9 +79,12 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
     for eidx, x, y in _spanning_forest(base):
         sign = 1 if base.edges[eidx][0] == x else -1
         phi[y] = tuple(p + sign * c for p, c in zip(phi[x], volt.voltages[eidx]))
+    gauged = [tuple(c + a - b for c, a, b in zip(s, phi[x], phi[y]))
+              for (x, y), s in zip(base.edges, volt.voltages)]
+    axes = [g if sum(map(abs, g)) <= sum(map(abs, r)) else r
+            for r, g in zip(zip(*volt.voltages), zip(*gauged))]
     acc: Counter = Counter()
-    for (x, y), sigma in zip(base.edges, volt.voltages):
-        sigma = tuple(c + a - b for c, a, b in zip(sigma, phi[x], phi[y]))
+    for (x, y), sigma in zip(base.edges, zip(*axes)):
         acc[(x, y, sigma)] += 1
         acc[(y, x, tuple(-c for c in sigma))] += 1
     terms = tuple((x, y, freq, coeff) for (x, y, freq), coeff in sorted(acc.items()))
@@ -115,13 +120,14 @@ def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
     at each point of the 1-d array `us`.
 
     A flat block is one run; a (nodes, v) block gives a sum per node that
-    `fold` maps to one value per point (by default, their sum). Points go a
-    group at a time, at most LOG_CHUNK entries of group x block (one point
-    if more), and no point's sum depends on another's. No block is read
-    unless every point is inside the region bounded by C, 1e-12 clear of it.
+    `fold` maps to one value or one row of values per point (by default,
+    their sum). Points go a group at a time, at most LOG_CHUNK entries of
+    group x block (one point if more), and no point's sum depends on
+    another's. No block is read unless every point is inside the region
+    bounded by C, 1e-12 clear of it.
     """
     require_inside(q, us)
-    acc = np.zeros(us.shape, dtype=complex)
+    acc = None
     shift = q * us * us
     for block in blocks:
         block = np.atleast_2d(block)  # a flat run is one node
@@ -131,8 +137,11 @@ def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
             z = 1.0 - block * us[i : i + group, None, None]
             z += shift[i : i + group, None, None]
             sums = np.sum(np.log(z, out=z), axis=2)
-            acc[i : i + group] += sums.sum(axis=1) if fold is None else fold(sums)
-    return acc
+            part = sums.sum(axis=1) if fold is None else fold(sums)
+            if acc is None:
+                acc = np.zeros(us.shape + part.shape[1:], dtype=complex)
+            acc[i : i + group] += part
+    return np.zeros(us.shape, dtype=complex) if acc is None else acc
 
 
 def _count_at_most(blocks, lambdas: np.ndarray) -> np.ndarray:
@@ -143,17 +152,13 @@ def _count_at_most(blocks, lambdas: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _level_blocks(level: TowerLevel):
-    """Adjacency eigenvalues of a tower level, one block of character nodes
-    at a time, from the characters of its voltage group.
-
-    Over (Z/n)^k the adjacency of the derived graph splits into the n^k
+def _level_symbol(level: TowerLevel) -> TorusSymbol:
+    """The parent's torus symbol of a tower level over (Z/n)^k, its voltages
+    lifted to (-n/2, n/2]: at the nodes 2 pi j / n any lift gives the n^k
     twisted matrices A_chi[x, y] = sum over parent edges x -> y of
-    chi(sigma_e) (Stark and Terras); these are the parent's torus symbol at
-    the nodes 2 pi j / n, so the spectrum is their union and the level's
-    graph is never built. A level of more than NODE_BUDGET eigenvalues
-    (characters x parent vertices) raises ResourceError before any block.
-    """
+    chi(sigma_e) (Stark and Terras), and this one the least degree bound.
+    ResourceError for more than NODE_BUDGET eigenvalues (characters x parent
+    vertices)."""
     volt = level.voltages
     n, v = volt.orders[0], level.parent.vertex_count
     if any(m != n for m in volt.orders):
@@ -164,8 +169,55 @@ def _level_blocks(level: TowerLevel):
             f"({n**volt.rank} characters of a {v}-vertex parent), "
             f"over the node budget of {NODE_BUDGET}"
         )
-    sym = torus_symbol(level.parent, VoltageAssignment.free(volt.voltages, volt.rank))
-    return _node_eigenvalues(sym, n)
+    lifted = [[c - n if 2 * c > n else c for c in sigma] for sigma in volt.voltages]
+    return torus_symbol(level.parent, VoltageAssignment.free(lifted, volt.rank))
+
+
+def _level_blocks(level: TowerLevel):
+    """Adjacency eigenvalues of a tower level, one block of character nodes
+    at a time (`_level_symbol`, charged before any block); the level's graph
+    is never built. `l2 cdf` reads every level so, `tower run` every level
+    that `_level_log_sums` does not read from its line.
+    """
+    return _node_eigenvalues(_level_symbol(level), level.voltages.orders[0])
+
+
+def _level_log_sums(levels, q: int, us: np.ndarray):
+    """Per tower level: its log-sum at the points `us`, that of
+    `_level_blocks`, and the largest |rho| of its roots (None if read from
+    its characters). Every level is charged (`_level_symbol`) on the call.
+
+    A rank-1 level of order n is n * mean + sum log(1 - rho^n) over the
+    roots of its symbol's line (`_line_roots`), solved once per distinct
+    symbol: all levels above n = 2 max |s| share one. A level reads its line
+    if the roots are solved, or if n > 2D + 1 and both the root solve,
+    (2D)^2, and the roots kept, points x (2D + 1), fit NODE_BUDGET; else its
+    n^k characters. NumericError names a level and a point whose root count
+    is not D.
+    """
+    symbols = [_level_symbol(level) for level in levels]
+    solved: dict = {}
+
+    def read(level: TowerLevel, sym: TorusSymbol):
+        n = level.voltages.orders[0]
+        degree, _, line = _exact_axis(sym)
+        width = 2 * degree + 1
+        cheaper = sym.rank == 1 and n > width and max(4 * degree**2, us.size * width) <= NODE_BUDGET
+        if sym not in solved and not cheaper:
+            return _log_sum(_node_eigenvalues(sym, n), q, us), None
+        if sym not in solved:
+            nodes = (run.reshape(width, -1) for run in _node_eigenvalues(line, width, width))
+            solved[sym] = _log_sum(nodes, q, us, lambda s: np.column_stack(_line_roots(s, degree)))
+        means, inside = solved[sym][:, 0], solved[sym][:, 1:]
+        logs = n * means + np.log1p(-(inside**n)).sum(axis=1)
+        if np.isnan(logs).any():
+            raise NumericError(
+                f"u = {us[np.isnan(logs)][0]}: the determinant of the level of index "
+                f"{level.index} does not have {degree} roots outside the unit circle"
+            )
+        return logs, float(np.abs(inside).max(initial=0.0))
+
+    return (read(level, sym) for level, sym in zip(levels, symbols))
 
 
 def level_cdf(level: TowerLevel) -> tuple[np.ndarray, np.ndarray]:
@@ -189,19 +241,22 @@ def _grid_log_det(sym: TorusSymbol, q: int, us: np.ndarray, m: int) -> np.ndarra
     return _log_sum(_node_eigenvalues(sym, m), q, us) / m**sym.rank
 
 
-def _line_sums(sums: np.ndarray, degree: int) -> np.ndarray:
-    """Per row of `sums`, the sum over its runs of 2D + 1 entries (D =
-    `degree`) of the mean over |z| = 1 of log P, where a run holds
+def _line_roots(sums: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per run of 2D + 1 entries of `sums` (D = `degree`), where a run holds
     S_s = log P(w^s), w = exp(2 pi i / (2D + 1)), of its own Laurent
-    polynomial P of degrees -D..D.
+    polynomial P of degrees -D..D: the mean of log P over |z| = 1 and the
+    2D values rho (r if |r| < 1, else 1 / r; 0 at 0 and infinity) over the
+    roots r of z^D P.
 
-    Over the roots r of z^D P, Jensen's formula anchored at z = 1 gives
-    S_0 - sum_{|r|>1} log(1 - 1/r) - sum_{|r|<1} log(1 - r). At D = 1 the
-    roots come from the stable quadratic formula. Otherwise top and bottom
-    coefficients below 1e-14 of the largest are dropped as roots at infinity
-    and at 0, and the roots are eigenvalues of companion matrices, about
-    LOG_CHUNK entries of them at a time (one matrix if more). A run's mean
-    is NaN unless the roots outside, with those at infinity, number D.
+    Jensen's formula anchored at z = 1 gives the mean S_0 - sum log(1 - rho);
+    over the n-th roots of unity, sum log P(z) = n * mean + sum log(1 - rho^n).
+    Inside the region both hold exactly, not modulo 2 pi i: no factor of P
+    meets (-inf, 0] (see `nth_root_det`). At D = 1 the roots come from the
+    stable quadratic formula. Otherwise top and bottom coefficients below
+    1e-14 of the largest are dropped as roots at infinity and at 0, and the
+    roots are eigenvalues of companion matrices, about LOG_CHUNK entries of
+    them at a time (one matrix if more). A run's mean is NaN, and its rho 0,
+    unless the roots outside, with those at infinity, number D.
     """
     width = 2 * degree + 1
     lines = sums.reshape(-1, width)
@@ -217,7 +272,7 @@ def _line_sums(sums: np.ndarray, degree: int) -> np.ndarray:
     else:
         tiny = np.abs(coef) < 1e-14 * np.abs(coef).max(axis=1, keepdims=True)
         top, bottom = tiny.argmin(axis=1), tiny[:, ::-1].argmin(axis=1)
-        inside = np.zeros((len(lines), 2 * degree), dtype=complex)  # r, or 1 / r if |r| > 1
+        inside = np.zeros((len(lines), 2 * degree), dtype=complex)
         outside = top.copy()
         for t, b in set(zip(top.tolist(), bottom.tolist())):
             rows = np.flatnonzero((top == t) & (bottom == b))
@@ -232,8 +287,18 @@ def _line_sums(sums: np.ndarray, degree: int) -> np.ndarray:
                 inside[pick, :order] = np.divide(1.0, roots, out=roots, where=out)
                 outside[pick] += out.sum(axis=1)
     ok = outside == degree
-    means = lines[:, 0] - np.log1p(-np.where(ok[:, None], inside, 0.0)).sum(axis=1)
-    return np.where(ok, means, np.nan).reshape(len(sums), -1).sum(axis=1)
+    inside = np.where(ok[:, None], inside, 0.0)
+    return np.where(ok, lines[:, 0] - np.log1p(-inside).sum(axis=1), np.nan), inside
+
+
+def _exact_axis(sym: TorusSymbol) -> tuple[int, int, TorusSymbol]:
+    """The torus axis j of least degree bound D = sum over edges of |s_j|,
+    as (D, j, the symbol with axis j moved last)."""
+    bounds = [sum(abs(f[i]) * c for _, _, f, c in sym.terms) // 2 for i in range(sym.rank)]
+    degree = min(bounds)
+    j = bounds.index(degree)
+    last = tuple((x, y, f[:j] + f[j + 1 :] + f[j : j + 1], c) for x, y, f, c in sym.terms)
+    return degree, j, TorusSymbol(sym.vertex_count, sym.rank, last)
 
 
 def l2_log_det(sym: TorusSymbol, q: int, u):
@@ -241,7 +306,7 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     (giving a complex) or an array of points (giving an array of its shape).
 
     On the axis j of least degree bound D = sum over edges of |s_j|,
-    `_line_sums` takes each line's mean exactly from 2D + 1 nodes; the other
+    `_line_roots` takes each line's mean exactly from 2D + 1 nodes; the other
     axes (none at rank 1) take a trapezoid of m = 16, 32, ... nodes each
     until two values agree within QUADRATURE_TOL, converged points dropping
     out. A refinement is charged max(2D + 1, (2D)^2) nodes per line, (2D)^2
@@ -251,11 +316,8 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     and more than 1e-12 away from it.
     """
     k, v = sym.rank, sym.vertex_count
-    bounds = [sum(abs(f[i]) * c for _, _, f, c in sym.terms) // 2 for i in range(k)]
-    degree = min(bounds)
-    j, width = bounds.index(degree), 2 * degree + 1
-    last = tuple((x, y, f[:j] + f[j + 1 :] + f[j : j + 1], c) for x, y, f, c in sym.terms)
-    lines = TorusSymbol(v, k, last)  # axis j moved last
+    degree, j, lines = _exact_axis(sym)
+    width = 2 * degree + 1
 
     def refine(points: np.ndarray) -> np.ndarray:
         values = np.full(points.shape, np.nan, dtype=complex)
@@ -272,7 +334,8 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
                 )
             blocks = _node_eigenvalues(lines, (m,) * (k - 1) + (width,), width)
             nodes = (run.reshape(-1, v) for run in blocks)
-            sums = _log_sum(nodes, q, points[active], lambda s: _line_sums(s, degree))
+            line_means = lambda s: _line_roots(s, degree)[0].reshape(len(s), -1).sum(axis=1)
+            sums = _log_sum(nodes, q, points[active], line_means)
             refined = sums / m ** (k - 1)
             if np.isnan(refined).any():
                 raise NumericError(

@@ -308,6 +308,30 @@ def test_tower_run_refuses_an_over_budget_level_before_the_target(workdir, capsy
     assert "8388608 eigenvalues" in capsys.readouterr().err
 
 
+def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, monkeypatch):
+    # the loop with voltage 3 has degree bound 3: order 8 > 2D + 1 reads the roots of
+    # its line, which the summary reports with their largest |rho|
+    (workdir / "loop3.json").write_text(
+        json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [3], "orders": [1, 8]})
+    )
+    argv = ["tower", "run", "--spec", str(workdir / "loop3.json"), "--target", "constant:1",
+            "--grid", "disk:0.6:5:0.02", "--out", str(workdir / "r")]
+    assert run(argv) == 0
+    levels = summary_of(capsys)["levels"]
+    assert [lvl["route"] for lvl in levels] == ["characters", "lines"]
+    assert levels[0]["rho_max"] is None and 0 < levels[1]["rho_max"] < 1
+    files = {p.name: p.read_bytes() for p in (workdir / "r").iterdir()}
+    assert not any(b"route" in body or b"rho_max" in body for body in files.values())
+    # its root solve is charged (2D)^2 = 36 nodes; past the budget, and within the
+    # level's 8 eigenvalues, the level is read from its characters
+    monkeypatch.setattr(l2, "NODE_BUDGET", 20)
+    assert run(argv) == 0
+    budgeted = summary_of(capsys)["levels"]
+    assert [lvl["route"] for lvl in budgeted] == ["characters", "characters"]
+    assert abs(budgeted[1]["sup_error"] - levels[1]["sup_error"]) < 1e-12
+    assert {p.name: p.read_bytes() for p in (workdir / "r").iterdir()}.keys() == files.keys()
+
+
 def test_tower_run_torus_target(workdir, capsys):
     # unroll one loop of the bouquet: levels are cycles with a loop at
     # every vertex, the limit is the matching Z-cover

@@ -7,6 +7,7 @@ of the spectral distribution.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from graphzeta import (
     TorusSymbol,
     TowerLevel,
     bouquet_graph,
+    complete_graph,
     covers,
     cycle_graph,
     derived_graph,
@@ -35,6 +37,7 @@ from graphzeta import (
     lattice_tower,
     level_cdf,
     path_graph,
+    spanning_tree_edges,
     symbol_spectral_cdf,
     torus_l2,
     torus_symbol,
@@ -425,6 +428,55 @@ def test_laurent_route_on_a_disconnected_base():
     assert np.max(np.abs(l2_log_det(sym, 2, us) - l2._grid_log_det(sym, 2, us, 512))) < 1e-12
 
 
+def symbol_of(base, voltages):
+    """The symbol of `voltages` as given, in no gauge."""
+    acc = Counter()
+    for (x, y), s in zip(base.edges, voltages):
+        acc[(x, y, tuple(s))] += 1
+        acc[(y, x, tuple(-c for c in s))] += 1
+    terms = tuple((x, y, f, c) for (x, y, f), c in sorted(acc.items()))
+    return TorusSymbol(base.vertex_count, len(voltages[0]), terms)
+
+
+def forest_gauged(base, voltages):
+    """`voltages` with every axis in the breadth-first spanning-forest gauge."""
+    phi = [np.zeros(len(voltages[0]), dtype=int) for _ in range(base.vertex_count)]
+    for e, x, y in covers._spanning_forest(base):
+        phi[y] = phi[x] + (1 if base.edges[e][0] == x else -1) * np.asarray(voltages[e])
+    return [tuple(int(c) for c in np.asarray(s) + phi[x] - phi[y]) for (x, y), s in zip(base.edges, voltages)]
+
+
+def test_symbol_keeps_the_presentation_of_least_degree_on_each_axis():
+    k8 = complete_graph(8)
+    one_shift = lambda g, e, s=(1,): [s if i == e else (0,) * len(s) for i in range(g.edge_count)]
+    k4_tree = spanning_tree_edges(K4)[0]
+    # axis 0: one tree-edge shift, raw 1 against gauged 2; axis 1: K4_SHIFTS, raw 5 against gauged 2
+    mixed = [(int(i == k4_tree), s) for i, (s,) in enumerate(K4_SHIFTS)]
+    cases = [
+        (k8, 6, one_shift(k8, spanning_tree_edges(k8)[0]), [1], [6]),
+        (K4, 2, one_shift(K4, k4_tree), [1], [2]),
+        (K4, 2, mixed, [1, 2], [2, 2]),
+    ]
+    rng = np.random.default_rng(17)
+    for base, q, voltages, least, gauged_bounds in cases:
+        sym = torus_symbol(base, VoltageAssignment.free(voltages))
+        raw, gauged = symbol_of(base, voltages), symbol_of(base, forest_gauged(base, voltages))
+        assert degree_bounds(sym) == least and degree_bounds(gauged) == gauged_bounds
+        thetas = rng.uniform(0.0, 2.0 * np.pi, (8, sym.rank))
+        for other in (raw, gauged):
+            assert np.max(np.abs(np.linalg.eigvalsh(sym.matrices(thetas))
+                                 - np.linalg.eigvalsh(other.matrices(thetas)))) < 1e-12
+            assert equivariant_walk_counts(sym, 8) == equivariant_walk_counts(other, 8)
+        us = np.array([0.1 + 0.1j, -0.2 + 0.05j, 0.3j, 0.05]) * q**-0.5 / 0.45
+        assert np.max(np.abs(l2_log_det(sym, q, us) - l2_log_det(gauged, q, us))) < 1e-12
+    # a tie goes to the gauge: on a triangle the shift moves off the tree edge (0, 1)
+    triangle = cycle_graph(3)
+    voltages = [(1,) if e == (0, 1) else (0,) for e in triangle.edges]
+    gauged = forest_gauged(triangle, voltages)
+    assert gauged != voltages and degree_bounds(symbol_of(triangle, gauged)) == [1]
+    assert torus_symbol(triangle, VoltageAssignment.free(voltages)) == symbol_of(triangle, gauged)
+
+
 # ---------------------------------------------------------------------------
 # level spectra from characters, against dense eigvalsh of the level graph
 
@@ -493,6 +545,99 @@ def test_million_vertex_level_matches_the_l2_limit(monkeypatch):
     report = tower_convergence(tower, torus_l2(B2, VZ2), GridSpec(q=3, radius=0.3, resolution=3))
     assert len(report.grid.points) == 5
     assert report.levels[-1].sup_error < 1e-12
+
+
+LINE_TOWERS = {
+    "loop": (LOOP, ((1,),), 1),
+    "K4": (K4, K4_SHIFTS, 2),
+    "Petersen": (PETERSEN, PETERSEN_SHIFTS, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_TOWERS))
+def test_cyclic_levels_from_line_roots_match_their_characters(name):
+    # each level reads the roots that a level of order 2^12 with the same lifted
+    # voltages solved: n = 1 (bound 0), n = 2 (where -1 lifts to 1), n <= 2D + 1 and up
+    base, shifts, q = LINE_TOWERS[name]
+    us = GridSpec(q=q, radius=0.9 * q**-0.5, resolution=6, margin=0.02).array
+    free = l2.torus_symbol(base, VoltageAssignment.free(shifts))
+    for n in (1, 2, 3, 4, 5, 7, 8, 12, 33, 256, 4096):
+        level = TowerLevel(n, base, VoltageAssignment.free(shifts).reduced((n,)))
+        sym = l2._level_symbol(level)
+        lifted = [[c - n if 2 * c > n else c for c in s] for s in level.voltages.voltages]
+        carrier = TowerLevel(2**12, base, VoltageAssignment.free(lifted).reduced((2**12,)))
+        assert l2._level_symbol(carrier) == sym
+        if n > 2 * max(abs(s) for (s,) in shifts):
+            assert sym == free
+        assert sym != free or n != 2 or name == "loop"
+        (_, solved), (logs, rho_max) = l2._level_log_sums([carrier, level], q, us)
+        assert solved is not None and rho_max == solved
+        chars = l2._log_sum(l2._level_blocks(level), q, us)
+        # relative to the sum of |log| over the eigenvalues: a loop level's log-sum,
+        # 2 log(1 - u^n), is near 0 and its relative error is that of cancellation
+        eigs = np.concatenate(list(l2._level_blocks(level)))
+        mass = np.abs(np.log(1.0 - eigs * us[:, None] + q * us[:, None] ** 2)).sum(axis=1)
+        assert np.max(np.abs(logs - chars) / mass) < 1e-12, n
+    assert degree_bounds(l2._level_symbol(TowerLevel(1, base, VoltageAssignment.free(shifts).reduced((1,))))) == [0]
+
+
+def test_a_seeded_k4_tower_solves_roots_at_most_three_times(monkeypatch):
+    # levels 1, 2, ..., 512: the ones above 2 max |s| share one symbol
+    calls, line_roots = [], l2._line_roots
+    monkeypatch.setattr(l2, "_line_roots", lambda sums, degree: calls.append(degree) or line_roots(sums, degree))
+    grid = GridSpec(q=2, radius=0.5, resolution=8, margin=0.05)
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        base, volt = presented(rng, K4, K4_SHIFTS)
+        tower = lattice_tower(base, volt.voltages, [2**i for i in range(10)])
+        calls.clear()
+        report = tower_convergence(tower, tree_l2_reference(), grid)
+        assert 1 <= len(calls) <= 3
+        assert all(row.rho_max is not None for row in report.levels[-4:])
+
+
+def test_a_line_keeps_its_roots_within_the_node_budget(monkeypatch):
+    # the loop's order-8 level: 8 eigenvalues, a root solve of (2D)^2 = 4 and
+    # 2D + 1 = 3 values kept per point; 4 points fit a budget of 14, 5 do not
+    level = lattice_tower(LOOP, [(1,)], (1, 8)).levels[1]
+    us = np.array([0.1, 0.2j, -0.3, 0.1 - 0.4j, 0.5])
+    monkeypatch.setattr(l2, "NODE_BUDGET", 14)
+    (four, rho), = l2._level_log_sums([level], 1, us[:4])
+    assert rho is not None
+    (five, rho), = l2._level_log_sums([level], 1, us)
+    assert rho is None
+    assert np.max(np.abs(five[:4] - four)) < 1e-14
+
+
+def test_a_level_with_a_wrong_root_count_names_the_level_and_the_point(monkeypatch):
+    # both roots of z P(z) = (z - 0.5)(z - 0.25) lie inside the circle, not D = 1 outside
+    w = np.exp(2j * np.pi * np.arange(3) / 3)
+    means, inside = l2._line_roots(np.log((w - 0.5) * (w - 0.25) / w)[None, :], 1)
+    assert np.isnan(means).all() and not inside.any()
+    # a level whose line reads so at its second point names both
+    line_roots = l2._line_roots
+
+    def second_wrong(sums, degree):
+        means, inside = line_roots(sums, degree)
+        means[1] = np.nan
+        return means, inside
+
+    monkeypatch.setattr(l2, "_line_roots", second_wrong)
+    level = lattice_tower(K4, K4_SHIFTS, (1, 64)).levels[1]
+    with pytest.raises(NumericError, match=r"u = \(0\.3\+0\.1j\).* level of index 64 does not have 2 roots"):
+        list(l2._level_log_sums([level], 2, np.array([0.1, 0.3 + 0.1j])))
+
+
+def test_a_rank1_level_of_two_to_the_twenty_reads_one_line():
+    # index 2^20 x 4 vertices is the node budget; its characters took about 25 s
+    shifts = [(s,) for s in (1, 0, 2, -1, 0, 1)]
+    tower = lattice_tower(K4, shifts, (1, 2**10, 2**20))
+    grid = GridSpec(q=2, radius=0.5, resolution=8, margin=0.05)
+    report = tower_convergence(tower, tree_l2_reference(), grid)
+    assert report.levels[0].rho_max is None and report.levels[1].rho_max == report.levels[2].rho_max
+    rho = report.levels[-1].rho_max
+    assert 0 < rho < 1 and rho**(2**10) < 1e-300
+    assert report.levels[1].errors.tolist() == report.levels[2].errors.tolist()
 
 
 def test_level_spectrum_needs_equal_orders():
