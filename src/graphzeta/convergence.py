@@ -20,7 +20,7 @@ import numpy as np
 
 from .covers import Tower
 from .errors import InputError, ResourceError
-from .graphs import NODE_BUDGET, MultiGraph, regular_q, write_rows, write_text
+from .graphs import NODE_BUDGET, MultiGraph, json_int, regular_q, write_rows, write_text
 from .l2 import L2Zeta, _count_at_most, _level_blocks, _level_log_sums
 from .region import at_points, check_q, omega_contains, require_inside, set_c_polyline
 from .zeta import det_poly, zeta_eval
@@ -43,7 +43,8 @@ class GridSpec:
     margin: float | None = None
 
     def __post_init__(self) -> None:
-        check_q(self.q)
+        object.__setattr__(self, "q", check_q(self.q))
+        object.__setattr__(self, "resolution", json_int(self.resolution, "resolution"))
         if not 0.0 < self.radius < self.q ** -0.5:
             raise InputError(
                 f"grid radius must lie in (0, q^(-1/2)) = (0, {self.q ** -0.5:.6g})"
@@ -57,9 +58,7 @@ class GridSpec:
             )
         if self.margin is None:
             object.__setattr__(self, "margin", 0.05 * self.q ** -0.5)
-        if self.margin < 0:
-            raise InputError("margin must be >= 0")
-        if not self.points:
+        if not self.points:  # omega_contains checks the margin
             raise InputError("the grid contains no admissible points")
 
     @cached_property
@@ -75,9 +74,9 @@ class GridSpec:
 
     def describe(self) -> dict:
         return {
-            "q": int(self.q),
+            "q": self.q,
             "radius": float(self.radius),
-            "resolution": int(self.resolution),
+            "resolution": self.resolution,
             "margin": float(self.margin),
             "point_count": len(self.points),
         }

@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError, NumericError, ResourceError
-from .graphs import NODE_BUDGET, MultiGraph, json_int, load_graph, read_json, require_size
+from .graphs import (NODE_BUDGET, MultiGraph, json_int, load_graph, read_json, require_size,
+                     spanning_forest)
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,25 @@ class VoltageAssignment:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
+        rank = json_int(self.rank, "rank")
+        if rank < 1:
             raise InputError("voltage rank must be >= 1")
-        for sigma in self.voltages:
-            if len(sigma) != self.rank:
-                raise InputError(f"voltage {sigma!r} does not have rank {self.rank}")
-        if self.orders is not None:
-            if len(self.orders) != self.rank:
+        voltages = tuple(tuple(json_int(c, "an entry of voltages") for c in sigma)
+                         for sigma in self.voltages)
+        for sigma in voltages:
+            if len(sigma) != rank:
+                raise InputError(f"voltage {sigma!r} does not have rank {rank}")
+        orders = self.orders
+        if orders is not None:
+            orders = tuple(json_int(n, "an entry of orders") for n in orders)
+            if len(orders) != rank:
                 raise InputError("orders and rank disagree")
-            if any(n < 1 for n in self.orders):
+            if any(n < 1 for n in orders):
                 raise InputError("cyclic orders must be >= 1")
-            reduced = tuple(
-                tuple(c % n for c, n in zip(sigma, self.orders)) for sigma in self.voltages
-            )
-            object.__setattr__(self, "voltages", reduced)
+            voltages = tuple(tuple(c % n for c, n in zip(sigma, orders)) for sigma in voltages)
+        object.__setattr__(self, "voltages", voltages)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def is_finite(self) -> bool:
@@ -58,7 +64,7 @@ class VoltageAssignment:
 
     @classmethod
     def cyclic(cls, shifts: Sequence[int], order: int) -> "VoltageAssignment":
-        return cls(tuple((int(s),) for s in shifts), (int(order),), 1)
+        return cls(tuple((s,) for s in shifts), (order,), 1)
 
     @classmethod
     def trivial(cls, edge_count: int) -> "VoltageAssignment":
@@ -67,26 +73,20 @@ class VoltageAssignment:
 
     @classmethod
     def free(cls, voltages: Sequence[Sequence[int]], rank: int | None = None) -> "VoltageAssignment":
-        vs = tuple(tuple(int(c) for c in sigma) for sigma in voltages)
+        vs = tuple(map(tuple, voltages))
         if rank is None:
             if not vs:
                 raise InputError("rank is required for an empty voltage list")
             rank = len(vs[0])
-        return cls(vs, None, int(rank))
+        return cls(vs, None, rank)
 
     @classmethod
-    def product(
-        cls, voltages: Sequence[Sequence[int]], orders: Sequence[int]
-    ) -> "VoltageAssignment":
-        return cls(
-            tuple(tuple(int(c) for c in sigma) for sigma in voltages),
-            tuple(int(n) for n in orders),
-            len(orders),
-        )
+    def product(cls, voltages: Sequence[Sequence[int]], orders: Sequence[int]) -> "VoltageAssignment":
+        return cls(tuple(map(tuple, voltages)), tuple(orders), len(orders))
 
     def reduced(self, orders: Sequence[int]) -> "VoltageAssignment":
         """The same voltages taken modulo the given cyclic orders."""
-        return VoltageAssignment(self.voltages, tuple(int(n) for n in orders), self.rank)
+        return VoltageAssignment(self.voltages, tuple(orders), self.rank)
 
 
 def derived_graph(base: MultiGraph, volt: VoltageAssignment) -> MultiGraph:
@@ -132,7 +132,7 @@ def validate_cover(
     sizes, and a local isomorphism on every vertex star."""
     if len(projection) != cover.vertex_count:
         raise InputError("projection length must equal the cover's vertex count")
-    proj = [int(p) for p in projection]
+    proj = [json_int(p, "an entry of projection") for p in projection]
     if any(not 0 <= p < base.vertex_count for p in proj):
         raise InputError("projection hits a vertex outside the base")
     fibers = [0] * base.vertex_count
@@ -229,7 +229,7 @@ def lattice_tower(
     """
     volt_free = VoltageAssignment.free(voltages)
     k = volt_free.rank
-    orders = [int(n) for n in orders]
+    orders = [json_int(n, "an entry of orders") for n in orders]
     if not orders or orders[0] != 1:
         raise InputError("orders must start at 1 (the base level)")
     return Tower(
@@ -250,26 +250,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _spanning_forest(g: MultiGraph):
-    """Breadth-first spanning forest grown from the first vertex of each
-    component: (edge index, tree vertex, new vertex) per tree edge."""
-    seen = [False] * g.vertex_count
-    for root in range(g.vertex_count):
-        queue = [] if seen[root] else [root]
-        seen[root] = True
-        for v in queue:  # grows while it is read: first in, first out
-            for eidx, other in g.incidences[v]:
-                if not seen[other]:
-                    seen[other] = True
-                    queue.append(other)
-                    yield eidx, v, other
-
-
 def spanning_tree_edges(g: MultiGraph) -> tuple[int, ...]:
     """Edge indices of the breadth-first spanning tree grown from vertex 0."""
     if not g.is_connected:
         raise InputError("spanning tree requires a connected graph")
-    return tuple(sorted(eidx for eidx, _, _ in _spanning_forest(g)))
+    return tuple(sorted(eidx for eidx, _, _ in spanning_forest(g)))
 
 
 def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
@@ -284,6 +269,7 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
     ResourceError before p is tested for primality, and so does a depth over
     log2(NODE_BUDGET) = 22: each step multiplies the index by p or repeats it.
     """
+    p, depth = json_int(p, "p"), json_int(depth, "depth")
     if p > NODE_BUDGET:
         raise ResourceError(f"p = {p} is over the node budget of {NODE_BUDGET}: "
                             "a homology level above the base has index at least p")
@@ -394,7 +380,7 @@ def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
         raise InputError(f"a {kind} tower spec needs {' and '.join(map(repr, missing))}")
     base = load_graph(spec_base_path(doc, base_dir))
     if kind == "homology":
-        return homology_tower(base, *(json_int(doc[key], key) for key in ("p", "depth")))
+        return homology_tower(base, doc["p"], doc["depth"])
     orders = _json_ints(doc["orders"], 'tower spec "orders"')
     if kind == "cyclic":
         voltages = [[s] for s in _json_ints(doc["voltages"], 'tower spec "voltages"')]

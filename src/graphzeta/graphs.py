@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -42,19 +41,19 @@ class MultiGraph:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.vertex_count, int) or self.vertex_count < 1:
+        vertices = json_int(self.vertex_count, "vertex_count")
+        if vertices < 1:
             raise InputError("vertex_count must be a positive integer")
-        normalized = []
-        for edge in self.edges:
-            if len(edge) != 2:
-                raise InputError(f"edge {edge!r} is not a pair")
-            x, y = int(edge[0]), int(edge[1])
-            if not (0 <= x < self.vertex_count and 0 <= y < self.vertex_count):
-                raise InputError(
-                    f"edge ({x}, {y}) has an endpoint outside 0..{self.vertex_count - 1}"
-                )
-            normalized.append((x, y))
-        object.__setattr__(self, "edges", tuple(normalized))
+        try:
+            pairs = [(x, y) for x, y in self.edges]
+        except (TypeError, ValueError) as exc:  # edges, or an edge, that is not a pair
+            raise InputError(f"edges must be pairs of vertices: {exc}") from exc
+        edges = tuple((json_int(x, "an edge end"), json_int(y, "an edge end")) for x, y in pairs)
+        for x, y in edges:
+            if not (0 <= x < vertices and 0 <= y < vertices):
+                raise InputError(f"edge ({x}, {y}) has an endpoint outside 0..{vertices - 1}")
+        object.__setattr__(self, "vertex_count", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -92,30 +91,27 @@ class MultiGraph:
         return tuple(tuple(entries) for entries in inc)
 
     @cached_property
-    def component_labels(self) -> tuple[int, ...]:
-        labels = [-1] * self.vertex_count
-        current = 0
-        for start in range(self.vertex_count):
-            if labels[start] >= 0:
-                continue
-            labels[start] = current
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for _, other in self.incidences[v]:
-                    if labels[other] < 0:
-                        labels[other] = current
-                        queue.append(other)
-            current += 1
-        return tuple(labels)
-
-    @property
     def component_count(self) -> int:
-        return max(self.component_labels) + 1
+        return self.vertex_count - sum(1 for _ in spanning_forest(self))
 
     @property
     def is_connected(self) -> bool:
         return self.component_count == 1
+
+
+def spanning_forest(g: MultiGraph):
+    """Breadth-first spanning forest grown from the first vertex of each
+    component: (edge index, tree vertex, new vertex) per tree edge."""
+    seen = [False] * g.vertex_count
+    for root in range(g.vertex_count):
+        queue = [] if seen[root] else [root]
+        seen[root] = True
+        for v in queue:  # grows while it is read: first in, first out
+            for eidx, other in g.incidences[v]:
+                if not seen[other]:
+                    seen[other] = True
+                    queue.append(other)
+                    yield eidx, v, other
 
 
 @dataclass(frozen=True)
@@ -176,24 +172,28 @@ def spectrum(g: MultiGraph) -> np.ndarray:
 
 def cycle_graph(n: int) -> MultiGraph:
     """The n-cycle; n=1 is a single loop, n=2 a doubled edge."""
+    n = json_int(n, "n")
     if n < 1:
         raise InputError("cycle length must be >= 1")
     return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)), name=f"C{n}")
 
 
 def path_graph(n: int) -> MultiGraph:
+    n = json_int(n, "n")
     if n < 1:
         raise InputError("path needs at least one vertex")
     return MultiGraph(n, tuple((i, i + 1) for i in range(n - 1)), name=f"P{n}")
 
 
 def complete_graph(n: int) -> MultiGraph:
+    n = json_int(n, "n")
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     return MultiGraph(n, edges, name=f"K{n}")
 
 
 def bouquet_graph(loops: int) -> MultiGraph:
     """One vertex carrying the given number of loops."""
+    loops = json_int(loops, "loops")
     if loops < 0:
         raise InputError("loop count must be >= 0")
     return MultiGraph(1, tuple((0, 0) for _ in range(loops)), name=f"B{loops}")
@@ -218,8 +218,12 @@ def graph_to_json(g: MultiGraph) -> dict:
 
 
 def json_int(value, what: str) -> int:
-    """An int or integral float from a JSON document; else InputError naming `what`."""
-    if isinstance(value, float) and value.is_integer() or type(value) is int:
+    """`value` as an int: an int, a numpy integer or an integral float (as a
+    JSON number may be written); a bool or any other value is an InputError
+    naming `what`. The one integer check of the package's API and files."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
 
@@ -231,11 +235,7 @@ def graph_from_json(doc: dict) -> MultiGraph:
         raise InputError('graph JSON needs "vertices" and "edges" keys')
     vertices = json_int(doc["vertices"], "vertices")
     require_size(vertices, "a graph file")
-    try:
-        edges = [(json_int(x, "an edge end"), json_int(y, "an edge end")) for x, y in doc["edges"]]
-    except (TypeError, ValueError) as exc:  # edges or an edge that is not a list of two
-        raise InputError(f"malformed graph JSON: {exc}") from exc
-    return MultiGraph(vertices, tuple(edges), doc.get("name"))
+    return MultiGraph(vertices, doc["edges"], doc.get("name"))
 
 
 def save_graph(g: MultiGraph, path: "str | Path") -> None:

@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .covers import TowerLevel, VoltageAssignment, _spanning_forest
+from .covers import TowerLevel, VoltageAssignment
 from .errors import DomainError, InputError, NumericError, ResourceError
-from .graphs import NODE_BUDGET, MultiGraph, regular_q, require_size
+from .graphs import NODE_BUDGET, MultiGraph, json_int, regular_q, require_size, spanning_forest
 from .region import at_points, check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
@@ -76,7 +76,7 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
     if len(volt.voltages) != base.edge_count:
         raise InputError(f"{len(volt.voltages)} voltages for {base.edge_count} edges")
     phi = [(0,) * volt.rank] * base.vertex_count
-    for eidx, x, y in _spanning_forest(base):
+    for eidx, x, y in spanning_forest(base):
         sign = 1 if base.edges[eidx][0] == x else -1
         phi[y] = tuple(p + sign * c for p, c in zip(phi[x], volt.voltages[eidx]))
     gauged = [tuple(c + a - b for c, a, b in zip(s, phi[x], phi[y]))
@@ -102,7 +102,7 @@ def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1):
     matrices hold about 4e6 entries. A symbol over SIZE_CAP vertices raises
     ResourceError before any matrix exists."""
     require_size(sym.vertex_count, "a dense symbol eigensolve")
-    counts = tuple(int(c) for c in np.broadcast_to(m, sym.rank))
+    counts = tuple(np.broadcast_to(m, sym.rank).tolist())
     axes = [2.0 * np.pi * np.arange(c) / c for c in counts]
     total = math.prod(counts)
     block = max(1, 4_000_000 // max(1, sym.vertex_count**2) // line) * line
@@ -362,13 +362,6 @@ def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
 # series oracle: equivariant walk counting
 
 
-def _whole(value, what: str, least: int) -> int:
-    """`value` as an int of at least `least` (a bool is not one); else InputError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def _walk_bound(sym: TorusSymbol, length: int) -> int:
     """v Delta^length, Delta the largest row sum of |coefficients| (the cover's
     largest degree): no sum of walk counts of at most `length` steps passes it."""
@@ -387,7 +380,9 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     ints from there. ResourceError, before any array, when h v^2 (box size)
     passes NODE_BUDGET.
     """
-    length = _whole(length, "length", 0)
+    length = json_int(length, "length")
+    if length < 0:
+        raise InputError(f"length must be an integer >= 0, got {length}")
     v, weights = sym.vertex_count, Counter()
     for x, y, f, c in sym.terms:
         weights[(x, y, tuple(f))] += c
@@ -429,16 +424,22 @@ def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
     quadrature route. `u` is a point (giving a complex) or an array of
     points (giving an array of that shape); the walks are counted once.
     ResourceError, before any walk, when a walk count (`_walk_bound`) or a
-    binomial (2^terms) may pass the float range.
+    binomial (2^terms) may pass the float range, or when the sums, points x
+    terms^2 products in pure Python, pass NODE_BUDGET.
     """
-    check_q(q)
-    terms = _whole(terms, "terms", 1)
+    q, terms = check_q(q), json_int(terms, "terms")
+    if terms < 1:
+        raise InputError(f"terms must be an integer >= 1, got {terms}")
     if terms >= 1024 or _walk_bound(sym, terms) > float(np.finfo(float).max):
         raise ResourceError(f"a series of {terms} terms may pass the float range")
     limit = 1.0 / (2.0 * (q + 1.0))
 
     def series(us: np.ndarray) -> np.ndarray:
         points = us.tolist()
+        charge = len(points) * terms**2
+        if charge > NODE_BUDGET:
+            raise ResourceError(f"a series of {terms} terms at {len(points)} points needs {charge} "
+                                f"products, over the node budget of {NODE_BUDGET}")
         for z in points:
             if not abs(z) < limit:
                 raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(z):.6g})")

@@ -6,9 +6,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .graphs import json_int
+
 
 def _normalize(coeffs: Sequence[int]) -> tuple[int, ...]:
-    out = [int(c) for c in coeffs]
+    out = [json_int(c, "an entry of coefficients") for c in coeffs]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out) if out else (0,)
@@ -53,7 +55,7 @@ class IntPolynomial:
             raise ValueError("not divisible: nonzero remainder")
         if any(q.denominator != 1 for q in quot):
             raise ValueError("quotient is not integral")
-        return IntPolynomial(tuple(int(q) for q in quot))
+        return IntPolynomial(tuple(q.numerator for q in quot))
 
     def divides(self, other: "IntPolynomial") -> bool:
         try:

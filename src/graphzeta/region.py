@@ -14,14 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
+from .graphs import json_int
 
 _CUT_MARGIN = 1e-12  # points this close to C, hence to a branch cut, take no logs
 _POLYLINE_POINTS = 256
 
 
-def check_q(q: int) -> None:
-    if not isinstance(q, (int, np.integer)) or q < 1:
+def check_q(q: int) -> int:
+    """q as an int (`json_int`); InputError unless it is at least 1."""
+    q = json_int(q, "q")
+    if q < 1:
         raise InputError("q must be an integer >= 1")
+    return q
 
 
 def at_points(u, f, one=complex):
@@ -36,14 +40,14 @@ def at_points(u, f, one=complex):
 def slit_distance(q: int, u) -> "float | np.ndarray":
     """Distance to the real slits [-1, -1/q] and [1/q, 1]: by symmetry, the
     distance from |Re u| + i Im u to [1/q, 1]."""
-    check_q(q)
+    q = check_q(q)
     return at_points(u, lambda z: np.hypot(
         np.maximum(np.maximum(1.0 / q - np.abs(z.real), np.abs(z.real) - 1.0), 0.0), z.imag), float)
 
 
 def distance_to_C(q: int, u) -> "float | np.ndarray":
     """Distance to the boundary set C (circle plus slits)."""
-    check_q(q)
+    q = check_q(q)
     return at_points(u, lambda z: np.minimum(np.abs(np.abs(z) - q ** -0.5), slit_distance(q, z)), float)
 
 
@@ -54,7 +58,7 @@ def omega_contains(q: int, u, margin: float = 0.0) -> "bool | np.ndarray":
     margin > 0 the point must satisfy |u| <= q^(-1/2) - margin and keep
     distance >= margin from the real slits.
     """
-    check_q(q)
+    q = check_q(q)
     if margin < 0:
         raise InputError("margin must be >= 0")
     radius = q ** -0.5
@@ -78,7 +82,7 @@ def require_inside(q: int, u) -> None:
 
 def set_c_polyline(q: int) -> list[tuple[str, complex]]:
     """Discretized polyline of C for plotting: circle and the two slits."""
-    check_q(q)
+    q = check_q(q)
     n = _POLYLINE_POINTS
     out: list[tuple[str, complex]] = []
     radius = q ** -0.5

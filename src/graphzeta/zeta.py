@@ -26,7 +26,7 @@ import numpy as np
 
 from .covers import is_prime
 from .errors import DomainError, InputError, NumericError, ResourceError
-from .graphs import MultiGraph, regular_q, regularity, spectrum
+from .graphs import MultiGraph, json_int, regular_q, regularity, spectrum
 from .l2 import _log_sum
 from .polynomials import IntPolynomial
 from .region import at_points, distance_to_C
@@ -243,6 +243,7 @@ def nth_root_det(g: MultiGraph, n: int, u):
     eigenvalue lam in [-(q+1), q+1]. Accepts a scalar or an array of
     points; points on or within 1e-12 of C are rejected.
     """
+    n = json_int(n, "n")
     if n < 1:
         raise InputError("root order must be >= 1")
     q = regular_q(g)
@@ -251,6 +252,7 @@ def nth_root_det(g: MultiGraph, n: int, u):
 
 def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
     """Z(B_i, u)^(1/N_i) = (1 - u^2)^(-chi_base) * det^(1/N_i) for a level of a tower."""
+    n = json_int(n, "n")
     if g.euler_characteristic != n * chi_base:
         raise InputError(
             f"chi({g.name or 'level'}) = {g.euler_characteristic} != {n} * {chi_base}"
@@ -324,7 +326,7 @@ def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:
     never past 52 terms. Raises ResourceError, before any work, past that
     bound or past WALK_CAP oriented edges.
     """
-    oriented = 2 * g.edge_count
+    terms, oriented = json_int(terms, "terms"), 2 * g.edge_count
     if oriented > WALK_CAP:
         raise ResourceError(
             f"closed walk counts take at most {WALK_CAP} oriented edges, got {oriented}"
@@ -352,6 +354,7 @@ def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:
 
 def euler_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
     """Exact Taylor coefficients of log Z from the Euler product: c_m = -N_m / m."""
+    terms = json_int(terms, "terms")
     if terms < 1:
         raise InputError("terms must be >= 1")
     return tuple(Fraction(-n_m, m) for m, n_m in enumerate(closed_walk_counts(g, terms), 1))
@@ -359,6 +362,7 @@ def euler_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
 
 def zeta_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
     """The same coefficients from the closed form (1-u^2)^(-chi) det(...)."""
+    terms = json_int(terms, "terms")
     if terms < 1:
         raise InputError("terms must be >= 1")
     poly = det_poly(g)

@@ -8,24 +8,40 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphzeta import (
+    GridSpec,
     InputError,
+    IntPolynomial,
     MultiGraph,
     NumericError,
+    VoltageAssignment,
     bouquet_graph,
     complete_graph,
     cycle_graph,
+    derived_graph,
+    equivariant_walk_counts,
+    euler_log_coeffs,
     graph_from_json,
     graph_to_json,
     graphs,
+    homology_tower,
+    l2_series_oracle,
+    lattice_tower,
     load_graph,
+    normalized_zeta,
+    nth_root_det,
     path_graph,
     petersen_graph,
     regularity,
     save_graph,
     spectrum,
+    torus_symbol,
+    validate_cover,
+    zeta_log_coeffs,
 )
+from graphzeta.region import check_q
+from graphzeta.zeta import closed_walk_counts
 
-from corpus import K4, PETERSEN
+from corpus import B2, K4, PETERSEN
 
 
 def test_validation_rejects_bad_input():
@@ -67,7 +83,6 @@ def test_components():
     g = MultiGraph(5, [(0, 1), (1, 2), (3, 4)])
     assert not g.is_connected
     assert g.component_count == 2
-    assert g.component_labels == (0, 0, 0, 1, 1)
     assert K4.is_connected
 
 
@@ -159,3 +174,59 @@ def test_spectrum_is_relabeling_invariant(data):
     g = MultiGraph(n, edges)
     h = MultiGraph(n, [(perm[x], perm[y]) for x, y in edges])
     assert np.allclose(spectrum(g), spectrum(h), atol=1e-9)
+
+
+_B2_Z2 = VoltageAssignment.free(((1, 0), (0, 1)))
+_B2_SYMBOL = torus_symbol(B2, _B2_Z2)
+_K4_3 = VoltageAssignment.cyclic((1, 0, 0, 0, 0, 0), 3)
+
+# every entry point that takes an integer, as (argument as it reads in the error, call)
+INTEGER_ENTRY_POINTS = {
+    "MultiGraph vertex_count": ("vertex_count", lambda x: MultiGraph(x, ((0, 1),))),
+    "MultiGraph edges": ("an edge end", lambda x: MultiGraph(4, ((0, x),))),
+    "VoltageAssignment voltages": ("an entry of voltages", lambda x: VoltageAssignment(((x,),), (5,), 1)),
+    "VoltageAssignment orders": ("an entry of orders", lambda x: VoltageAssignment(((1,),), (x,), 1)),
+    "VoltageAssignment rank": ("rank", lambda x: VoltageAssignment(((1, 2, 3),), None, x)),
+    "VoltageAssignment.cyclic": ("an entry of orders", lambda x: VoltageAssignment.cyclic((1,), x)),
+    "VoltageAssignment.product": ("an entry of orders", lambda x: VoltageAssignment.product([[1]], [x])),
+    "VoltageAssignment.free": ("rank", lambda x: VoltageAssignment.free([[1, 2, 3]], x)),
+    "VoltageAssignment.reduced": ("an entry of orders", lambda x: _B2_Z2.reduced((2, x))),
+    "lattice_tower orders": ("an entry of orders", lambda x: lattice_tower(cycle_graph(1), [(1,)], [1, x])),
+    "lattice_tower voltages": ("an entry of voltages", lambda x: lattice_tower(K4, [(x,)] * 6, [1, 2])),
+    "homology_tower p": ("p", lambda x: homology_tower(K4, x, 1)),
+    "homology_tower depth": ("depth", lambda x: homology_tower(cycle_graph(3), 2, x)),
+    "IntPolynomial": ("an entry of coefficients", lambda x: IntPolynomial((1, x))),
+    "validate_cover": (
+        "an entry of projection",
+        lambda x: validate_cover(cycle_graph(8), cycle_graph(4), (0, 1, 2, x, 0, 1, 2, 3)),
+    ),
+    "check_q": ("q", check_q),
+    "GridSpec q": ("q", lambda x: GridSpec(x, 0.5, 3)),
+    "GridSpec resolution": ("resolution", lambda x: GridSpec(2, 0.5, x)),
+    "cycle_graph": ("n", cycle_graph),
+    "path_graph": ("n", path_graph),
+    "complete_graph": ("n", complete_graph),
+    "bouquet_graph": ("loops", bouquet_graph),
+    "closed_walk_counts": ("terms", lambda x: closed_walk_counts(K4, x)),
+    "euler_log_coeffs": ("terms", lambda x: euler_log_coeffs(K4, x)),
+    "zeta_log_coeffs": ("terms", lambda x: zeta_log_coeffs(K4, x)),
+    "nth_root_det": ("n", lambda x: nth_root_det(K4, x, 0.1)),
+    "normalized_zeta": ("n", lambda x: normalized_zeta(derived_graph(K4, _K4_3), x, -2, 0.1)),
+    "equivariant_walk_counts": ("length", lambda x: equivariant_walk_counts(_B2_SYMBOL, x)),
+    "l2_series_oracle terms": ("terms", lambda x: l2_series_oracle(_B2_SYMBOL, 3, 0.01, x)),
+    "l2_series_oracle q": ("q", lambda x: l2_series_oracle(_B2_SYMBOL, x, 0.01, 3)),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
+def test_every_integer_argument_follows_one_rule(name):
+    """json_int everywhere: a numpy integer or an integral float is the int,
+    and a fraction, a bool or a string is an InputError naming the argument."""
+    what, call = INTEGER_ENTRY_POINTS[name]
+    expected = call(3)
+    for same in (np.int64(3), 3.0):
+        assert call(same) == expected
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InputError) as info:
+            call(bad)
+        assert f"{what} must be an integer, got {bad!r}" in str(info.value)

@@ -29,6 +29,7 @@ from graphzeta import (
     cycle_graph,
     derived_graph,
     equivariant_walk_counts,
+    graphs,
     l2,
     l2_log_det,
     l2_series_oracle,
@@ -441,7 +442,7 @@ def symbol_of(base, voltages):
 def forest_gauged(base, voltages):
     """`voltages` with every axis in the breadth-first spanning-forest gauge."""
     phi = [np.zeros(len(voltages[0]), dtype=int) for _ in range(base.vertex_count)]
-    for e, x, y in covers._spanning_forest(base):
+    for e, x, y in graphs.spanning_forest(base):
         phi[y] = phi[x] + (1 if base.edges[e][0] == x else -1) * np.asarray(voltages[e])
     return [tuple(int(c) for c in np.asarray(s) + phi[x] - phi[y]) for (x, y), s in zip(base.edges, voltages)]
 
@@ -705,6 +706,20 @@ def test_walk_counts_are_charged_against_the_node_budget(monkeypatch):
         equivariant_walk_counts(sym, 10**6)
     with pytest.raises(ResourceError, match="1000000 terms"):
         l2_series_oracle(sym, 3, 0.01, 10**6)
+
+
+def test_series_oracle_is_charged_against_the_node_budget(monkeypatch):
+    sym, us = torus_symbol(B2, VZ2), np.linspace(0.01, 0.05, 8)
+    # 8 points x 10^2 = 800 products; the walks of length 10 charge 5 x 11 x 11 = 605 entries
+    monkeypatch.setattr(l2, "NODE_BUDGET", 800)
+    values = l2_series_oracle(sym, 3, us, 10)
+    monkeypatch.setattr(l2, "NODE_BUDGET", 799)
+    monkeypatch.setattr(l2, "equivariant_walk_counts", lambda *args: pytest.fail("walks counted"))
+    with pytest.raises(ResourceError, match="10 terms at 8 points needs 800 products, over the node budget of 799"):
+        l2_series_oracle(sym, 3, us, 10)
+    monkeypatch.undo()
+    monkeypatch.setattr(l2, "NODE_BUDGET", 799)
+    assert l2_series_oracle(sym, 3, us[-1], 10) == values[-1]  # one point at a time fits
 
 
 def test_series_oracle_refuses_counts_past_the_float_range():
