@@ -11,6 +11,7 @@ otherwise the `exit_code` of the error raised (tabulated in errors.py).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -372,6 +373,7 @@ def _cmd_deitmar_check(args) -> tuple[dict, int]:
 # parser
 
 
+@functools.cache  # built on the first run, then reused: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphzeta", description=__doc__)
     groups = parser.add_subparsers(dest="group")

@@ -22,6 +22,14 @@ from .graphs import (NODE_BUDGET, MultiGraph, json_int, load_graph, read_json, r
                      spanning_forest)
 
 
+def _entries(value, what: str) -> tuple:
+    """`value`, an iterable, as a tuple; else an InputError naming `what`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} must be a list, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class VoltageAssignment:
     """Edge voltages in a product of cyclic groups or in free abelian Z^k.
@@ -41,14 +49,14 @@ class VoltageAssignment:
         rank = json_int(self.rank, "rank")
         if rank < 1:
             raise InputError("voltage rank must be >= 1")
-        voltages = tuple(tuple(json_int(c, "an entry of voltages") for c in sigma)
-                         for sigma in self.voltages)
+        rows = (_entries(row, "a voltage") for row in _entries(self.voltages, "voltages"))
+        voltages = tuple(tuple(json_int(c, "an entry of voltages") for c in row) for row in rows)
         for sigma in voltages:
             if len(sigma) != rank:
                 raise InputError(f"voltage {sigma!r} does not have rank {rank}")
         orders = self.orders
         if orders is not None:
-            orders = tuple(json_int(n, "an entry of orders") for n in orders)
+            orders = tuple(json_int(n, "an entry of orders") for n in _entries(orders, "orders"))
             if len(orders) != rank:
                 raise InputError("orders and rank disagree")
             if any(n < 1 for n in orders):
@@ -69,24 +77,25 @@ class VoltageAssignment:
     @classmethod
     def trivial(cls, edge_count: int) -> "VoltageAssignment":
         """The order-1 assignment: the cover it derives is the graph itself."""
-        return cls(((0,),) * edge_count, (1,), 1)
+        return cls(((0,),) * json_int(edge_count, "edge_count"), (1,), 1)
 
     @classmethod
     def free(cls, voltages: Sequence[Sequence[int]], rank: int | None = None) -> "VoltageAssignment":
-        vs = tuple(map(tuple, voltages))
+        vs = _entries(voltages, "voltages")
         if rank is None:
             if not vs:
                 raise InputError("rank is required for an empty voltage list")
-            rank = len(vs[0])
+            rank = len(_entries(vs[0], "a voltage"))
         return cls(vs, None, rank)
 
     @classmethod
     def product(cls, voltages: Sequence[Sequence[int]], orders: Sequence[int]) -> "VoltageAssignment":
-        return cls(tuple(map(tuple, voltages)), tuple(orders), len(orders))
+        orders = _entries(orders, "orders")
+        return cls(voltages, orders, len(orders))
 
     def reduced(self, orders: Sequence[int]) -> "VoltageAssignment":
         """The same voltages taken modulo the given cyclic orders."""
-        return VoltageAssignment(self.voltages, tuple(orders), self.rank)
+        return VoltageAssignment(self.voltages, orders, self.rank)
 
 
 def derived_graph(base: MultiGraph, volt: VoltageAssignment) -> MultiGraph:
@@ -169,6 +178,9 @@ class TowerLevel:
     parent: MultiGraph
     voltages: VoltageAssignment
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", json_int(self.index, "index"))
+
     @cached_property
     def graph(self) -> MultiGraph:
         if self.voltages.is_finite and math.prod(self.voltages.orders) == 1:
@@ -229,7 +241,7 @@ def lattice_tower(
     """
     volt_free = VoltageAssignment.free(voltages)
     k = volt_free.rank
-    orders = [json_int(n, "an entry of orders") for n in orders]
+    orders = [json_int(n, "an entry of orders") for n in _entries(orders, "orders")]
     if not orders or orders[0] != 1:
         raise InputError("orders must start at 1 (the base level)")
     return Tower(

@@ -95,12 +95,14 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
 # torus quadrature
 
 
-def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1):
+def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1, weigh=None):
     """Eigenvalues of the symbol at the trapezoid nodes, m[i] on axis i (m on
     every axis if an int), as flat runs node by node, one block of nodes at
     a time: a whole number of runs of `line` nodes (at least one run) whose
-    matrices hold about 4e6 entries. A symbol over SIZE_CAP vertices raises
-    ResourceError before any matrix exists."""
+    matrices hold about 4e6 entries. With `weigh` (coordinates of each run's
+    first node -> integer weights), only runs of nonzero weight are read, as
+    blocks (eigenvalues, weights), if any. A symbol over SIZE_CAP vertices
+    raises ResourceError before any matrix exists."""
     require_size(sym.vertex_count, "a dense symbol eigensolve")
     counts = tuple(np.broadcast_to(m, sym.rank).tolist())
     axes = [2.0 * np.pi * np.arange(c) / c for c in counts]
@@ -108,19 +110,26 @@ def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1):
     block = max(1, 4_000_000 // max(1, sym.vertex_count**2) // line) * line
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total))
+        if weigh is not None:
+            weights = weigh(np.unravel_index(idx[::line], counts))
+            if not weights.any():
+                continue
+            idx, weights = idx.reshape(-1, line)[weights > 0].ravel(), weights[weights > 0]
         coords = np.unravel_index(idx, counts)
         eigs = sym.matrices(np.column_stack([axis[c] for axis, c in zip(axes, coords)]))
         if sym.vertex_count > 1:  # a 1 x 1 Hermitian matrix is its own (real) eigenvalue
             eigs = np.linalg.eigvalsh(eigs)  # drops the matrices before the next block
-        yield eigs.reshape(-1).real
+        eigs = eigs.reshape(-1).real
+        yield eigs if weigh is None else (eigs, weights)
 
 
 def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
     """Sum of log(1 - lam u + q u^2) over the eigenvalues lam of `blocks`,
     at each point of the 1-d array `us`.
 
-    A flat block is one run; a (nodes, v) block gives a sum per node that
-    `fold` maps to one value or one row of values per point (by default,
+    A flat block is one run; a (nodes, v) block, alone or as (block,
+    weights), gives a sum per node that `fold` maps, with the weights (None
+    if alone), to one value or one row of values per point (by default,
     their sum). Points go a group at a time, at most LOG_CHUNK entries of
     group x block (one point if more), and no point's sum depends on
     another's. No block is read unless every point is inside the region
@@ -130,6 +139,7 @@ def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
     acc = None
     shift = q * us * us
     for block in blocks:
+        block, weights = block if isinstance(block, tuple) else (block, None)
         block = np.atleast_2d(block)  # a flat run is one node
         group = max(1, LOG_CHUNK // block.size)
         for i in range(0, us.size, group):
@@ -137,7 +147,7 @@ def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
             z = 1.0 - block * us[i : i + group, None, None]
             z += shift[i : i + group, None, None]
             sums = np.sum(np.log(z, out=z), axis=2)
-            part = sums.sum(axis=1) if fold is None else fold(sums)
+            part = sums.sum(axis=1) if fold is None else fold(sums, weights)
             if acc is None:
                 acc = np.zeros(us.shape + part.shape[1:], dtype=complex)
             acc[i : i + group] += part
@@ -207,7 +217,7 @@ def _level_log_sums(levels, q: int, us: np.ndarray):
             return _log_sum(_node_eigenvalues(sym, n), q, us), None
         if sym not in solved:
             nodes = (run.reshape(width, -1) for run in _node_eigenvalues(line, width, width))
-            solved[sym] = _log_sum(nodes, q, us, lambda s: np.column_stack(_line_roots(s, degree)))
+            solved[sym] = _log_sum(nodes, q, us, lambda s, _: np.column_stack(_line_roots(s, degree)))
         means, inside = solved[sym][:, 0], solved[sym][:, 1:]
         logs = n * means + np.log1p(-(inside**n)).sum(axis=1)
         if np.isnan(logs).any():
@@ -309,11 +319,13 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     `_line_roots` takes each line's mean exactly from 2D + 1 nodes; the other
     axes (none at rank 1) take a trapezoid of m = 16, 32, ... nodes each
     until two values agree within QUADRATURE_TOL, converged points dropping
-    out. A refinement is charged max(2D + 1, (2D)^2) nodes per line, (2D)^2
-    for a root solve of degree 2D. ResourceError names a point
-    whose next refinement would pass NODE_BUDGET, NumericError one whose
-    root count is not D. Every point must be inside the region bounded by C
-    and more than 1e-12 away from it.
+    out. Refinement m adds to a running total only the lines new to it (an
+    odd coordinate; all at m = 16), one of each conjugate pair {j, -j mod m}
+    at weight 2 (1 if j = -j). It is still charged max(2D + 1, (2D)^2) nodes
+    for each of its m^(k-1) lines, (2D)^2 for a root solve of degree 2D.
+    ResourceError names a point whose next refinement would pass
+    NODE_BUDGET, NumericError one whose root count is not D. Every point
+    must be inside the region bounded by C and more than 1e-12 away from it.
     """
     k, v = sym.rank, sym.vertex_count
     degree, j, lines = _exact_axis(sym)
@@ -321,6 +333,7 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
 
     def refine(points: np.ndarray) -> np.ndarray:
         values = np.full(points.shape, np.nan, dtype=complex)
+        totals = np.zeros(points.shape, dtype=complex)  # the sum of the m^(k-1) line means
         changes = np.full(points.shape, np.nan)
         active = np.arange(points.size)
         m = 16
@@ -332,16 +345,25 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
                     f"nodes (next refinement {m}^{k - 1} lines of degree bound {degree}, "
                     f"last change {changes[i]:.3g})"
                 )
-            blocks = _node_eigenvalues(lines, (m,) * (k - 1) + (width,), width)
-            nodes = (run.reshape(-1, v) for run in blocks)
-            line_means = lambda s: _line_roots(s, degree)[0].reshape(len(s), -1).sum(axis=1)
-            sums = _log_sum(nodes, q, points[active], line_means)
-            refined = sums / m ** (k - 1)
-            if np.isnan(refined).any():
+            shape = (m,) * (k - 1) + (width,)
+
+            def weigh(first):  # lines {j, -j} as one; past m = 16, lines with an odd j_i only
+                flat = np.ravel_multi_index(first, shape)
+                mirror = np.ravel_multi_index(tuple(-c % n for c, n in zip(first, shape)), shape)
+                new = (m == 16) | (np.array(first) % 2).any(axis=0)
+                return np.where(flat == mirror, 1, 2) * (new & (flat <= mirror))
+
+            blocks = _node_eigenvalues(lines, shape, width, weigh)
+            nodes = ((run.reshape(-1, v), w) for run, w in blocks)
+            means = lambda s, w: (_line_roots(s, degree)[0].reshape(len(s), -1) * w).sum(axis=1)
+            sums = _log_sum(nodes, q, points[active], means)
+            if np.isnan(sums).any():
                 raise NumericError(
-                    f"u = {points[active][np.isnan(refined)][0]}: the determinant along "
+                    f"u = {points[active][np.isnan(sums)][0]}: the determinant along "
                     f"torus axis {j} does not have {degree} roots outside the unit circle"
                 )
+            totals[active] += sums
+            refined = totals[active] / m ** (k - 1)
             changes[active] = np.abs(refined - values[active])
             values[active] = refined
             active = active[~(changes[active] < QUADRATURE_TOL)] if k > 1 else active[:0]

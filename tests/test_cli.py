@@ -872,6 +872,38 @@ def test_exit_codes_match_the_errors_docstring(capsys, monkeypatch):
         assert "raised on purpose" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_run_in_a_process(workdir, capsys):
+    # an option set in one run is absent from the next, and a bad flag is an
+    # input error, exactly as with a parser built afresh for each run
+    k4 = str(workdir / "k4.json")
+    runs = [
+        ["zeta", "compute", "--graph", k4, "--eval", "0.1", "--emit", str(workdir / "p.json")],
+        ["zeta", "compute", "--graph", k4],
+        ["zeta", "euler-check", "--graph", k4, "--terms", "5"],
+        ["zeta", "compute", "--graph", k4, "--bogus"],
+        ["l2", "torus", "--base", str(workdir / "b2.json"), "--voltages", str(workdir / "v2.json"),
+         "--eval", "0.1"],
+        ["zeta", "compute", "--graph", k4],
+    ]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            out, err = capsys.readouterr()
+            seen.append((code, out, err))
+        return seen
+
+    shared = outcomes(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert shared == outcomes(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0]
+    assert "eval" in json.loads(shared[0][1]) and "eval" not in json.loads(shared[1][1])
+    assert "unrecognized arguments: --bogus" in shared[3][2]
+
+
 def test_console_script_runs(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "graphzeta.cli", "--help"],

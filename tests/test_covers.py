@@ -200,6 +200,30 @@ def test_tower_invariants_enforced():
             Tower(base=LOOP, levels=(lvl[0], *levels), provenance="manual")
 
 
+def test_tower_indices_are_ints():
+    # an integral float index is the int, so no file is named after 2.0
+    levels = (TowerLevel(1.0, LOOP, VoltageAssignment.trivial(1)),
+              TowerLevel(2.0, LOOP, VoltageAssignment.cyclic((1,), 2)))
+    indices = Tower(base=LOOP, levels=levels, provenance="manual").indices
+    assert indices == (1, 2) and all(type(n) is int for n in indices)
+
+
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("a voltage", lambda: VoltageAssignment.product([1, 2], [3])),
+        ("orders", lambda: VoltageAssignment.product([[1]], 3)),
+        ("orders", lambda: lattice_tower(K4, [[1]] * 6, 5)),
+        ("voltages", lambda: VoltageAssignment.free(7)),
+        ("a voltage", lambda: VoltageAssignment.free([1, 2])),
+        ("orders", lambda: VoltageAssignment(((1,),), 5, 1)),
+    ],
+)
+def test_a_list_argument_that_is_no_list_is_an_input_error(what, call):
+    with pytest.raises(InputError, match=f"^{what} must be a list, got "):
+        call()
+
+
 @pytest.mark.parametrize(
     "tower",
     [

@@ -13,6 +13,7 @@ from graphzeta import (
     IntPolynomial,
     MultiGraph,
     NumericError,
+    TowerLevel,
     VoltageAssignment,
     bouquet_graph,
     complete_graph,
@@ -191,6 +192,8 @@ INTEGER_ENTRY_POINTS = {
     "VoltageAssignment.product": ("an entry of orders", lambda x: VoltageAssignment.product([[1]], [x])),
     "VoltageAssignment.free": ("rank", lambda x: VoltageAssignment.free([[1, 2, 3]], x)),
     "VoltageAssignment.reduced": ("an entry of orders", lambda x: _B2_Z2.reduced((2, x))),
+    "VoltageAssignment.trivial": ("edge_count", VoltageAssignment.trivial),
+    "TowerLevel index": ("index", lambda x: TowerLevel(x, K4, VoltageAssignment.trivial(6))),
     "lattice_tower orders": ("an entry of orders", lambda x: lattice_tower(cycle_graph(1), [(1,)], [1, x])),
     "lattice_tower voltages": ("an entry of voltages", lambda x: lattice_tower(K4, [(x,)] * 6, [1, 2])),
     "homology_tower p": ("p", lambda x: homology_tower(K4, x, 1)),

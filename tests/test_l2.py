@@ -240,15 +240,32 @@ def test_quadrature_node_budget_raises(monkeypatch):
     sym = torus_symbol(B2, VZ2)
     read, node_eigenvalues = [], l2._node_eigenvalues
 
-    def counting(s, m, line=1):
+    def counting(s, m, line=1, weigh=None):
         read.append(m)
-        return node_eigenvalues(s, m, line)
+        return node_eigenvalues(s, m, line, weigh)
 
     monkeypatch.setattr(l2, "_node_eigenvalues", counting)
     monkeypatch.setattr(l2, "NODE_BUDGET", 4 * 32)
     with pytest.raises(ResourceError, match=r"u = \(0\.4\+0\.01j\).*64\^1 lines"):
         l2_log_det(sym, 3, np.array([0.01, 0.4 + 0.01j]))
     assert read == [(16, 3), (32, 3)]
+
+
+def test_weighed_runs_skip_blocks_with_none_kept():
+    # 512^2 lines of 3 nodes come in blocks of 4e6 // 4^2 // 3 lines; keeping
+    # only the first line of the third block reads that line alone
+    sym = torus_symbol(K4, VoltageAssignment.free(K4_RANK3))
+    per_block = 4_000_000 // 16 // 3
+    wanted = np.unravel_index(2 * per_block * 3, (512, 512, 3))
+
+    def weigh(first):
+        return 3 * np.logical_and.reduce([c == w for c, w in zip(first, wanted)])
+
+    (eigs, weights), = l2._node_eigenvalues(sym, (512, 512, 3), 3, weigh)
+    assert weights.tolist() == [3] and eigs.size == 3 * 4
+    thetas = [2 * np.pi * c / n for c, n in zip(wanted, (512, 512, 3))]
+    line = np.array([thetas[:2] + [2 * np.pi * s / 3] for s in range(3)])
+    assert np.allclose(eigs, np.linalg.eigvalsh(sym.matrices(line)).ravel(), atol=1e-12)
 
 
 def test_chunked_log_sum_matches_one_block(monkeypatch):
@@ -327,17 +344,30 @@ def test_k4_rank3_near_the_slit_matches_the_node_trapezoid():
 
 
 def test_rank3_limit_reads_lines_not_cubes(monkeypatch):
-    # node matrices read: at most 3 x m^2 for m = 16 .. 256 (m^3 for m = 16 .. 128 was 2,396,160)
+    # node matrices read, 3 per line: one line of each conjugate pair, 130 of the
+    # 16^2 lines, then at m = 32 .. 256 only the 3m^2 / 4 new lines, paired
+    # (all m^2 lines of every refinement were 261,888; m^3 nodes to m = 128, 2,396,160)
     read, node_eigenvalues = [], l2._node_eigenvalues
 
-    def counting(sym, m, line=1):
-        for run in node_eigenvalues(sym, m, line):
+    def counting(sym, m, line=1, weigh=None):
+        for run, weights in node_eigenvalues(sym, m, line, weigh):
             read.append(run.size // sym.vertex_count)
-            yield run
+            yield run, weights
 
     monkeypatch.setattr(l2, "_node_eigenvalues", counting)
     l2_log_det(torus_symbol(K4, VoltageAssignment.free(K4_RANK3)), 2, 0.5 + 0.01j)
-    assert 0 < sum(read) <= 3 * sum(m * m for m in (16, 32, 64, 128, 256)) == 261_888
+    assert 0 < sum(read) <= 3 * (130 + sum(3 * m * m // 8 for m in (32, 64, 128, 256))) == 98_310
+
+
+def test_negated_voltages_swap_the_line_read_of_each_conjugate_pair():
+    # the symbol of -s at t is that of s at -t: the line of each pair {j, -j}
+    # that the quadrature reads becomes the one it drops
+    cases = [(K4, K4_RANK3, 2), (B2, ((1, 0), (0, 1)), 3), (K4, ((0, 0),) * 3 + ((1, 2), (0, 1), (1, 1)), 2)]
+    us = np.array([0.5 + 0.01j, 0.3 + 0.2j, -0.2 - 0.3j, 0.3])
+    for base, voltages, q in cases:
+        value = l2_log_det(torus_symbol(base, VoltageAssignment.free(voltages)), q, us)
+        negated = VoltageAssignment.free([[-c for c in s] for s in voltages])
+        assert np.max(np.abs(l2_log_det(torus_symbol(base, negated), q, us) / value - 1)) < 1e-14
 
 
 def test_a_wrong_root_count_names_the_point(monkeypatch):
