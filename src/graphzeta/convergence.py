@@ -20,7 +20,7 @@ import numpy as np
 
 from .covers import Tower
 from .errors import InputError, ResourceError
-from .graphs import NODE_BUDGET, MultiGraph, json_int, regular_q, write_rows, write_text
+from .graphs import NODE_BUDGET, MultiGraph, json_float, json_int, regular_q, write_rows, write_text
 from .l2 import L2Zeta, _count_at_most, _level_blocks, _level_log_sums
 from .region import at_points, check_q, omega_contains, require_inside, set_c_polyline
 from .zeta import det_poly, zeta_eval
@@ -45,6 +45,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", check_q(self.q))
         object.__setattr__(self, "resolution", json_int(self.resolution, "resolution"))
+        object.__setattr__(self, "radius", json_float(self.radius, "radius"))
         if not 0.0 < self.radius < self.q ** -0.5:
             raise InputError(
                 f"grid radius must lie in (0, q^(-1/2)) = (0, {self.q ** -0.5:.6g})"
@@ -56,8 +57,8 @@ class GridSpec:
                 f"a grid of resolution {self.resolution} has {self.resolution**2} lattice "
                 f"points, over the node budget of {NODE_BUDGET}"
             )
-        if self.margin is None:
-            object.__setattr__(self, "margin", 0.05 * self.q ** -0.5)
+        margin = 0.05 * self.q ** -0.5 if self.margin is None else json_float(self.margin, "margin")
+        object.__setattr__(self, "margin", margin)
         if not self.points:  # omega_contains checks the margin
             raise InputError("the grid contains no admissible points")
 

@@ -77,7 +77,10 @@ class VoltageAssignment:
     @classmethod
     def trivial(cls, edge_count: int) -> "VoltageAssignment":
         """The order-1 assignment: the cover it derives is the graph itself."""
-        return cls(((0,),) * json_int(edge_count, "edge_count"), (1,), 1)
+        edge_count = json_int(edge_count, "edge_count")
+        if edge_count < 0:
+            raise InputError(f"edge_count must be >= 0, got {edge_count}")
+        return cls(((0,),) * edge_count, (1,), 1)
 
     @classmethod
     def free(cls, voltages: Sequence[Sequence[int]], rank: int | None = None) -> "VoltageAssignment":

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -226,6 +228,17 @@ def json_int(value, what: str) -> int:
     if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def json_float(value, what: str) -> float:
+    """`value` as a float: a finite int, float or numpy real number; a bool,
+    a string, a non-finite number or any other value is an InputError naming
+    `what`. The one real-number check of the package's API."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    huge = isinstance(value, int) and abs(value) > sys.float_info.max  # float() would overflow
+    if real and not huge and math.isfinite(value):
+        return float(value)
+    raise InputError(f"{what} must be a finite real number, got {value!r}")
 
 
 def graph_from_json(doc: dict) -> MultiGraph:

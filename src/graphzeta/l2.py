@@ -97,12 +97,12 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
 
 def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1, weigh=None):
     """Eigenvalues of the symbol at the trapezoid nodes, m[i] on axis i (m on
-    every axis if an int), as flat runs node by node, one block of nodes at
-    a time: a whole number of runs of `line` nodes (at least one run) whose
-    matrices hold about 4e6 entries. With `weigh` (coordinates of each run's
-    first node -> integer weights), only runs of nonzero weight are read, as
-    blocks (eigenvalues, weights), if any. A symbol over SIZE_CAP vertices
-    raises ResourceError before any matrix exists."""
+    every axis if an int), in blocks (flat run node by node, weights) of a
+    whole number of runs of `line` nodes (at least one run) whose matrices
+    hold about 4e6 entries. Weights are None, or with `weigh` (first-node
+    coordinates of each run, node counts -> integer weights) those of the
+    runs of nonzero weight, the only runs read. A symbol over SIZE_CAP
+    vertices raises ResourceError before any matrix exists."""
     require_size(sym.vertex_count, "a dense symbol eigensolve")
     counts = tuple(np.broadcast_to(m, sym.rank).tolist())
     axes = [2.0 * np.pi * np.arange(c) / c for c in counts]
@@ -110,8 +110,8 @@ def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1, weigh=None):
     block = max(1, 4_000_000 // max(1, sym.vertex_count**2) // line) * line
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total))
-        if weigh is not None:
-            weights = weigh(np.unravel_index(idx[::line], counts))
+        weights = None if weigh is None else weigh(np.unravel_index(idx[::line], counts), counts)
+        if weights is not None:
             if not weights.any():
                 continue
             idx, weights = idx.reshape(-1, line)[weights > 0].ravel(), weights[weights > 0]
@@ -120,26 +120,23 @@ def _node_eigenvalues(sym: TorusSymbol, m, line: int = 1, weigh=None):
         if sym.vertex_count > 1:  # a 1 x 1 Hermitian matrix is its own (real) eigenvalue
             eigs = np.linalg.eigvalsh(eigs)  # drops the matrices before the next block
         eigs = eigs.reshape(-1).real
-        yield eigs if weigh is None else (eigs, weights)
+        yield eigs, weights
 
 
 def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
     """Sum of log(1 - lam u + q u^2) over the eigenvalues lam of `blocks`,
-    at each point of the 1-d array `us`.
-
-    A flat block is one run; a (nodes, v) block, alone or as (block,
-    weights), gives a sum per node that `fold` maps, with the weights (None
-    if alone), to one value or one row of values per point (by default,
-    their sum). Points go a group at a time, at most LOG_CHUNK entries of
-    group x block (one point if more), and no point's sum depends on
-    another's. No block is read unless every point is inside the region
-    bounded by C, 1e-12 clear of it.
+    pairs (eigenvalues, weights) as from `_node_eigenvalues`, at each point
+    of the 1-d array `us`. A flat run is one node; (nodes, v) rows give a
+    sum per node that `fold` maps, with the weights, to one value or one row
+    of values per point (by default, their sum). Points go a group at a
+    time, at most LOG_CHUNK entries of group x block (one point if more),
+    and no point's sum depends on another's. No block is read unless every
+    point is inside the region bounded by C, 1e-12 clear of it.
     """
     require_inside(q, us)
     acc = None
     shift = q * us * us
-    for block in blocks:
-        block, weights = block if isinstance(block, tuple) else (block, None)
+    for block, weights in blocks:
         block = np.atleast_2d(block)  # a flat run is one node
         group = max(1, LOG_CHUNK // block.size)
         for i in range(0, us.size, group):
@@ -157,7 +154,7 @@ def _log_sum(blocks, q: int, us: np.ndarray, fold=None) -> np.ndarray:
 def _count_at_most(blocks, lambdas: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of `blocks` at or below each of `lambdas`."""
     counts = np.zeros(lambdas.shape, dtype=np.int64)
-    for run in blocks:
+    for run, _ in blocks:
         counts += np.searchsorted(np.sort(run), lambdas, side="right")
     return counts
 
@@ -186,9 +183,7 @@ def _level_symbol(level: TowerLevel) -> TorusSymbol:
 def _level_blocks(level: TowerLevel):
     """Adjacency eigenvalues of a tower level, one block of character nodes
     at a time (`_level_symbol`, charged before any block); the level's graph
-    is never built. `l2 cdf` reads every level so, `tower run` every level
-    that `_level_log_sums` does not read from its line.
-    """
+    is never built."""
     return _node_eigenvalues(_level_symbol(level), level.voltages.orders[0])
 
 
@@ -197,34 +192,28 @@ def _level_log_sums(levels, q: int, us: np.ndarray):
     `_level_blocks`, and the largest |rho| of its roots (None if read from
     its characters). Every level is charged (`_level_symbol`) on the call.
 
-    A rank-1 level of order n is n * mean + sum log(1 - rho^n) over the
-    roots of its symbol's line (`_line_roots`), solved once per distinct
-    symbol: all levels above n = 2 max |s| share one. A level reads its line
-    if the roots are solved, or if n > 2D + 1 and both the root solve,
-    (2D)^2, and the roots kept, points x (2D + 1), fit NODE_BUDGET; else its
-    n^k characters. NumericError names a level and a point whose root count
-    is not D.
+    A rank-1 level of order n is n * mean + sum log(1 - rho^n) over its
+    symbol's one line (`_read_lines`), read once per distinct symbol (all
+    levels above n = 2 max |s| share one) and named in a NumericError by the
+    level that reads it first. A level reads its line if it is read, or if
+    n > 2D + 1 and both the root solve, (2D)^2, and the values kept, points
+    x (2D + 1), fit NODE_BUDGET; else its n^k characters.
     """
     symbols = [_level_symbol(level) for level in levels]
     solved: dict = {}
+    roots = lambda means, rhos, _: np.column_stack((means, rhos))
 
     def read(level: TowerLevel, sym: TorusSymbol):
         n = level.voltages.orders[0]
-        degree, _, line = _exact_axis(sym)
+        degree, _ = _exact_axis(sym)
         width = 2 * degree + 1
         cheaper = sym.rank == 1 and n > width and max(4 * degree**2, us.size * width) <= NODE_BUDGET
         if sym not in solved and not cheaper:
             return _log_sum(_node_eigenvalues(sym, n), q, us), None
         if sym not in solved:
-            nodes = (run.reshape(width, -1) for run in _node_eigenvalues(line, width, width))
-            solved[sym] = _log_sum(nodes, q, us, lambda s, _: np.column_stack(_line_roots(s, degree)))
+            solved[sym] = _read_lines(sym, q, us, n, roots, f"of the level of index {level.index}")
         means, inside = solved[sym][:, 0], solved[sym][:, 1:]
         logs = n * means + np.log1p(-(inside**n)).sum(axis=1)
-        if np.isnan(logs).any():
-            raise NumericError(
-                f"u = {us[np.isnan(logs)][0]}: the determinant of the level of index "
-                f"{level.index} does not have {degree} roots outside the unit circle"
-            )
         return logs, float(np.abs(inside).max(initial=0.0))
 
     return (read(level, sym) for level, sym in zip(levels, symbols))
@@ -237,7 +226,7 @@ def level_cdf(level: TowerLevel) -> tuple[np.ndarray, np.ndarray]:
     value is the base's vertex count. Character blocks round a repeated
     eigenvalue differently, so a run of sorted eigenvalues with gaps of at
     most 1e-12 times the largest degree is one, listed at its first value."""
-    eigs = np.sort(np.concatenate(list(_level_blocks(level))))
+    eigs = np.sort(np.concatenate([run for run, _ in _level_blocks(level)]))
     jumps = np.diff(eigs) > 1e-12 * max(level.parent.degree_sequence)
     firsts = np.concatenate(([True], jumps))
     counts = np.flatnonzero(np.concatenate((jumps, [True]))) + 1
@@ -301,35 +290,55 @@ def _line_roots(sums: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, lines[:, 0] - np.log1p(-inside).sum(axis=1), np.nan), inside
 
 
-def _exact_axis(sym: TorusSymbol) -> tuple[int, int, TorusSymbol]:
-    """The torus axis j of least degree bound D = sum over edges of |s_j|,
-    as (D, j, the symbol with axis j moved last)."""
+def _exact_axis(sym: TorusSymbol) -> tuple[int, int]:
+    """The torus axis j of least degree bound D = sum over edges of |s_j|, as (D, j)."""
     bounds = [sum(abs(f[i]) * c for _, _, f, c in sym.terms) // 2 for i in range(sym.rank)]
     degree = min(bounds)
-    j = bounds.index(degree)
+    return degree, bounds.index(degree)
+
+
+def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, reduce, what: str, weigh=None):
+    """The symbol's lines on its exact axis j (`_exact_axis`), m nodes on each
+    other axis, at the points of the 1-d array `us`: 2D + 1 nodes fix a
+    line, and `_line_roots` folds it to its mean and its 2D values rho.
+    `reduce(means, rhos, weights)` maps a block of lines, read as `weigh`
+    has them read (`_node_eigenvalues`), to one value or row per point;
+    `_log_sum` adds the blocks. NumericError names `what` and a point where
+    a line's root count is not D.
+    """
+    degree, j = _exact_axis(sym)
+    width = 2 * degree + 1
     last = tuple((x, y, f[:j] + f[j + 1 :] + f[j : j + 1], c) for x, y, f, c in sym.terms)
-    return degree, j, TorusSymbol(sym.vertex_count, sym.rank, last)
+    lines = TorusSymbol(sym.vertex_count, sym.rank, last)
+    blocks = _node_eigenvalues(lines, (m,) * (sym.rank - 1) + (width,), width, weigh)
+    nodes = ((run.reshape(-1, sym.vertex_count), weights) for run, weights in blocks)
+    values = _log_sum(nodes, q, us, lambda s, weights: reduce(*_line_roots(s, degree), weights))
+    bad = np.isnan(values.reshape(us.size, -1)).any(axis=1)
+    if bad.any():
+        raise NumericError(f"u = {us[bad][0]}: the determinant {what} does not have "
+                           f"{degree} roots outside the unit circle")
+    return values
 
 
 def l2_log_det(sym: TorusSymbol, q: int, u):
     """Normalized trace of log(I - d(t) u + q u^2) over the torus, at a point
     (giving a complex) or an array of points (giving an array of its shape).
 
-    On the axis j of least degree bound D = sum over edges of |s_j|,
-    `_line_roots` takes each line's mean exactly from 2D + 1 nodes; the other
-    axes (none at rank 1) take a trapezoid of m = 16, 32, ... nodes each
-    until two values agree within QUADRATURE_TOL, converged points dropping
-    out. Refinement m adds to a running total only the lines new to it (an
-    odd coordinate; all at m = 16), one of each conjugate pair {j, -j mod m}
-    at weight 2 (1 if j = -j). It is still charged max(2D + 1, (2D)^2) nodes
-    for each of its m^(k-1) lines, (2D)^2 for a root solve of degree 2D.
-    ResourceError names a point whose next refinement would pass
-    NODE_BUDGET, NumericError one whose root count is not D. Every point
-    must be inside the region bounded by C and more than 1e-12 away from it.
+    The mean of the line means of `_read_lines`, exact on the axis j of
+    least degree bound D; the other axes (none at rank 1) take m = 16, 32,
+    ... nodes each until two values agree within QUADRATURE_TOL, converged
+    points dropping out. Refinement m adds to a running total only its new
+    lines (an odd coordinate; all at m = 16), one of each conjugate pair
+    {j, -j mod m} at weight 2 (1 if j = -j), but is charged max(2D + 1,
+    (2D)^2) nodes (a root solve of degree 2D) for each of its m^(k-1) lines:
+    ResourceError names a point whose next refinement would pass NODE_BUDGET.
+    Every point must be inside the region bounded by C, 1e-12 clear of it.
     """
-    k, v = sym.rank, sym.vertex_count
-    degree, j, lines = _exact_axis(sym)
+    k = sym.rank
+    degree, j = _exact_axis(sym)
     width = 2 * degree + 1
+    what = f"along torus axis {j}"
+    mean_sum = lambda means, _, weights: (means.reshape(-1, weights.size) * weights).sum(axis=1)
 
     def refine(points: np.ndarray) -> np.ndarray:
         values = np.full(points.shape, np.nan, dtype=complex)
@@ -345,24 +354,14 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
                     f"nodes (next refinement {m}^{k - 1} lines of degree bound {degree}, "
                     f"last change {changes[i]:.3g})"
                 )
-            shape = (m,) * (k - 1) + (width,)
 
-            def weigh(first):  # lines {j, -j} as one; past m = 16, lines with an odd j_i only
+            def weigh(first, shape):  # lines {j, -j} as one; past m = 16, lines with an odd j_i only
                 flat = np.ravel_multi_index(first, shape)
                 mirror = np.ravel_multi_index(tuple(-c % n for c, n in zip(first, shape)), shape)
                 new = (m == 16) | (np.array(first) % 2).any(axis=0)
                 return np.where(flat == mirror, 1, 2) * (new & (flat <= mirror))
 
-            blocks = _node_eigenvalues(lines, shape, width, weigh)
-            nodes = ((run.reshape(-1, v), w) for run, w in blocks)
-            means = lambda s, w: (_line_roots(s, degree)[0].reshape(len(s), -1) * w).sum(axis=1)
-            sums = _log_sum(nodes, q, points[active], means)
-            if np.isnan(sums).any():
-                raise NumericError(
-                    f"u = {points[active][np.isnan(sums)][0]}: the determinant along "
-                    f"torus axis {j} does not have {degree} roots outside the unit circle"
-                )
-            totals[active] += sums
+            totals[active] += _read_lines(sym, q, points[active], m, mean_sum, what, weigh)
             refined = totals[active] / m ** (k - 1)
             changes[active] = np.abs(refined - values[active])
             values[active] = refined

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InputError
-from .graphs import json_int
+from .graphs import json_float, json_int
 
 _CUT_MARGIN = 1e-12  # points this close to C, hence to a branch cut, take no logs
 _POLYLINE_POINTS = 256
@@ -31,8 +31,13 @@ def check_q(q: int) -> int:
 def at_points(u, f, one=complex):
     """`f` applied to the points of `u` as one flat complex array: a point
     gives `one` of its value, an array an array of the same shape. A point
-    alone thus takes the same arithmetic as inside any array."""
-    us = np.asarray(u, dtype=complex)
+    alone thus takes the same arithmetic as inside any array. A point or
+    array that is not numeric (a string, a bool, an object) is an
+    InputError."""
+    us = np.asarray(u)
+    if us.dtype.kind not in "iufc":
+        raise InputError(f"u must be a number or an array of numbers, got {u!r}")
+    us = us.astype(complex, copy=False)
     values = f(us.reshape(-1))
     return one(values[0]) if us.ndim == 0 else values.reshape(us.shape)
 
@@ -58,7 +63,7 @@ def omega_contains(q: int, u, margin: float = 0.0) -> "bool | np.ndarray":
     margin > 0 the point must satisfy |u| <= q^(-1/2) - margin and keep
     distance >= margin from the real slits.
     """
-    q = check_q(q)
+    q, margin = check_q(q), json_float(margin, "margin")
     if margin < 0:
         raise InputError("margin must be >= 0")
     radius = q ** -0.5

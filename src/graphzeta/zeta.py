@@ -247,7 +247,7 @@ def nth_root_det(g: MultiGraph, n: int, u):
     if n < 1:
         raise InputError("root order must be >= 1")
     q = regular_q(g)
-    return at_points(u, lambda us: np.exp(_log_sum([spectrum(g)], q, us) / n))
+    return at_points(u, lambda us: np.exp(_log_sum([(spectrum(g), None)], q, us) / n))
 
 
 def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):

@@ -632,6 +632,22 @@ def test_exit_codes(workdir, capsys, monkeypatch):
         assert f"cannot write {out}" in capsys.readouterr().err
 
 
+def test_grid_output_target_and_grid_text_errors_exit_1(workdir, capsys):
+    # a grid needs a CSV to write, a target one of two kinds, a grid numbers
+    torus = ["l2", "torus", "--base", str(workdir / "b2.json"), "--voltages", str(workdir / "v2.json")]
+    tower = ["tower", "run", "--spec", str(workdir / "tower.json"), "--grid", "disk:0.3:3:0.02",
+             "--out", str(workdir / "r")]
+    for argv, message in (
+        ([*torus, "--grid", "disk:0.3:5:0.02"], "--grid output needs --out <csv>"),
+        ([*tower, "--target", "zeta:1"], "unknown target 'zeta:1'"),
+        ([*torus, "--grid", "disk:x:3:0.05", "--out", str(workdir / "g.csv")], "malformed grid 'disk:x:3:0.05'"),
+    ):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+    assert not (workdir / "r").exists() and not (workdir / "g.csv").exists()
+
+
 def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
     # a level's spectrum holds one eigenvalue per parent vertex and character
     (workdir / "huge.json").write_text(

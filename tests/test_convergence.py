@@ -136,6 +136,12 @@ def test_cdf_convergence_to_arcsine():
     assert sups[-1] < sups[0]
 
 
+def test_cdf_convergence_needs_a_lambda():
+    tower = lattice_tower(LOOP, [(1,)], (1, 2))
+    with pytest.raises(InputError, match="need at least one evaluation point"):
+        cdf_convergence(tower, lambda lams: lams, [])
+
+
 def test_cdf_convergence_accepts_spectral_cdf_target():
     # the target is the counting function of the top level's dense spectrum
     tower = lattice_tower(LOOP, [(1,)], (1, 2, 4))

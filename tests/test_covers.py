@@ -167,6 +167,12 @@ def test_homology_parent_over_the_vertex_cap(monkeypatch):
     assert homology_tower(path_graph(3), 3, 2).indices == (1, 1, 1)
 
 
+def test_homology_tower_needs_a_connected_base():
+    two_triangles = MultiGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    with pytest.raises(InputError, match="homology towers need a connected base"):
+        homology_tower(two_triangles, 2, 1)
+
+
 def test_spanning_tree():
     tree = spanning_tree_edges(K4)
     assert len(tree) == 3

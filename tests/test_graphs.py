@@ -30,6 +30,7 @@ from graphzeta import (
     load_graph,
     normalized_zeta,
     nth_root_det,
+    omega_contains,
     path_graph,
     petersen_graph,
     regularity,
@@ -192,12 +193,12 @@ INTEGER_ENTRY_POINTS = {
     "VoltageAssignment.product": ("an entry of orders", lambda x: VoltageAssignment.product([[1]], [x])),
     "VoltageAssignment.free": ("rank", lambda x: VoltageAssignment.free([[1, 2, 3]], x)),
     "VoltageAssignment.reduced": ("an entry of orders", lambda x: _B2_Z2.reduced((2, x))),
-    "VoltageAssignment.trivial": ("edge_count", VoltageAssignment.trivial),
+    "VoltageAssignment.trivial": ("edge_count", VoltageAssignment.trivial, -3),
     "TowerLevel index": ("index", lambda x: TowerLevel(x, K4, VoltageAssignment.trivial(6))),
     "lattice_tower orders": ("an entry of orders", lambda x: lattice_tower(cycle_graph(1), [(1,)], [1, x])),
     "lattice_tower voltages": ("an entry of voltages", lambda x: lattice_tower(K4, [(x,)] * 6, [1, 2])),
     "homology_tower p": ("p", lambda x: homology_tower(K4, x, 1)),
-    "homology_tower depth": ("depth", lambda x: homology_tower(cycle_graph(3), 2, x)),
+    "homology_tower depth": ("depth", lambda x: homology_tower(cycle_graph(3), 2, x), -1),
     "IntPolynomial": ("an entry of coefficients", lambda x: IntPolynomial((1, x))),
     "validate_cover": (
         "an entry of projection",
@@ -224,8 +225,9 @@ INTEGER_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
 def test_every_integer_argument_follows_one_rule(name):
     """json_int everywhere: a numpy integer or an integral float is the int,
-    and a fraction, a bool or a string is an InputError naming the argument."""
-    what, call = INTEGER_ENTRY_POINTS[name]
+    and a fraction, a bool or a string is an InputError naming the argument,
+    as is an integer below its least value where the row gives one."""
+    what, call, *below = INTEGER_ENTRY_POINTS[name]
     expected = call(3)
     for same in (np.int64(3), 3.0):
         assert call(same) == expected
@@ -233,3 +235,28 @@ def test_every_integer_argument_follows_one_rule(name):
         with pytest.raises(InputError) as info:
             call(bad)
         assert f"{what} must be an integer, got {bad!r}" in str(info.value)
+    for low in below:
+        with pytest.raises(InputError, match=f"{what} must be >= "):
+            call(low)
+
+
+REAL_ENTRY_POINTS = {
+    "GridSpec radius": ("radius", lambda x: GridSpec(2, x, 3)),
+    "GridSpec margin": ("margin", lambda x: GridSpec(2, 0.5, 3, x)),
+    "omega_contains margin": ("margin", lambda x: omega_contains(2, 0.1, x)),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ENTRY_POINTS)
+def test_every_real_argument_follows_one_rule(name):
+    """json_float everywhere: a numpy real is the float, and a bool, a
+    string, a complex, a list or a non-finite number is an InputError naming
+    the argument."""
+    what, call = REAL_ENTRY_POINTS[name]
+    expected = call(0.25)
+    for same in (np.float64(0.25), np.float32(0.25)):
+        assert call(same) == expected
+    for bad in (True, "0.25", 0.25j, [0.25], float("nan"), float("inf"), 10**400):
+        with pytest.raises(InputError) as info:
+            call(bad)
+        assert f"{what} must be a finite real number, got {bad!r}" in str(info.value)

@@ -78,6 +78,11 @@ def test_symbol_requires_free_voltages():
         torus_symbol(LOOP, VoltageAssignment.cyclic((1,), 5))
 
 
+def test_symbol_requires_one_voltage_per_edge():
+    with pytest.raises(InputError, match="5 voltages for 6 edges"):
+        torus_symbol(K4, VoltageAssignment.free([(1,)] * 5))
+
+
 def test_walk_counts_z():
     # closed walks on Z with steps +-1: W_{2m} = C(2m, m), odd counts vanish
     counts = equivariant_walk_counts(torus_symbol(LOOP, VZ), 8)
@@ -258,7 +263,7 @@ def test_weighed_runs_skip_blocks_with_none_kept():
     per_block = 4_000_000 // 16 // 3
     wanted = np.unravel_index(2 * per_block * 3, (512, 512, 3))
 
-    def weigh(first):
+    def weigh(first, _):
         return 3 * np.logical_and.reduce([c == w for c, w in zip(first, wanted)])
 
     (eigs, weights), = l2._node_eigenvalues(sym, (512, 512, 3), 3, weigh)
@@ -271,11 +276,11 @@ def test_weighed_runs_skip_blocks_with_none_kept():
 def test_chunked_log_sum_matches_one_block(monkeypatch):
     # the node eigenvalues of a rank-2 K4 symbol: 16^2 nodes x 4, in 1, 4 or 16 blocks
     sym = torus_symbol(K4, VoltageAssignment.free(K4_RANK2))
-    eigs = np.concatenate(list(l2._node_eigenvalues(sym, 16)))
+    eigs = np.concatenate([run for run, _ in l2._node_eigenvalues(sym, 16)])
     us = np.array([0.1 + 0.2j, -0.3j, 0.25, 0.05, 0.4 + 0.1j, -0.2 - 0.2j])
-    whole = l2._log_sum([eigs], 2, us)
+    whole = l2._log_sum([(eigs, None)], 2, us)
     for parts in (1, 4, 16):
-        blocks = np.split(eigs, parts)
+        blocks = [(run, None) for run in np.split(eigs, parts)]
         split = l2._log_sum(blocks, 2, us)
         assert np.max(np.abs(split - whole) / np.abs(whole)) < 1e-14
         for chunk in (1, 7, 100, 10**6):  # 1 point per group (2 for 16 parts at 100), then 6
@@ -529,7 +534,7 @@ LEVEL_TOWERS = {
 def test_level_spectrum_matches_dense_eigvalsh(name):
     tower = LEVEL_TOWERS[name]()
     for level in tower.levels:
-        got = np.sort(np.concatenate(list(l2._level_blocks(level))))
+        got = np.sort(np.concatenate([run for run, _ in l2._level_blocks(level)]))
         dense = np.sort(np.linalg.eigvalsh(level.graph.adjacency))
         assert got.shape == dense.shape
         assert np.max(np.abs(got - dense)) < 1e-10
@@ -549,7 +554,7 @@ def test_level_spectrum_matches_dense_eigvalsh(name):
 def test_a_long_level_is_read_in_blocks_of_4e6_matrix_entries():
     # a Petersen level of 65536 characters, 4e6 / 10^2 = 40000 of them per block
     level = lattice_tower(PETERSEN, PETERSEN_SHIFTS, (1, 65536)).levels[1]
-    first = next(iter(l2._level_blocks(level)))
+    first, _ = next(iter(l2._level_blocks(level)))
     assert first.size * PETERSEN.vertex_count == 4_000_000
 
 
@@ -606,7 +611,7 @@ def test_cyclic_levels_from_line_roots_match_their_characters(name):
         chars = l2._log_sum(l2._level_blocks(level), q, us)
         # relative to the sum of |log| over the eigenvalues: a loop level's log-sum,
         # 2 log(1 - u^n), is near 0 and its relative error is that of cancellation
-        eigs = np.concatenate(list(l2._level_blocks(level)))
+        eigs = np.concatenate([run for run, _ in l2._level_blocks(level)])
         mass = np.abs(np.log(1.0 - eigs * us[:, None] + q * us[:, None] ** 2)).sum(axis=1)
         assert np.max(np.abs(logs - chars) / mass) < 1e-12, n
     assert degree_bounds(l2._level_symbol(TowerLevel(1, base, VoltageAssignment.free(shifts).reduced((1,))))) == [0]

@@ -139,6 +139,15 @@ def test_a_point_alone_is_its_entry_in_an_array(name):
         assert np.asarray(alone).tobytes() == np.asarray(entry).tobytes(), (u, alone, entry)
 
 
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_a_point_that_is_not_a_number_is_an_input_error(name):
+    # a string is not parsed, a bool is not 1, and an object array is not read
+    _, evaluate = EVALUATORS[name]
+    for bad in ("0.1", "x", True, np.array([True, False]), np.array([0.1, None], dtype=object)):
+        with pytest.raises(InputError, match="u must be a number or an array of numbers"):
+            evaluate(bad)
+
+
 def test_points_within_1e_12_of_C_take_no_logarithm():
     # the one region gate is where the logarithm is, before any eigenvalue is read
     def unread():
