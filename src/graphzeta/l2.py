@@ -383,13 +383,6 @@ def l2_zeta_abelian(base: MultiGraph, volt: VoltageAssignment, u):
 # series oracle: equivariant walk counting
 
 
-def _walk_bound(sym: TorusSymbol, length: int) -> int:
-    """v Delta^length, Delta the largest row sum of |coefficients| (the cover's
-    largest degree): no sum of walk counts of at most `length` steps passes it."""
-    rows = [sum(abs(c) for x, _, _, c in sym.terms if x == s) for s in range(sym.vertex_count)]
-    return sym.vertex_count * max(rows, default=0) ** length
-
-
 def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     """W_j = closed walks of length j in the Z^k cover, summed over base
     vertices, for j = 0..length, exactly. For one start s at a time, N_a[y, d],
@@ -397,7 +390,8 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     displacements h = ceil(length / 2) steps reach; a step adds one shifted
     slice per term. Each term (x, y, f, c) needs its reverse (y, x, -f, c),
     else InputError: the cover is undirected, so W_{a+b} = sum N_a N_b.
-    Every entry and sum is at most `_walk_bound`: int64 below 2^63, Python
+    Every entry and sum is at most v Delta^length, Delta the largest row sum
+    of |coefficients| (the cover's largest degree): int64 below 2^63, Python
     ints from there. ResourceError, before any array, when h v^2 (box size)
     passes NODE_BUDGET.
     """
@@ -418,7 +412,8 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
             f"walks of length {length} need {charge} state entries, "
             f"over the node budget of {NODE_BUDGET}"
         )
-    dtype = np.int64 if _walk_bound(sym, length) < 2**63 else object
+    rows = [sum(abs(c) for x, _, _, c in sym.terms if x == s) for s in range(v)]
+    dtype = np.int64 if v * max(rows, default=0) ** length < 2**63 else object
     counts = [v] + [0] * length
     for start in range(v):
         cur = np.zeros((v,) + box, dtype)
@@ -436,45 +431,47 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     return counts
 
 
-def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
-    """Truncated series for the torus log-determinant, valid for small |u|.
+def _log_traces(walks: list[int], q: int) -> list[int]:
+    """T_n = sum_j a_(n,j) W_j, n = 1..len(walks) - 1, exactly: a_(n,j) are
+    the integer coefficients of P_n(lam) = alpha^n + beta^n (alpha + beta =
+    lam, alpha beta = q), P_0 = 2, P_1 = lam, P_n = lam P_(n-1) - q P_(n-2).
+    As log(1 - lam u + q u^2) = -sum P_n(lam) u^n / n, the torus
+    log-determinant has the Taylor coefficients c_n = -T_n / n."""
+    prev, cur, traces = [2], [0, 1], []
+    for _ in walks[1:]:
+        traces.append(sum(a * w for a, w in zip(cur, walks)))
+        prev, cur = cur, [a - q * b for a, b in zip([0] + cur, prev + [0, 0])]
+    return traces
 
-    Expands log(I - (d u - q u^2 I)) and takes normalized traces, which
-    reduces to exact closed-walk counts; requires |u| < 1 / (2 (q + 1)) so
-    that 40-ish terms reach full double precision. Independent of the
-    quadrature route. `u` is a point (giving a complex) or an array of
-    points (giving an array of that shape); the walks are counted once.
-    ResourceError, before any walk, when a walk count (`_walk_bound`) or a
-    binomial (2^terms) may pass the float range, or when the sums, points x
-    terms^2 products in pure Python, pass NODE_BUDGET.
+
+def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
+    """Taylor series of the torus log-determinant to u^terms, independent of
+    the quadrature route, at a point (giving a complex) or an array of points
+    (giving an array of that shape); DomainError, before any walk, unless
+    every |u| < 1 / (2 (q + 1)) (NaN fails it).
+
+    The coefficients c_n = -T_n / n (`_log_traces`) are exact, from one call
+    of `equivariant_walk_counts`; b_n = c_n (2 (q + 1))^-n, each rounded once
+    to a float, are summed by Horner at t = 2 (q + 1) u. Every eigenvalue of
+    the symbol gives |alpha|, |beta| <= q, so |c_n| <= 2 v q^n / n: no b_n
+    passes 2 v 2^-n, and the terms past u^terms add less than 2 v 2^-terms /
+    terms. ResourceError for 1024 terms or more, the bound on the exact sums.
     """
     q, terms = check_q(q), json_int(terms, "terms")
     if terms < 1:
         raise InputError(f"terms must be an integer >= 1, got {terms}")
-    if terms >= 1024 or _walk_bound(sym, terms) > float(np.finfo(float).max):
-        raise ResourceError(f"a series of {terms} terms may pass the float range")
+    if terms >= 1024:
+        raise ResourceError(f"a series of {terms} terms is over the bound of 1023 on its exact sums")
     limit = 1.0 / (2.0 * (q + 1.0))
+    scale = 2 * (q + 1)
 
     def series(us: np.ndarray) -> np.ndarray:
-        points = us.tolist()
-        charge = len(points) * terms**2
-        if charge > NODE_BUDGET:
-            raise ResourceError(f"a series of {terms} terms at {len(points)} points needs {charge} "
-                                f"products, over the node budget of {NODE_BUDGET}")
-        for z in points:
-            if not abs(z) < limit:
-                raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(z):.6g})")
-        walks = equivariant_walk_counts(sym, terms)
-        values = []
-        for z in points:
-            total = 0.0 + 0.0j
-            for m in range(1, terms + 1):
-                inner = 0.0 + 0.0j
-                for j in range(m + 1):
-                    inner += math.comb(m, j) * (z**j) * ((-q * z * z) ** (m - j)) * float(walks[j])
-                total -= inner / m
-            values.append(total)
-        return np.array(values, dtype=complex)
+        outside = ~(np.abs(us) < limit)
+        if outside.any():
+            raise DomainError(f"series oracle needs |u| < {limit:.6g} (got {abs(us[outside][0]):.6g})")
+        traces = _log_traces(equivariant_walk_counts(sym, terms), q)
+        scaled = [-t / (n * scale**n) for n, t in enumerate(traces, 1)]  # int / int rounds once
+        return np.polyval(scaled[::-1] + [0.0], us * scale)
 
     return at_points(u, series)
 

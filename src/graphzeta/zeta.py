@@ -323,10 +323,12 @@ def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:
 
     Every entry and partial sum of T^m is at most 2E (d_max - 1)^m, so the
     float64 products are exact while max(1, 2E) max(2, d_max - 1)^terms < 2^53,
-    never past 52 terms. Raises ResourceError, before any work, past that
-    bound or past WALK_CAP oriented edges.
+    never past 52 terms. InputError for terms < 0; ResourceError, before any
+    work, past that bound or past WALK_CAP oriented edges.
     """
     terms, oriented = json_int(terms, "terms"), 2 * g.edge_count
+    if terms < 0:
+        raise InputError(f"terms must be >= 0, got {terms}")
     if oriented > WALK_CAP:
         raise ResourceError(
             f"closed walk counts take at most {WALK_CAP} oriented edges, got {oriented}"

@@ -211,7 +211,7 @@ INTEGER_ENTRY_POINTS = {
     "path_graph": ("n", path_graph),
     "complete_graph": ("n", complete_graph),
     "bouquet_graph": ("loops", bouquet_graph),
-    "closed_walk_counts": ("terms", lambda x: closed_walk_counts(K4, x)),
+    "closed_walk_counts": ("terms", lambda x: closed_walk_counts(K4, x), -1),
     "euler_log_coeffs": ("terms", lambda x: euler_log_coeffs(K4, x)),
     "zeta_log_coeffs": ("terms", lambda x: zeta_log_coeffs(K4, x)),
     "nth_root_det": ("n", lambda x: nth_root_det(K4, x, 0.1)),

@@ -8,6 +8,7 @@ of the spectral distribution.
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -743,27 +744,53 @@ def test_walk_counts_are_charged_against_the_node_budget(monkeypatch):
         l2_series_oracle(sym, 3, 0.01, 10**6)
 
 
-def test_series_oracle_is_charged_against_the_node_budget(monkeypatch):
-    sym, us = torus_symbol(B2, VZ2), np.linspace(0.01, 0.05, 8)
-    # 8 points x 10^2 = 800 products; the walks of length 10 charge 5 x 11 x 11 = 605 entries
-    monkeypatch.setattr(l2, "NODE_BUDGET", 800)
-    values = l2_series_oracle(sym, 3, us, 10)
-    monkeypatch.setattr(l2, "NODE_BUDGET", 799)
-    monkeypatch.setattr(l2, "equivariant_walk_counts", lambda *args: pytest.fail("walks counted"))
-    with pytest.raises(ResourceError, match="10 terms at 8 points needs 800 products, over the node budget of 799"):
-        l2_series_oracle(sym, 3, us, 10)
-    monkeypatch.undo()
-    monkeypatch.setattr(l2, "NODE_BUDGET", 799)
-    assert l2_series_oracle(sym, 3, us[-1], 10) == values[-1]  # one point at a time fits
-
-
-def test_series_oracle_refuses_counts_past_the_float_range():
-    # binomials and Z's walks reach 2^1100 > 1.8e308; converted, they overflowed a float
+def test_series_oracle_refuses_more_terms_than_its_bounds():
+    # 1024 terms or more: the bound on the exact sums, before any walk
     with pytest.raises(ResourceError, match="1100 terms"):
         l2_series_oracle(torus_symbol(cycle_graph(1), VZ), 1, 0.01, 1100)
-    # B2's walks may reach 4^512 = 2^1024 while the binomials stay below 2^512
-    with pytest.raises(ResourceError, match="512 terms"):
+    # B2's walks of length 512 charge 256 x 513^2 box entries, past NODE_BUDGET
+    with pytest.raises(ResourceError, match="walks of length 512 need"):
         l2_series_oracle(torus_symbol(B2, VZ2), 3, 0.01, 512)
+
+
+def test_series_coefficients_are_the_binomial_expansion():
+    """c_n = -T_n / n from the recurrence for alpha^n + beta^n equals the
+    u^n coefficient of -sum_m (d u - q u^2)^m / m, whose terms with j steps
+    of d and m - j of q u^2 have degree n = 2m - j."""
+    rng = np.random.default_rng(5)
+    cases = [(torus_symbol(LOOP, VZ), 1), (torus_symbol(B2, VZ2), 3),
+             (torus_symbol(*presented(rng, K4, K4_RANK2)), 2), (torus_symbol(K4, VoltageAssignment.free(K4_RANK3)), 2)]
+    for sym, q in cases:
+        walks = equivariant_walk_counts(sym, 18)
+        traces = l2._log_traces(walks, q)
+        assert len(traces) == 18
+        for n, trace in enumerate(traces, 1):
+            binomial = sum(Fraction(math.comb(m, 2 * m - n) * (-q) ** (n - m) * walks[2 * m - n], m)
+                           for m in range((n + 1) // 2, n + 1))
+            assert Fraction(-trace, n) == -binomial, (sym, n)
+
+
+@pytest.mark.parametrize("voltages, terms", [(K4_RANK3, 20), (K4_RANK3, 26), (K4_RANK2, 24)],
+                         ids=["K4 rank 3, 20 terms", "K4 rank 3, 26 terms", "K4 rank 2, 24 terms"])
+def test_series_oracle_is_exact_to_rounding_near_its_radius(voltages, terms):
+    # 64 points on |u| = 0.97 / (2 (q + 1)); the tail past u^terms is below 8 * 2^-terms / terms
+    sym, us = torus_symbol(K4, VoltageAssignment.free(voltages)), 0.97 / 6 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert np.abs(l2_series_oracle(sym, 2, us, terms) - l2_log_det(sym, 2, us)).max() <= 1e-12
+
+
+def test_series_oracle_takes_hundreds_of_terms():
+    # B4's walks of length 400 number about 8^400, past the float range; the scaled coefficients stay below 2^-n
+    sym = torus_symbol(bouquet_graph(4), VoltageAssignment.free(((1,), (0,), (0,), (2,))))
+    us = 0.97 / 16 * np.exp(2j * np.pi * np.arange(8) / 8)
+    assert np.abs(l2_series_oracle(sym, 7, us, 400) - l2_log_det(sym, 7, us)).max() <= 1e-12
+
+
+def test_series_oracle_checks_the_radius_before_any_walk(monkeypatch):
+    monkeypatch.setattr(l2, "equivariant_walk_counts", lambda *args: pytest.fail("walks counted"))
+    sym = torus_symbol(B2, VZ2)
+    for bad in (0.125, np.array([0.01, 0.2j]), float("nan")):
+        with pytest.raises(DomainError, match=r"series oracle needs \|u\| < 0.125"):
+            l2_series_oracle(sym, 3, bad, 10)
 
 
 def test_walk_counts_and_series_check_their_arguments():
