@@ -129,9 +129,7 @@ def _parse_target(text: str, base, spec_dir: Path) -> tuple[L2Zeta, list[Path]]:
         value = _parse_complex(literal)
         return L2Zeta(evaluate=lambda u: value, description=f"constant {literal}"), []
     if text.startswith("torus:"):
-        volt_path = Path(text.split(":", 1)[1])
-        if not volt_path.is_absolute():
-            volt_path = spec_dir / volt_path
+        volt_path = spec_dir / text.split(":", 1)[1]
         return torus_l2(base, load_voltages(volt_path)), [volt_path]
     raise InputError(
         f"unknown target {text!r}; expected constant:<value> or torus:<voltage-file>"

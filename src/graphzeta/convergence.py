@@ -102,10 +102,6 @@ class ConvergenceReport:
     target_description: str
     limit_verified: bool
 
-    @property
-    def sup_errors(self) -> list[float]:
-        return [level.sup_error for level in self.levels]
-
     def summary_dict(self) -> dict:
         doc = {
             "target": self.target_description,

@@ -23,11 +23,20 @@ from .graphs import (NODE_BUDGET, MultiGraph, json_int, load_graph, read_json, r
 
 
 def _entries(value, what: str) -> tuple:
-    """`value`, an iterable, as a tuple; else an InputError naming `what`."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise InputError(f"{what} must be a list, got {value!r}") from None
+    """`value`, a list, a tuple or an array, as a tuple; anything else (a
+    string, a dict, a set, a value that is not iterable) is an InputError
+    naming `what`: an unordered input is not taken as ordered."""
+    if not isinstance(value, (str, dict, set, frozenset)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be a list, got {value!r}")
+
+
+def _json_ints(value, what: str) -> list[int]:
+    """The integers of a list (orders, a voltage row); else InputError naming `what`."""
+    return [json_int(c, f"an entry of {what}") for c in _entries(value, what)]
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ class VoltageAssignment:
                 raise InputError(f"voltage {sigma!r} does not have rank {rank}")
         orders = self.orders
         if orders is not None:
-            orders = tuple(json_int(n, "an entry of orders") for n in _entries(orders, "orders"))
+            orders = tuple(_json_ints(orders, "orders"))
             if len(orders) != rank:
                 raise InputError("orders and rank disagree")
             if any(n < 1 for n in orders):
@@ -244,7 +253,7 @@ def lattice_tower(
     """
     volt_free = VoltageAssignment.free(voltages)
     k = volt_free.rank
-    orders = [json_int(n, "an entry of orders") for n in _entries(orders, "orders")]
+    orders = _json_ints(orders, "orders")
     if not orders or orders[0] != 1:
         raise InputError("orders must start at 1 (the base level)")
     return Tower(
@@ -329,20 +338,13 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
 # JSON formats
 
 
-def _json_ints(value, what: str) -> list[int]:
-    """The integers of a JSON list (orders, a voltage row); else InputError naming `what`."""
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a list of integers, got {value!r}")
-    return [json_int(c, f"an entry of {what}") for c in value]
-
-
 def voltage_from_json(doc: dict) -> VoltageAssignment:
     """Voltage file: {"voltages": [[..], ..], "orders": [n, ..]} or {"rank": k};
     with neither, a free assignment of the rank of its first voltage. Rank-1
     voltages may be given as one integer per edge."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("voltages"), list):
+    if not isinstance(doc, dict) or "voltages" not in doc:
         raise InputError('voltage JSON needs a "voltages" list')
-    rows = doc["voltages"]
+    rows = _entries(doc["voltages"], 'voltage JSON "voltages"')
     if rows and not isinstance(rows[0], list):
         rows = [[v] for v in rows]
     voltages = [_json_ints(sigma, "a voltage") for sigma in rows]
@@ -368,8 +370,7 @@ def spec_base_path(doc: dict, base_dir: "str | Path" = ".") -> Path:
     against `base_dir`."""
     if not isinstance(doc["base"], str):
         raise InputError(f'tower spec "base" must be a file name, got {doc["base"]!r}')
-    path = Path(doc["base"])
-    return path if path.is_absolute() else Path(base_dir) / path
+    return Path(base_dir) / doc["base"]
 
 
 def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
@@ -399,10 +400,9 @@ def tower_from_spec(doc: dict, base_dir: "str | Path" = ".") -> Tower:
     orders = _json_ints(doc["orders"], 'tower spec "orders"')
     if kind == "cyclic":
         voltages = [[s] for s in _json_ints(doc["voltages"], 'tower spec "voltages"')]
-    elif isinstance(doc["voltages"], list):
-        voltages = [_json_ints(sigma, 'a row of tower spec "voltages"') for sigma in doc["voltages"]]
     else:
-        raise InputError(f'lattice tower spec "voltages" must be a list of lists, got {doc["voltages"]!r}')
+        rows = _entries(doc["voltages"], 'lattice tower spec "voltages"')
+        voltages = [_json_ints(sigma, 'a row of tower spec "voltages"') for sigma in rows]
     return lattice_tower(base, voltages, orders)
 
 

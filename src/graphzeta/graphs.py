@@ -176,14 +176,14 @@ def cycle_graph(n: int) -> MultiGraph:
     """The n-cycle; n=1 is a single loop, n=2 a doubled edge."""
     n = json_int(n, "n")
     if n < 1:
-        raise InputError("cycle length must be >= 1")
+        raise InputError(f"n must be >= 1, got {n}")
     return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)), name=f"C{n}")
 
 
 def path_graph(n: int) -> MultiGraph:
     n = json_int(n, "n")
     if n < 1:
-        raise InputError("path needs at least one vertex")
+        raise InputError(f"n must be >= 1, got {n}")
     return MultiGraph(n, tuple((i, i + 1) for i in range(n - 1)), name=f"P{n}")
 
 
@@ -197,7 +197,7 @@ def bouquet_graph(loops: int) -> MultiGraph:
     """One vertex carrying the given number of loops."""
     loops = json_int(loops, "loops")
     if loops < 0:
-        raise InputError("loop count must be >= 0")
+        raise InputError(f"loops must be >= 0, got {loops}")
     return MultiGraph(1, tuple((0, 0) for _ in range(loops)), name=f"B{loops}")
 
 

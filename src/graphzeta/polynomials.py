@@ -64,22 +64,5 @@ class IntPolynomial:
         except ValueError:
             return False
 
-    def log_series(self, order: int) -> tuple[Fraction, ...]:
-        """Taylor coefficients of log(p(u)) up to u^order; needs p(0) = 1.
-
-        Uses the exact recurrence m*l_m = m*a_m - sum_{j<m} j*l_j*a_{m-j}.
-        """
-        a = self.coefficients
-        if a[0] != 1:
-            raise ValueError("log series requires constant coefficient 1")
-        coeff = lambda m: Fraction(a[m]) if m < len(a) else Fraction(0)
-        logs: list[Fraction] = [Fraction(0)] * (order + 1)
-        for m in range(1, order + 1):
-            acc = m * coeff(m)
-            for j in range(1, m):
-                acc -= j * logs[j] * coeff(m - j)
-            logs[m] = acc / m
-        return tuple(logs[1:])
-
     def to_list(self) -> list[int]:
         return list(self.coefficients)

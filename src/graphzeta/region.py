@@ -76,8 +76,8 @@ def require_inside(q: int, u) -> None:
     """DomainError naming the first of the points `u` that is not inside the
     open region bounded by C and more than 1e-12 away from C, where
     logarithms of the determinant factors are safe to take."""
-    us = np.asarray(u, dtype=complex).reshape(-1)
-    inside = omega_contains(q, us) & (distance_to_C(q, us) > _CUT_MARGIN)
+    us, q = np.asarray(u, dtype=complex).reshape(-1), check_q(q)
+    inside = (q ** -0.5 - np.abs(us) > _CUT_MARGIN) & (slit_distance(q, us) > _CUT_MARGIN)
     if not inside.all():
         raise DomainError(
             f"u = {complex(us[~inside][0])} is outside the open region bounded by C "

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covers import is_prime
-from .errors import DomainError, InputError, NumericError, ResourceError
+from .errors import DomainError, InputError, ResourceError
 from .graphs import MultiGraph, json_int, regular_q, regularity, spectrum
 from .l2 import _log_sum
 from .polynomials import IntPolynomial
@@ -245,7 +245,7 @@ def nth_root_det(g: MultiGraph, n: int, u):
     """
     n = json_int(n, "n")
     if n < 1:
-        raise InputError("root order must be >= 1")
+        raise InputError(f"n must be >= 1, got {n}")
     q = regular_q(g)
     return at_points(u, lambda us: np.exp(_log_sum([(spectrum(g), None)], q, us) / n))
 
@@ -363,15 +363,17 @@ def euler_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
 
 
 def zeta_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
-    """The same coefficients from the closed form (1-u^2)^(-chi) det(...)."""
+    """The same coefficients from the closed form (1-u^2)^(-chi) det(...):
+    c_m = (s_m + 2 chi [m even]) / m, with s_m the power sums of det_poly's
+    coefficients a_j (a_0 = 1) by Newton's identities, in integers:
+    s_m = m a_m - sum_(j=1..m-1) a_j s_(m-j)."""
     terms = json_int(terms, "terms")
     if terms < 1:
         raise InputError("terms must be >= 1")
-    poly = det_poly(g)
-    if poly.coefficients[0] != 1:
-        raise NumericError("determinant polynomial must have constant coefficient 1")
-    logs = list(poly.log_series(terms))
+    a = det_poly(g).coefficients
+    a += (0,) * (terms + 1 - len(a))
+    s = [0]
+    for m in range(1, terms + 1):
+        s.append(m * a[m] - sum(a[j] * s[m - j] for j in range(1, m)))
     chi = g.euler_characteristic
-    for j in range(1, terms // 2 + 1):
-        logs[2 * j - 1] += Fraction(chi, j)
-    return tuple(logs)
+    return tuple(Fraction(s[m] + 2 * chi * (m % 2 == 0), m) for m in range(1, terms + 1))

@@ -163,7 +163,7 @@ def test_06_cycle_tower_converges():
         tower = lattice_tower(LOOP, [(1,)], (1, 2, 4, 8, 16))
         grid = GridSpec(q=1, radius=0.5, resolution=21)
         report = tower_convergence(tower, tree_l2_reference(), grid)
-        errs = report.sup_errors
+        errs = [lvl.sup_error for lvl in report.levels]
         assert all(a > b for a, b in zip(errs, errs[1:])), errs
         assert errs[-1] < 1e-5, errs[-1]
 
@@ -173,7 +173,7 @@ def test_07_torus_tower_converges():
         tower = lattice_tower(B2, ((1, 0), (0, 1)), (1, 2, 4, 8, 16, 32))
         grid = GridSpec(q=3, radius=0.25, resolution=16, margin=0.05)
         report = tower_convergence(tower, torus_l2(B2, VZ2), grid)
-        errs = report.sup_errors
+        errs = [lvl.sup_error for lvl in report.levels]
         assert all(a > b for a, b in zip(errs, errs[1:])), errs
         assert errs[-1] < 1e-2, errs[-1]
 
@@ -184,7 +184,7 @@ def test_08_homology_tower_converges():
         assert [lvl.graph.vertex_count for lvl in tower.levels] == [1, 4, 128]
         grid = GridSpec(q=3, radius=0.3, resolution=16, margin=0.05)
         report = tower_convergence(tower, tree_l2_reference(), grid)
-        errs = report.sup_errors
+        errs = [lvl.sup_error for lvl in report.levels]
         assert errs[2] < errs[1], errs
 
 

@@ -752,6 +752,11 @@ def test_torus_target_is_read_beside_the_spec(workdir, capsys, monkeypatch):
     (workdir / "vz.json").rename(specdir / "vz.json")
     assert run(argv) == 0
     assert str(Path("specdir") / "vz.json") in summary_of(capsys)["inputs"]
+    # an absolute target path is read as it is
+    absolute = str((specdir / "vz.json").resolve())
+    argv[argv.index("torus:vz.json")] = f"torus:{absolute}"
+    assert run(argv) == 0
+    assert absolute in summary_of(capsys)["inputs"]
 
 
 def test_l2_torus_checks_every_argument_before_it_evaluates(workdir, capsys, monkeypatch):
@@ -762,6 +767,7 @@ def test_l2_torus_checks_every_argument_before_it_evaluates(workdir, capsys, mon
     monkeypatch.setattr(cli, "l2_zeta_abelian", lambda *args: pytest.fail("evaluated"))
     argv = ["l2", "torus", "--base", str(workdir / "k4.json"), "--voltages", str(workdir / "v3.json"),
             "--eval", "0.47+0.02j"]
+    assert "l2 torus needs --eval or --grid" in refused_quickly(argv[:-2], 1, capsys)
     err = refused_quickly([*argv, "--grid", "disk:0.3:3:0.02"], 1, capsys)
     assert "--grid output needs --out <csv>" in err
     err = refused_quickly([*argv, "--grid", "disk:oops", "--out", str(workdir / "v.csv")], 1, capsys)

@@ -89,6 +89,12 @@ def test_validate_rejects_non_covers():
     assert not validate_cover(c3, c2, (0, 1, 0))
     with pytest.raises(InputError):
         validate_cover(c3, c2, (0, 1))  # wrong length
+    with pytest.raises(InputError, match="hits a vertex outside the base"):
+        validate_cover(c3, c2, (0, 1, 2))
+    with pytest.raises(InputError, match="not a multiple of base size"):
+        covering_projection(K4, cycle_graph(6))
+    with pytest.raises(InputError, match="2 voltages for 6 edges"):
+        derived_graph(K4, VoltageAssignment.cyclic((1, 0), 3))
 
 
 def test_cover_spectrum_contains_base_spectrum():
@@ -190,6 +196,8 @@ def test_tower_invariants_enforced():
     lvl = lattice_tower(LOOP, [(1,)], (1, 2)).levels
     with pytest.raises(InputError, match="first level"):
         Tower(base=LOOP, levels=(lvl[1],), provenance="manual")
+    with pytest.raises(InputError, match="at least one level"):
+        Tower(base=LOOP, levels=(), provenance="manual")
     broken = {
         "divisibility chain": [
             TowerLevel(2, LOOP, VoltageAssignment.cyclic((1,), 2)),
@@ -223,6 +231,15 @@ def test_tower_indices_are_ints():
         ("voltages", lambda: VoltageAssignment.free(7)),
         ("a voltage", lambda: VoltageAssignment.free([1, 2])),
         ("orders", lambda: VoltageAssignment(((1,),), 5, 1)),
+        # an unordered input is not taken as ordered, nor a string as a list of characters
+        pytest.param("orders", lambda: lattice_tower(LOOP, [(1,)], {1, 4, 2}), id="orders-a set"),
+        pytest.param("voltages", lambda: VoltageAssignment.free({(1, 0), (0, 1)}), id="voltages-a set"),
+        pytest.param("orders", lambda: VoltageAssignment(((1,),), frozenset({5}), 1), id="orders-a frozenset"),
+        pytest.param("orders", lambda: VoltageAssignment.product([[1]], {5: "x"}), id="orders-a dict"),
+        pytest.param("orders", lambda: VoltageAssignment.product([[1]], "5"), id="orders-a string"),
+        pytest.param("a voltage", lambda: VoltageAssignment.free(["12"]), id="a voltage-a string"),
+        pytest.param('voltage JSON "voltages"', lambda: voltage_from_json({"voltages": "12"}),
+                     id="voltage file-a string"),
     ],
 )
 def test_a_list_argument_that_is_no_list_is_an_input_error(what, call):
@@ -290,6 +307,12 @@ def test_tower_spec_loading(tmp_path):
     )
     tower = load_tower_spec(spec)
     assert tower.indices == (1, 2, 4)
+    # an absolute base path is read as it is, wherever the spec is
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "abs.json").write_text(json.dumps({"base": str(base_path), "kind": "cyclic",
+                                                    "voltages": [1], "orders": [1, 2]}))
+    assert load_tower_spec(elsewhere / "abs.json").base == tower.base
     spec2 = tmp_path / "tower_h.json"
     spec2.write_text(json.dumps({"base": "loop.json", "kind": "homology", "p": 3, "depth": 1}))
     tower2 = load_tower_spec(spec2)
@@ -304,7 +327,8 @@ def test_tower_spec_loading(tmp_path):
     bad = tmp_path / "bad.json"
     for doc in ({"base": "loop.json", "kind": "mystery"}, {**lattice, "voltages": [1, 0]},
                 {**lattice, "voltages": [[1, 0], [0.5, 1]]}, {**lattice, "voltages": [[1, 0], [1]]},
-                {**lattice, "base": 5}):
+                {**lattice, "base": 5}, {**lattice, "voltages": {"a": [1, 0]}},
+                {**lattice, "voltages": "[[1, 0], [0, 1]]"}):
         bad.write_text(json.dumps(doc))
         with pytest.raises(InputError):
             load_tower_spec(bad)

@@ -53,6 +53,9 @@ def test_validation_rejects_bad_input():
         MultiGraph(2, ((0, 2),))
     with pytest.raises(InputError):
         MultiGraph(2, ((-1, 0),))
+    for edges in (5, ((0, 1, 1),), ((0,),)):
+        with pytest.raises(InputError, match="edges must be pairs of vertices"):
+            MultiGraph(2, edges)
 
 
 def test_counts_and_chi():
@@ -188,10 +191,10 @@ INTEGER_ENTRY_POINTS = {
     "MultiGraph edges": ("an edge end", lambda x: MultiGraph(4, ((0, x),))),
     "VoltageAssignment voltages": ("an entry of voltages", lambda x: VoltageAssignment(((x,),), (5,), 1)),
     "VoltageAssignment orders": ("an entry of orders", lambda x: VoltageAssignment(((1,),), (x,), 1)),
-    "VoltageAssignment rank": ("rank", lambda x: VoltageAssignment(((1, 2, 3),), None, x)),
+    "VoltageAssignment rank": ("rank", lambda x: VoltageAssignment(((1, 2, 3),), None, x), 0),
     "VoltageAssignment.cyclic": ("an entry of orders", lambda x: VoltageAssignment.cyclic((1,), x)),
     "VoltageAssignment.product": ("an entry of orders", lambda x: VoltageAssignment.product([[1]], [x])),
-    "VoltageAssignment.free": ("rank", lambda x: VoltageAssignment.free([[1, 2, 3]], x)),
+    "VoltageAssignment.free": ("rank", lambda x: VoltageAssignment.free([[1, 2, 3]], x), 0),
     "VoltageAssignment.reduced": ("an entry of orders", lambda x: _B2_Z2.reduced((2, x))),
     "VoltageAssignment.trivial": ("edge_count", VoltageAssignment.trivial, -3),
     "TowerLevel index": ("index", lambda x: TowerLevel(x, K4, VoltageAssignment.trivial(6))),
@@ -207,14 +210,14 @@ INTEGER_ENTRY_POINTS = {
     "check_q": ("q", check_q),
     "GridSpec q": ("q", lambda x: GridSpec(x, 0.5, 3)),
     "GridSpec resolution": ("resolution", lambda x: GridSpec(2, 0.5, x)),
-    "cycle_graph": ("n", cycle_graph),
-    "path_graph": ("n", path_graph),
+    "cycle_graph": ("n", cycle_graph, 0),
+    "path_graph": ("n", path_graph, 0),
     "complete_graph": ("n", complete_graph),
-    "bouquet_graph": ("loops", bouquet_graph),
+    "bouquet_graph": ("loops", bouquet_graph, -1),
     "closed_walk_counts": ("terms", lambda x: closed_walk_counts(K4, x), -1),
-    "euler_log_coeffs": ("terms", lambda x: euler_log_coeffs(K4, x)),
-    "zeta_log_coeffs": ("terms", lambda x: zeta_log_coeffs(K4, x)),
-    "nth_root_det": ("n", lambda x: nth_root_det(K4, x, 0.1)),
+    "euler_log_coeffs": ("terms", lambda x: euler_log_coeffs(K4, x), 0),
+    "zeta_log_coeffs": ("terms", lambda x: zeta_log_coeffs(K4, x), 0),
+    "nth_root_det": ("n", lambda x: nth_root_det(K4, x, 0.1), 0),
     "normalized_zeta": ("n", lambda x: normalized_zeta(derived_graph(K4, _K4_3), x, -2, 0.1)),
     "equivariant_walk_counts": ("length", lambda x: equivariant_walk_counts(_B2_SYMBOL, x)),
     "l2_series_oracle terms": ("terms", lambda x: l2_series_oracle(_B2_SYMBOL, 3, 0.01, x)),

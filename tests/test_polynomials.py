@@ -37,21 +37,11 @@ def test_division_failure():
     assert not den.divides(num)
     with pytest.raises(ValueError):
         num.divide_exact(den)
-
-
-def test_log_series():
-    # log(1 - 2u) = -sum (2u)^m / m
-    p = IntPolynomial((1, -2))
-    coeffs = p.log_series(5)
-    assert list(coeffs) == [Fraction(-(2**m), m) for m in range(1, 6)]
-    # log of a product is the sum of logs: (1 + u)(1 + 3u^2) = 1 + u + 3u^2 + 3u^3
-    a = IntPolynomial((1, 1))
-    b = IntPolynomial((1, 0, 3))
-    lhs = IntPolynomial((1, 1, 3, 3)).log_series(8)
-    rhs = [x + y for x, y in zip(a.log_series(8), b.log_series(8))]
-    assert list(lhs) == rhs
-
-
-def test_log_series_needs_unit_constant_term():
-    with pytest.raises(ValueError):
-        IntPolynomial((2, 1)).log_series(3)
+    # the zero divisor, a divisor of higher degree, a quotient that is not integral
+    for num, den, why in (
+        ((1, 1), (0,), "zero polynomial"),
+        ((1, 1), (1, 0, 1), "degree too small"),
+        ((1, 1), (2,), "not integral"),
+    ):
+        with pytest.raises(ValueError, match=why):
+            IntPolynomial(num).divide_exact(IntPolynomial(den))

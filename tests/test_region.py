@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +23,7 @@ from graphzeta import (
     torus_symbol,
     zeta_eval,
 )
+from graphzeta.region import require_inside
 
 from corpus import B2, K4, PETERSEN
 
@@ -163,3 +166,31 @@ def test_points_within_1e_12_of_C_take_no_logarithm():
         with pytest.raises(DomainError):
             deitmar_residual(K4, u)
     assert deitmar_residual(K4, (2.0**-0.5 - 2e-12) * 1j) < 1e-10
+
+    # at its edges the gate takes a point exactly when it is in the open region and
+    # more than 1e-12 from C: one ulp either side of 1e-12 inside the circle, 1e-12
+    # either side of a slit end and off the axis, NaN and inf
+    for q in (1, 2, 3, 6):
+        edge = q**-0.5 - 1e-12
+        radii = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))
+        points = [r * np.exp(1j * phi) for r in radii for phi in (0.0, 0.3, np.pi / 2, 2.5)]
+        points += [end + d + 1j * im for end in (1 / q, 1.0, -1 / q, -1.0)
+                   for d in (-1e-12, 0.0, 1e-12) for im in (0.0, 1e-12, 2e-12)]
+        points += [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.1, np.nan), complex(0.1, -np.inf)]
+        taken = []
+        for u in points:
+            expected = bool(omega_contains(q, u)) and distance_to_C(q, u) > 1e-12
+            try:
+                require_inside(q, u)
+            except DomainError as exc:
+                assert f"u = {complex(u)} is outside" in str(exc)
+                taken.append(False)
+            else:
+                taken.append(True)
+            assert taken[-1] == expected, u
+        assert any(taken) and not all(taken)
+        # an array is refused at its first point outside, in order
+        first = points[taken.index(False)]
+        with pytest.raises(DomainError, match=re.escape(f"u = {complex(first)} ")):
+            require_inside(q, np.array(points))
+        require_inside(q, np.array([u for u, ok in zip(points, taken) if ok]))

@@ -193,6 +193,12 @@ def test_closed_walk_counts_stay_exact_or_refuse():
     with pytest.raises(ResourceError, match="at most 2048 oriented edges, got 2050"):
         closed_walk_counts(cycle_graph(1025), 2)
     assert closed_walk_counts(path_graph(1), 3) == [0, 0, 0]
+    # an irregular graph with loops (degrees 4, 2, 4): 10 * 3^31 < 2^53 <= 10 * 3^32,
+    # and at its last exact length the Euler product and the closed form agree
+    looped = MultiGraph(3, ((0, 0), (0, 1), (1, 2), (2, 2), (0, 2)))
+    assert euler_log_coeffs(looped, 31) == zeta_log_coeffs(looped, 31)
+    with pytest.raises(ResourceError, match="reach only 31 terms"):
+        closed_walk_counts(looped, 32)
 
 
 def test_transfer_operator_shape():
