@@ -264,14 +264,10 @@ def lattice_tower(
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Trial division by 2, then by the odd d up to sqrt(p)."""
+    if p < 4:
+        return p >= 2
+    return p % 2 != 0 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
 
 def spanning_tree_edges(g: MultiGraph) -> tuple[int, ...]:

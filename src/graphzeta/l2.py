@@ -387,13 +387,14 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     """W_j = closed walks of length j in the Z^k cover, summed over base
     vertices, for j = 0..length, exactly. For one start s at a time, N_a[y, d],
     the walks of length a from (s, 0) to (y, d), is one array over the box of
-    displacements h = ceil(length / 2) steps reach; a step adds one shifted
-    slice per term. Each term (x, y, f, c) needs its reverse (y, x, -f, c),
-    else InputError: the cover is undirected, so W_{a+b} = sum N_a N_b.
-    Every entry and sum is at most v Delta^length, Delta the largest row sum
-    of |coefficients| (the cover's largest degree): int64 below 2^63, Python
-    ints from there. ResourceError, before any array, when h v^2 (box size)
-    passes NODE_BUDGET.
+    displacements h = ceil(length / 2) steps reach; step a writes only the
+    region a steps reach, one shifted slice per term, into the buffer N_(a-2)
+    held. Each term (x, y, f, c) needs its reverse (y, x, -f, c), else
+    InputError: the cover is undirected, so W_{a+b} = sum N_a N_b. With Delta
+    the largest row sum of |coefficients| (the cover's largest degree), every
+    entry of N_a is at most Delta^a: the arrays are int64 while Delta^h < 2^62,
+    Python ints from there, and `_exact_dot` takes each sum exactly.
+    ResourceError, before any array, when h v^2 (box size) passes NODE_BUDGET.
     """
     length = json_int(length, "length")
     if length < 0:
@@ -404,31 +405,59 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     if any(weights[(y, x, tuple(-i for i in f))] != c for (x, y, f), c in weights.items()):
         raise InputError("walk counts need every symbol term (x, y, f, c) paired with (y, x, -f, c)")
     half = -(-length // 2)
-    spans = [(half * min(0, *a), half * max(0, *a)) for a in zip(*(f for _, _, f in weights))]
-    box = tuple(hi - lo + 1 for lo, hi in spans)
+    steps = [(min(0, *a), max(0, *a)) for a in zip(*(f for _, _, f in weights))]
+    box = tuple(half * (hi - lo) + 1 for lo, hi in steps)
     charge = half * v * v * math.prod(box)
     if charge > NODE_BUDGET:
         raise ResourceError(
             f"walks of length {length} need {charge} state entries, "
             f"over the node budget of {NODE_BUDGET}"
         )
-    rows = [sum(abs(c) for x, _, _, c in sym.terms if x == s) for s in range(v)]
-    dtype = np.int64 if v * max(rows, default=0) ** length < 2**63 else object
+    delta = max((sum(abs(c) for x, _, _, c in sym.terms if x == s) for s in range(v)), default=0)
+    dtype = np.int64 if delta**half < 2**62 else object
+    origin = tuple(-half * lo for lo, _ in steps)
+
+    def reach(a, f=None):  # the displacements a steps reach, moved by f
+        f = f or (0,) * len(steps)
+        return tuple(slice(o + a * lo + s, o + a * hi + s + 1) for o, (lo, hi), s in zip(origin, steps, f))
+
+    bufs = np.zeros((2, v) + box, dtype)  # N_a is bufs[a % 2], zero outside the region a steps reach
+    moves = []
+    for a in range(1, half + 1):
+        cur, nxt = bufs[(a - 1) % 2], bufs[a % 2]
+        here, every = reach(a - 1), slice(None)
+        adds = [(nxt[(y,) + reach(a - 1, f)], cur[(x,) + here], c) for (x, y, f), c in weights.items()]
+        # N_(a-1) and N_a over the region a - 1 steps reach, N_a over the one a steps reach
+        moves.append((cur[(every,) + here], nxt[(every,) + here], nxt[(every,) + reach(a)], adds))
     counts = [v] + [0] * length
     for start in range(v):
-        cur = np.zeros((v,) + box, dtype)
-        cur[(start,) + tuple(-lo for lo, _ in spans)] = 1
-        for a in range(1, half + 1):
-            nxt = np.zeros_like(cur)
-            for (x, y, f), c in weights.items():
-                src = tuple(slice(max(0, -s), n - max(0, s)) for s, n in zip(f, box))
-                dst = tuple(slice(max(0, s), n - max(0, -s)) for s, n in zip(f, box))
-                nxt[(y,) + dst] += c * cur[(x,) + src]
-            counts[2 * a - 1] += int(np.dot(cur.ravel(), nxt.ravel()))
+        bufs[...] = 0
+        bufs[(0, start) + origin] = 1
+        for a, (cur, nxt_inner, nxt, adds) in enumerate(moves, 1):
+            nxt[...] = 0
+            for dst, src, c in adds:
+                dst += src if c == 1 else c * src
+            counts[2 * a - 1] += _exact_dot(cur, nxt_inner, delta ** (2 * a - 1))
             if 2 * a <= length:
-                counts[2 * a] += int(np.dot(nxt.ravel(), nxt.ravel()))
-            cur = nxt
+                counts[2 * a] += _exact_dot(nxt, nxt, delta ** (2 * a))
     return counts
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray, bound: int) -> int:
+    """sum(a * b) as a Python int, exactly, for integer arrays of one shape
+    whose sum of |a b| is at most `bound`. Object arrays sum in Python ints,
+    int64 ones in one plain dot while `bound` < 2^63. Past that each int64
+    entry splits into 20-bit limbs, the top one signed (x >> 60, in [-8, 8)):
+    with at most 2^22 entries (NODE_BUDGET bounds v (box size) in
+    `equivariant_walk_counts`) each sum of limb products stays below 2^62,
+    and the 4 x 4 limb sums are shifted back together in Python ints."""
+    if a.dtype == object or bound < 2**63:
+        return int(np.dot(a.ravel(), b.ravel()))
+    shifts = np.arange(0, 80, 20)[:, None]
+    limbs = lambda x: (x.ravel() >> shifts) & np.where(shifts < 60, 2**20 - 1, -1)
+    a_limbs = limbs(a)
+    sums = a_limbs @ (a_limbs if b is a else limbs(b)).T
+    return sum(s << 20 * (i + j) for i, row in enumerate(sums.tolist()) for j, s in enumerate(row))
 
 
 def _log_traces(walks: list[int], q: int) -> list[int]:

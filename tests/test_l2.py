@@ -717,12 +717,24 @@ def test_walk_counts_take_symmetric_symbols_with_repeated_terms():
     assert equivariant_walk_counts(sym, 9)[8] == math.comb(8, 4) * 2**8
 
 
-@pytest.mark.parametrize("length", range(30, 37))
+@pytest.mark.parametrize("length", [*range(30, 37), *range(58, 65)])
 def test_walk_counts_cross_from_int64_to_python_ints(length):
-    # on B2 Delta = 4: the bound 4^length reaches 2^63 at 32, where the counts go on
-    # in Python ints; W_36 = C(36, 18)^2 is the first count past 2^63
+    # on B2 Delta = 4: the bound 4^j on a sum N_a N_b (a + b = j) reaches 2^63 at
+    # j = 32, where the plain int64 dot gives way to the limb dot; W_36 = C(36, 18)^2
+    # is the first count past 2^63. The entries of N_a, at most 4^a, leave int64
+    # for Python ints at h = 31 (lengths 61-64), as 4^31 = 2^62
     expected = [math.comb(j, j // 2) ** 2 if j % 2 == 0 else 0 for j in range(length + 1)]
     assert equivariant_walk_counts(torus_symbol(B2, VZ2), length) == expected
+
+
+def test_walk_counts_take_the_limb_dot_on_negative_entries():
+    # coefficients -3, -3, 1, 1: N_1 is -3 at +-1 and 1 at +-2, and Delta = 8, so
+    # lengths 21-40 take the limb dot on int64 entries of both signs (8^21 = 2^63)
+    # and lengths 41-42 hold Python ints (8^20 < 2^62 <= 8^21)
+    sym = TorusSymbol(1, 1, ((0, 0, (1,), -3), (0, 0, (-1,), -3), (0, 0, (2,), 1), (0, 0, (-2,), 1)))
+    expected = walk_counts_by_dict(sym, 42)
+    for length in range(20, 43):
+        assert equivariant_walk_counts(sym, length) == expected[: length + 1]
 
 
 def test_walk_counts_are_charged_against_the_node_budget(monkeypatch):

@@ -32,7 +32,8 @@ from graphzeta import (
     zeta_log_coeffs,
     zeta_zeros,
 )
-from graphzeta import l2
+from graphzeta import l2, zeta
+from graphzeta.covers import is_prime
 from graphzeta.zeta import _det_poly, _linearized_det_poly, _transfer_matrix, closed_walk_counts
 
 from corpus import (
@@ -108,6 +109,17 @@ def test_modular_route_matches_bareiss_oracle():
         # 2v + 1 integer points determine a polynomial of degree at most 2v
         assert p.degree <= 2 * v
         assert [p(t) for t in range(-v, v + 1)] == [det_at(g, t) for t in range(-v, v + 1)]
+
+
+def test_prime_search_matches_a_sieve():
+    sieve = [False, False] + [True] * (10**4 - 2)
+    for d in range(2, 100):
+        sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [is_prime(p) for p in range(-3, 10**4)] == [False] * 3 + sieve
+    # four primes below 2^26 lift x^2 - 1 with a bound of 2^100; the largest
+    # primes below 2^26 are 2^26 - 5, - 27, - 45, - 87
+    assert zeta._charpoly(np.array([[0, 1], [1, 0]]), 2**100) == [-1, 0, 1]
+    assert zeta._PRIMES[:4] == [2**26 - d for d in (5, 27, 45, 87)]
 
 
 def test_det_poly_beyond_float_precision_matches_bareiss():
