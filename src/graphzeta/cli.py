@@ -167,7 +167,7 @@ def _cmd_zeta_compute(args) -> tuple[dict, int]:
 def _cmd_zeta_zeros(args) -> tuple[dict, int]:
     g = load_graph(args.graph)
     report = zeta_zeros(g)
-    write_rows(args.out, ("re", "im", "multiplicity", "dist_to_C"), report.to_rows())
+    write_rows(args.out, ("re", "im", "multiplicity", "dist_to_C"), zip(*report.to_rows()))
     summary = {
         "command": "zeta zeros",
         "graph": args.graph,
@@ -312,13 +312,16 @@ def _cmd_l2_torus(args) -> tuple[dict, int]:
         raise InputError("l2 torus needs --eval or --grid")
     if args.grid is not None and args.out is None:
         raise InputError("--grid output needs --out <csv>")
+    if args.out is not None and args.grid is None:
+        raise InputError("--out needs --grid: only grid values are written")
     grid = None if args.grid is None else _parse_grid(args.grid, q)
     if args.eval is not None:
         summary["eval"] = _eval_report(args.eval, lambda u: l2_zeta_abelian(base, volt, u))
     if grid is not None:
-        values = l2_zeta_abelian(base, volt, grid.array)
-        rows = ((u.real, u.imag, v.real, v.imag) for u, v in zip(grid.points, values))
-        write_rows(args.out, ("re", "im", "value_re", "value_im"), rows)
+        us = grid.array
+        values = l2_zeta_abelian(base, volt, us)
+        columns = (us.real, us.imag, values.real, values.imag)
+        write_rows(args.out, ("re", "im", "value_re", "value_im"), columns)
         summary["out"] = args.out
         summary["grid"] = grid.describe()
         summary["points"] = len(grid.points)
@@ -331,7 +334,7 @@ def _cmd_l2_cdf(args) -> tuple[dict, int]:
     cdfs = [level_cdf(level) for level in tower.levels]  # every level before any file
     files = [str(Path(args.out) / f"cdf_N{level.index}.csv") for level in tower.levels]
     for path, (points, values) in zip(files, cdfs):
-        write_rows(path, ("lambda", "F"), zip(points.tolist(), values.tolist()))
+        write_rows(path, ("lambda", "F"), (points, values))
     summary = {
         "command": "l2 cdf",
         "spec": args.spec,
@@ -374,10 +377,10 @@ def _cmd_deitmar_check(args) -> tuple[dict, int]:
 @functools.cache  # built on the first run, then reused: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphzeta", description=__doc__)
-    groups = parser.add_subparsers(dest="group")
+    groups = parser.add_subparsers(dest="group", required=True)
 
     zeta = groups.add_parser("zeta", help="finite zeta functions")
-    zeta_sub = zeta.add_subparsers(dest="command")
+    zeta_sub = zeta.add_subparsers(dest="command", required=True)
 
     p = zeta_sub.add_parser("compute", help="determinant polynomial and evaluation")
     p.add_argument("--graph", required=True)
@@ -404,7 +407,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_zeta_functional_check)
 
     cover = groups.add_parser("cover", help="derived covering graphs")
-    cover_sub = cover.add_subparsers(dest="command")
+    cover_sub = cover.add_subparsers(dest="command", required=True)
 
     p = cover_sub.add_parser("build", help="derive a cover from a voltage file")
     p.add_argument("--base", required=True)
@@ -413,7 +416,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_cover_build)
 
     tower = groups.add_parser("tower", help="towers of covers")
-    tower_sub = tower.add_subparsers(dest="command")
+    tower_sub = tower.add_subparsers(dest="command", required=True)
 
     p = tower_sub.add_parser("build", help="materialize the levels of a tower spec")
     p.add_argument("--spec", required=True)
@@ -429,7 +432,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_tower_run)
 
     l2 = groups.add_parser("l2", help="L2 zeta data of infinite abelian covers")
-    l2_sub = l2.add_subparsers(dest="command")
+    l2_sub = l2.add_subparsers(dest="command", required=True)
 
     p = l2_sub.add_parser("torus", help="torus-quadrature L2 zeta values")
     p.add_argument("--base", required=True)
@@ -445,7 +448,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_l2_cdf)
 
     deitmar = groups.add_parser("deitmar", help="finite vs L2 determinant identity")
-    deitmar_sub = deitmar.add_subparsers(dest="command")
+    deitmar_sub = deitmar.add_subparsers(dest="command", required=True)
 
     p = deitmar_sub.add_parser("check", help="residual of the tree-cover identity")
     p.add_argument("--graph", required=True)
@@ -460,9 +463,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "handler"):
-            parser.parse_args(list(argv or []) + ["--help"])
-            return 1
         summary, code = args.handler(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -204,12 +204,13 @@ def write_convergence_report(report: ConvergenceReport, outdir: "str | Path") ->
     summary = outdir / "summary.json"
     write_text(summary, json.dumps(report.summary_dict(), sort_keys=True, indent=2) + "\n")
     written = [summary]
+    us = report.grid.array
     for level in report.levels:
         path = outdir / f"errors_N{level.index}.csv"
-        rows = ((u.real, u.imag, err) for u, err in zip(report.grid.points, level.errors))
-        write_rows(path, ("re", "im", "abs_error"), rows)
+        write_rows(path, ("re", "im", "abs_error"), (us.real, us.imag, level.errors))
         written.append(path)
     c_path = outdir / "set_c.csv"
-    rows = ((part, point.real, point.imag) for part, point in set_c_polyline(report.grid.q))
-    write_rows(c_path, ("part", "re", "im"), rows)
+    parts, points = zip(*set_c_polyline(report.grid.q))
+    points = np.asarray(points)
+    write_rows(c_path, ("part", "re", "im"), (parts, points.real, points.imag))
     return written + [c_path]

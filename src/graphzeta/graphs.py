@@ -273,19 +273,13 @@ def write_text(path: "str | Path", text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _csv_field(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, np.generic):
-        value = value.item()
-    return repr(value)
-
-
-def write_rows(path: "str | Path", header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A CSV with one line per row: strings as they are, numbers as the repr
-    of a Python int or float (numpy scalars converted first), so that every
-    numeric field parses back to the same value. Returns write_text's hash."""
-    lines = [",".join(header)] + [",".join(map(_csv_field, row)) for row in rows]
+def write_rows(path: "str | Path", header: Sequence[str], columns: Iterable[Sequence]) -> str:
+    """A CSV from its columns, each a sequence or array of one type. A column
+    becomes Python values once (`tolist`) and each field is their str: a
+    number is the repr of a Python int or float, so that it parses back to
+    the same value. Returns write_text's hash."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     return write_text(path, "\n".join(lines) + "\n")
 
 

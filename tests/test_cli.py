@@ -383,14 +383,19 @@ def test_csv_fields_are_plain_numbers(workdir, capsys):
     files = sorted((workdir / "run").glob("errors_N*.csv")) + [values, zeros]
     files += sorted((workdir / "cdf").glob("cdf_N*.csv"))
     assert len(files) == 6
+    # every number is the repr of the Python int or float it parses to: an
+    # np.float64(...) field, an int written as a float or a float written as
+    # an int fails
     for path in files + [workdir / "run" / "set_c.csv"]:
-        rows = path.read_text().strip().splitlines()[1:]
+        header, *rows = path.read_text().splitlines()
         assert rows
         for row in rows:
-            fields = row.split(",")
-            if path.name == "set_c.csv":
-                assert fields.pop(0) in ("circle", "slit_pos", "slit_neg")
-            [float(field) for field in fields]
+            for name, field in zip(header.split(","), row.split(","), strict=True):
+                if name == "part":
+                    assert field in ("circle", "slit_pos", "slit_neg")
+                    continue
+                number = (int if name == "multiplicity" else float)(field)
+                assert field == repr(number), (path.name, name, field)
 
 
 def test_l2_torus_eval(workdir, capsys):
@@ -522,8 +527,14 @@ def test_exit_codes(workdir, capsys, monkeypatch):
         )
         == 1
     )
-    # unknown subcommand
+    # unknown subcommand, and a missing one at either level
     assert run(["zeta", "frobnicate"]) == 1
+    capsys.readouterr()
+    for argv in ([], ["zeta"], ["tower"]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        prog = " ".join(["graphzeta", *argv])
+        assert out == "" and err.startswith(f"error: {prog}: the following arguments are required"), err
     # resource exhaustion: exit 2. A tower level graph over the vertex cap is
     # refused before anything is written, for homology and cyclic towers alike
     for spec, cap, size in (("tower_h.json", 50, 128), ("tower.json", 2, 4)):
@@ -639,6 +650,7 @@ def test_grid_output_target_and_grid_text_errors_exit_1(workdir, capsys):
              "--out", str(workdir / "r")]
     for argv, message in (
         ([*torus, "--grid", "disk:0.3:5:0.02"], "--grid output needs --out <csv>"),
+        ([*torus, "--eval", "0.1", "--out", str(workdir / "g.csv")], "--out needs --grid"),
         ([*tower, "--target", "zeta:1"], "unknown target 'zeta:1'"),
         ([*torus, "--grid", "disk:x:3:0.05", "--out", str(workdir / "g.csv")], "malformed grid 'disk:x:3:0.05'"),
     ):
@@ -770,6 +782,7 @@ def test_l2_torus_checks_every_argument_before_it_evaluates(workdir, capsys, mon
     assert "l2 torus needs --eval or --grid" in refused_quickly(argv[:-2], 1, capsys)
     err = refused_quickly([*argv, "--grid", "disk:0.3:3:0.02"], 1, capsys)
     assert "--grid output needs --out <csv>" in err
+    assert "--out needs --grid" in refused_quickly([*argv, "--out", str(workdir / "v.csv")], 1, capsys)
     err = refused_quickly([*argv, "--grid", "disk:oops", "--out", str(workdir / "v.csv")], 1, capsys)
     assert "grid must look like disk:<radius>:<resolution>:<margin>, got 'disk:oops'" in err
     assert not (workdir / "v.csv").exists()
@@ -939,3 +952,4 @@ def test_console_script_runs(workdir):
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["zeta", "--help"]) == 0
+    assert run(["tower", "--help"]) == 0
