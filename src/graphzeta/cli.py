@@ -289,6 +289,7 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
             for row, level in zip(report.levels, tower.levels)
         ],
         "flags": report.summary_dict()["flags"],
+        "line_solves": report.line_solves,
         "out": args.out,
         "inputs": inputs,
     }

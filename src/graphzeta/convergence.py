@@ -21,7 +21,7 @@ import numpy as np
 from .covers import Tower
 from .errors import InputError, ResourceError
 from .graphs import NODE_BUDGET, MultiGraph, json_float, json_int, regular_q, write_rows, write_text
-from .l2 import L2Zeta, _count_at_most, _level_blocks, _level_log_sums
+from .l2 import L2Zeta, _count_at_most, _level_blocks, _level_log_sums, _shared_lines
 from .region import at_points, check_q, omega_contains, require_inside, set_c_polyline
 from .zeta import det_poly, zeta_eval
 
@@ -101,6 +101,7 @@ class ConvergenceReport:
     grid: GridSpec
     target_description: str
     limit_verified: bool
+    line_solves: int
 
     def summary_dict(self) -> dict:
         doc = {
@@ -124,34 +125,37 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     """Per-level sup of |normalized zeta - target| over the grid; the target
     is evaluated on all grid points in one call once every level is in
     NODE_BUDGET. Each level's log-sums come from `_level_log_sums`: from
-    the roots of its line (rank 1, solved once per distinct symbol) or from
-    its characters, block by block."""
+    the roots of its line (rank 1) or from its characters, block by block.
+    Within the call (`_shared_lines`) a rank-1 `torus:` target and the levels
+    of its symbol share one root solve; `line_solves` counts the solves."""
     points = grid.array
     chi_base = tower.base.euler_characteristic
     q = regular_q(tower.base)
     if q != grid.q:
         raise InputError(f"grid q = {grid.q} does not match the tower base's q = {q}")
-    log_sums = _level_log_sums(tower.levels, q, points)
-    target_values = np.broadcast_to(target.evaluate(points), points.shape)
     levels = []
-    for level, (logs, rho_max) in zip(tower.levels, log_sums):
-        values = (1.0 - points * points) ** (-chi_base) * np.exp(logs / level.index)
-        errors = np.abs(values - target_values)
-        worst = int(np.argmax(errors))
-        levels.append(
-            LevelReport(
-                index=level.index,
-                sup_error=float(errors[worst]),
-                argmax=complex(points[worst]),
-                errors=errors,
-                rho_max=rho_max,
+    with _shared_lines() as solved:
+        log_sums = _level_log_sums(tower.levels, q, points)
+        target_values = np.broadcast_to(target.evaluate(points), points.shape)
+        for level, (logs, rho_max) in zip(tower.levels, log_sums):
+            values = (1.0 - points * points) ** (-chi_base) * np.exp(logs / level.index)
+            errors = np.abs(values - target_values)
+            worst = int(np.argmax(errors))
+            levels.append(
+                LevelReport(
+                    index=level.index,
+                    sup_error=float(errors[worst]),
+                    argmax=complex(points[worst]),
+                    errors=errors,
+                    rho_max=rho_max,
+                )
             )
-        )
     return ConvergenceReport(
         levels=tuple(levels),
         grid=grid,
         target_description=target.description,
         limit_verified=tower.limit_verified,
+        line_solves=len(solved),
     )
 
 

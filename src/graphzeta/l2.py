@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -193,15 +195,14 @@ def _level_log_sums(levels, q: int, us: np.ndarray):
     its characters). Every level is charged (`_level_symbol`) on the call.
 
     A rank-1 level of order n is n * mean + sum log(1 - rho^n) over its
-    symbol's one line (`_read_lines`), read once per distinct symbol (all
+    symbol's one line (`_solved_line`), solved once per distinct symbol (all
     levels above n = 2 max |s| share one) and named in a NumericError by the
-    level that reads it first. A level reads its line if it is read, or if
-    n > 2D + 1 and both the root solve, (2D)^2, and the values kept, points
-    x (2D + 1), fit NODE_BUDGET; else its n^k characters.
+    level or target that solves it first. A level reads its line if a level
+    before it read it, or if n > 2D + 1 and both the root solve, (2D)^2, and
+    the values kept, points x (2D + 1), fit NODE_BUDGET; else its n^k characters.
     """
     symbols = [_level_symbol(level) for level in levels]
     solved: dict = {}
-    roots = lambda means, rhos, _: np.column_stack((means, rhos))
 
     def read(level: TowerLevel, sym: TorusSymbol):
         n = level.voltages.orders[0]
@@ -211,7 +212,7 @@ def _level_log_sums(levels, q: int, us: np.ndarray):
         if sym not in solved and not cheaper:
             return _log_sum(_node_eigenvalues(sym, n), q, us), None
         if sym not in solved:
-            solved[sym] = _read_lines(sym, q, us, n, roots, f"of the level of index {level.index}")
+            solved[sym] = _solved_line(sym, q, us, f"of the level of index {level.index}")
         means, inside = solved[sym][:, 0], solved[sym][:, 1:]
         logs = n * means + np.log1p(-(inside**n)).sum(axis=1)
         return logs, float(np.abs(inside).max(initial=0.0))
@@ -320,12 +321,38 @@ def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, reduce, what: 
     return values
 
 
+_SOLVED_LINES: ContextVar[dict] = ContextVar("solved_lines")
+
+
+@contextmanager
+def _shared_lines():
+    """Within the block, `_solved_line` solves each rank-1 line once per
+    (symbol, q, points); yields the map of the lines solved in it."""
+    token = _SOLVED_LINES.set({})
+    try:
+        yield _SOLVED_LINES.get()
+    finally:
+        _SOLVED_LINES.reset(token)
+
+
+def _solved_line(sym: TorusSymbol, q: int, us: np.ndarray, what: str) -> np.ndarray:
+    """The one line of a rank-1 symbol at the points `us` (`_read_lines`), a
+    row per point: its mean, then its 2D values rho. Inside `_shared_lines`
+    a line already solved there is not solved again."""
+    solved = _SOLVED_LINES.get({})
+    key = (sym, q, us.tobytes())
+    if key not in solved:
+        solved[key] = _read_lines(sym, q, us, 1, lambda means, rhos, _: np.column_stack((means, rhos)), what)
+    return solved[key]
+
+
 def l2_log_det(sym: TorusSymbol, q: int, u):
     """Normalized trace of log(I - d(t) u + q u^2) over the torus, at a point
     (giving a complex) or an array of points (giving an array of its shape).
 
     The mean of the line means of `_read_lines`, exact on the axis j of
-    least degree bound D; the other axes (none at rank 1) take m = 16, 32,
+    least degree bound D (at rank 1 `_solved_line`, shared with the tower
+    levels of this symbol); the other axes (none at rank 1) take m = 16, 32,
     ... nodes each until two values agree within QUADRATURE_TOL, converged
     points dropping out. Refinement m adds to a running total only its new
     lines (an odd coordinate; all at m = 16), one of each conjugate pair
@@ -361,7 +388,8 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
                 new = (m == 16) | (np.array(first) % 2).any(axis=0)
                 return np.where(flat == mirror, 1, 2) * (new & (flat <= mirror))
 
-            totals[active] += _read_lines(sym, q, points[active], m, mean_sum, what, weigh)
+            totals[active] += (_read_lines(sym, q, points[active], m, mean_sum, what, weigh) if k > 1
+                               else _solved_line(sym, q, points[active], what)[:, 0])
             refined = totals[active] / m ** (k - 1)
             changes[active] = np.abs(refined - values[active])
             values[active] = refined

@@ -89,16 +89,9 @@ def set_c_polyline(q: int) -> list[tuple[str, complex]]:
     """Discretized polyline of C for plotting: circle and the two slits."""
     q = check_q(q)
     n = _POLYLINE_POINTS
-    out: list[tuple[str, complex]] = []
     radius = q ** -0.5
-    for k in range(n + 1):
-        phi = 2.0 * np.pi * k / n
-        out.append(("circle", complex(radius * np.cos(phi), radius * np.sin(phi))))
-    for part, a, b in (
-        ("slit_pos", 1.0 / q, 1.0),
-        ("slit_neg", -1.0, -1.0 / q),
-    ):
-        for k in range(n):
-            t = a + (b - a) * k / (n - 1)
-            out.append((part, complex(t, 0.0)))
-    return out
+    phi = 2.0 * np.pi * np.arange(n + 1) / n
+    parts = [("circle", radius * np.cos(phi), radius * np.sin(phi))]
+    for part, a, b in (("slit_pos", 1.0 / q, 1.0), ("slit_neg", -1.0, -1.0 / q)):
+        parts.append((part, a + (b - a) * np.arange(n) / (n - 1), np.zeros(n)))
+    return [(part, complex(x, y)) for part, xs, ys in parts for x, y in zip(xs.tolist(), ys.tolist())]

@@ -317,17 +317,19 @@ def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, m
     argv = ["tower", "run", "--spec", str(workdir / "loop3.json"), "--target", "constant:1",
             "--grid", "disk:0.6:5:0.02", "--out", str(workdir / "r")]
     assert run(argv) == 0
-    levels = summary_of(capsys)["levels"]
-    assert [lvl["route"] for lvl in levels] == ["characters", "lines"]
+    doc = summary_of(capsys)
+    levels = doc["levels"]
+    assert [lvl["route"] for lvl in levels] == ["characters", "lines"] and doc["line_solves"] == 1
     assert levels[0]["rho_max"] is None and 0 < levels[1]["rho_max"] < 1
     files = {p.name: p.read_bytes() for p in (workdir / "r").iterdir()}
-    assert not any(b"route" in body or b"rho_max" in body for body in files.values())
+    assert not any(key in body for body in files.values() for key in (b"route", b"rho_max", b"line_solves"))
     # its root solve is charged (2D)^2 = 36 nodes; past the budget, and within the
     # level's 8 eigenvalues, the level is read from its characters
     monkeypatch.setattr(l2, "NODE_BUDGET", 20)
     assert run(argv) == 0
-    budgeted = summary_of(capsys)["levels"]
-    assert [lvl["route"] for lvl in budgeted] == ["characters", "characters"]
+    doc = summary_of(capsys)
+    budgeted = doc["levels"]
+    assert [lvl["route"] for lvl in budgeted] == ["characters", "characters"] and doc["line_solves"] == 0
     assert abs(budgeted[1]["sup_error"] - levels[1]["sup_error"]) < 1e-12
     assert {p.name: p.read_bytes() for p in (workdir / "r").iterdir()}.keys() == files.keys()
 
@@ -360,6 +362,8 @@ def test_tower_run_torus_target(workdir, capsys):
     assert len(doc["levels"]) == 3
     sups = [lvl["sup_error"] for lvl in doc["levels"]]
     assert sups[-1] < sups[0]
+    # the level of order 4 > 2D + 1 = 3 and the target read one line
+    assert [lvl["route"] for lvl in doc["levels"]][-1] == "lines" and doc["line_solves"] == 1
 
 
 def test_csv_fields_are_plain_numbers(workdir, capsys):

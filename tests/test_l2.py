@@ -7,6 +7,7 @@ of the spectral distribution.
 """
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from graphzeta import (
     DomainError,
     GridSpec,
     InputError,
+    L2Zeta,
     MultiGraph,
     NumericError,
     ResourceError,
@@ -45,6 +47,7 @@ from graphzeta import (
     torus_symbol,
     tower_convergence,
     tree_l2_reference,
+    write_convergence_report,
 )
 
 from corpus import B2, K4, LOOP, PETERSEN, walk_counts_by_dict
@@ -631,6 +634,65 @@ def test_a_seeded_k4_tower_solves_roots_at_most_three_times(monkeypatch):
         report = tower_convergence(tower, tree_l2_reference(), grid)
         assert 1 <= len(calls) <= 3
         assert all(row.rho_max is not None for row in report.levels[-4:])
+
+
+def counted_line_roots(monkeypatch):
+    calls, line_roots = [], l2._line_roots
+    monkeypatch.setattr(l2, "_line_roots", lambda sums, degree: calls.append(degree) or line_roots(sums, degree))
+    return calls
+
+
+def test_a_torus_target_reads_the_line_of_its_levels(monkeypatch, tmp_path):
+    # the target and the levels above 2 max |s| share one symbol: one root solve serves
+    # them all, and the errors are those against the target evaluated on its own
+    calls = counted_line_roots(monkeypatch)
+    grid = GridSpec(q=2, radius=0.5, resolution=8, margin=0.05)
+    base, volt = presented(np.random.default_rng(25), K4, K4_SHIFTS)
+    tower = lattice_tower(base, volt.voltages, [2**i for i in range(10)])
+    tower_convergence(tower, tree_l2_reference(), grid)
+    tree_calls = len(calls)
+    calls.clear()
+    shared = tower_convergence(tower, torus_l2(base, volt), grid)
+    assert len(calls) == tree_calls and shared.line_solves == 1
+    alone = torus_l2(base, volt).evaluate(grid.array)
+    own = tower_convergence(tower, L2Zeta(evaluate=lambda u: alone), grid)
+    a, b = (write_convergence_report(r, tmp_path / name) for r, name in ((shared, "a"), (own, "b")))
+    errors = [(p, r) for p, r in zip(a, b) if p.name.startswith("errors_N")]
+    assert len(errors) == 10 and all(p.read_bytes() == r.read_bytes() for p, r in errors)
+
+
+def test_other_targets_and_grids_solve_their_own_lines(monkeypatch):
+    # a different rank-1 cover, and the levels' own symbol at other points, each
+    # solve once more and give their values evaluated alone; so does each new call
+    calls = counted_line_roots(monkeypatch)
+    grid = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
+    tower = lattice_tower(K4, K4_SHIFTS, (1, 64, 128))
+    other = VoltageAssignment.free(tuple((s,) for s in (0, 1, 1, 0, -1, 2)))
+    shrunk = lambda u: torus_l2(K4, VoltageAssignment.free(K4_SHIFTS)).evaluate(0.5 * u)
+    for evaluate in (torus_l2(K4, other).evaluate, shrunk):
+        alone = evaluate(grid.array)
+        own = tower_convergence(tower, L2Zeta(evaluate=lambda u: alone), grid)
+        for _ in range(2):  # nothing solved in one call is kept for the next
+            calls.clear()
+            report = tower_convergence(tower, L2Zeta(evaluate=evaluate), grid)
+            assert report.line_solves == 2 and len(calls) == 2
+            assert [r.errors.tolist() for r in report.levels] == [r.errors.tolist() for r in own.levels]
+
+
+def test_a_wrong_root_count_in_a_shared_line_names_the_point(monkeypatch):
+    line_roots = l2._line_roots
+
+    def second_wrong(sums, degree):
+        means, inside = line_roots(sums, degree)
+        means[1] = np.nan
+        return means, inside
+
+    monkeypatch.setattr(l2, "_line_roots", second_wrong)
+    grid = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
+    tower = lattice_tower(K4, K4_SHIFTS, (1, 64))
+    point = re.escape(f"u = {grid.array[1]}")
+    with pytest.raises(NumericError, match=point + ".* does not have 2 roots outside"):
+        tower_convergence(tower, torus_l2(K4, VoltageAssignment.free(K4_SHIFTS)), grid)
 
 
 def test_a_line_keeps_its_roots_within_the_node_budget(monkeypatch):
