@@ -127,7 +127,8 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     NODE_BUDGET. Each level's log-sums come from `_level_log_sums`: from
     the roots of its line (rank 1) or from its characters, block by block.
     Within the call (`_shared_lines`) a rank-1 `torus:` target and the levels
-    of its symbol share one root solve; `line_solves` counts the solves."""
+    that read its symbol's line share one root solve, which the target makes
+    first; `line_solves` counts the solves."""
     points = grid.array
     chi_base = tower.base.euler_characteristic
     q = regular_q(tower.base)

@@ -195,29 +195,32 @@ def _level_log_sums(levels, q: int, us: np.ndarray):
     its characters). Every level is charged (`_level_symbol`) on the call.
 
     A rank-1 level of order n is n * mean + sum log(1 - rho^n) over its
-    symbol's one line (`_solved_line`), solved once per distinct symbol (all
-    levels above n = 2 max |s| share one) and named in a NumericError by the
-    level or target that solves it first. A level reads its line if a level
-    before it read it, or if n > 2D + 1 and both the root solve, (2D)^2, and
-    the values kept, points x (2D + 1), fit NODE_BUDGET; else its n^k characters.
+    symbol's one line (`_line`), solved once per distinct symbol (all levels
+    above n = 2 max |s| share one). A level reads its line if a level before
+    it does, or if n > 2D + 1 and both the root solve, (2D)^2, and the values
+    kept, points x (2D + 1), fit NODE_BUDGET; else its n^k characters. Its
+    line enters the `_shared_lines` map on the call, for `l2_log_det` to solve.
     """
     symbols = [_level_symbol(level) for level in levels]
-    solved: dict = {}
-
-    def read(level: TowerLevel, sym: TorusSymbol):
-        n = level.voltages.orders[0]
+    solved, where, routes = _SOLVED_LINES.get({}), us.tobytes(), []
+    for level, sym in zip(levels, symbols):
         degree, _ = _exact_axis(sym)
-        width = 2 * degree + 1
-        cheaper = sym.rank == 1 and n > width and max(4 * degree**2, us.size * width) <= NODE_BUDGET
-        if sym not in solved and not cheaper:
+        width, key = 2 * degree + 1, (sym, q, where)
+        cheaper = level.voltages.orders[0] > width and max(4 * degree**2, us.size * width) <= NODE_BUDGET
+        routes.append(key in solved or sym.rank == 1 and cheaper)
+        if routes[-1]:
+            solved.setdefault(key, None)
+
+    def read(level: TowerLevel, sym: TorusSymbol, line: bool):
+        n = level.voltages.orders[0]
+        if not line:
             return _log_sum(_node_eigenvalues(sym, n), q, us), None
-        if sym not in solved:
-            solved[sym] = _solved_line(sym, q, us, f"of the level of index {level.index}")
-        means, inside = solved[sym][:, 0], solved[sym][:, 1:]
+        roots = _line(solved, (sym, q, where), us, f"of the level of index {level.index}")
+        means, inside = roots[:, 0], roots[:, 1:]
         logs = n * means + np.log1p(-(inside**n)).sum(axis=1)
         return logs, float(np.abs(inside).max(initial=0.0))
 
-    return (read(level, sym) for level, sym in zip(levels, symbols))
+    return (read(*args) for args in zip(levels, symbols, routes))
 
 
 def level_cdf(level: TowerLevel) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +329,8 @@ _SOLVED_LINES: ContextVar[dict] = ContextVar("solved_lines")
 
 @contextmanager
 def _shared_lines():
-    """Within the block, `_solved_line` solves each rank-1 line once per
-    (symbol, q, points); yields the map of the lines solved in it."""
+    """Within the block, each rank-1 line is solved once per (symbol, q,
+    points) by `_line`; yields the map of the lines solved in it."""
     token = _SOLVED_LINES.set({})
     try:
         yield _SOLVED_LINES.get()
@@ -335,14 +338,15 @@ def _shared_lines():
         _SOLVED_LINES.reset(token)
 
 
-def _solved_line(sym: TorusSymbol, q: int, us: np.ndarray, what: str) -> np.ndarray:
-    """The one line of a rank-1 symbol at the points `us` (`_read_lines`), a
-    row per point: its mean, then its 2D values rho. Inside `_shared_lines`
-    a line already solved there is not solved again."""
-    solved = _SOLVED_LINES.get({})
-    key = (sym, q, us.tobytes())
-    if key not in solved:
-        solved[key] = _read_lines(sym, q, us, 1, lambda means, rhos, _: np.column_stack((means, rhos)), what)
+def _line(solved: dict, key: tuple, us: np.ndarray, what: str) -> np.ndarray:
+    """The line of a rank-1 symbol at the points `us`, key = (symbol, q,
+    us.tobytes()) in `solved` (`_shared_lines`), a row per point: solved by
+    `_read_lines` to its mean and its 2D values rho if its entry is None (a
+    tower level's, `_level_log_sums`), or to its mean alone if it has none."""
+    if solved.get(key) is None:
+        full = key in solved
+        solved[key] = _read_lines(*key[:2], us, 1, lambda means, rhos, _: np.column_stack(
+            (means, rhos) if full else (means,)), what)
     return solved[key]
 
 
@@ -350,11 +354,10 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     """Normalized trace of log(I - d(t) u + q u^2) over the torus, at a point
     (giving a complex) or an array of points (giving an array of its shape).
 
-    The mean of the line means of `_read_lines`, exact on the axis j of
-    least degree bound D (at rank 1 `_solved_line`, shared with the tower
-    levels of this symbol); the other axes (none at rank 1) take m = 16, 32,
-    ... nodes each until two values agree within QUADRATURE_TOL, converged
-    points dropping out. Refinement m adds to a running total only its new
+    The mean of the line means of `_read_lines` (`_line` at rank 1), exact
+    on the axis j of least degree bound D; the other axes (none at rank 1)
+    take m = 16, 32, ... nodes each until two values agree within
+    QUADRATURE_TOL, converged points dropping out. Refinement m adds to a running total only its new
     lines (an odd coordinate; all at m = 16), one of each conjugate pair
     {j, -j mod m} at weight 2 (1 if j = -j), but is charged max(2D + 1,
     (2D)^2) nodes (a root solve of degree 2D) for each of its m^(k-1) lines:
@@ -388,8 +391,8 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
                 new = (m == 16) | (np.array(first) % 2).any(axis=0)
                 return np.where(flat == mirror, 1, 2) * (new & (flat <= mirror))
 
-            totals[active] += (_read_lines(sym, q, points[active], m, mean_sum, what, weigh) if k > 1
-                               else _solved_line(sym, q, points[active], what)[:, 0])
+            totals[active] += (_read_lines(sym, q, points[active], m, mean_sum, what, weigh) if k > 1 else
+                               _line(_SOLVED_LINES.get({}), (sym, q, points.tobytes()), points, what)[:, 0])
             refined = totals[active] / m ** (k - 1)
             changes[active] = np.abs(refined - values[active])
             values[active] = refined

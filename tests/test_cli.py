@@ -334,6 +334,36 @@ def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, m
     assert {p.name: p.read_bytes() for p in (workdir / "r").iterdir()}.keys() == files.keys()
 
 
+def test_rank_one_reads_outside_the_levels_lines_keep_their_means_alone(workdir, capsys, monkeypatch):
+    # the loop with voltage 3: its root solve, (2D)^2 = 36 nodes, fits a budget of 40,
+    # the 2D + 1 = 7 values per grid point of a level's line do not; the l2 torus grid
+    # and the torus: target of a tower run whose levels take their characters keep
+    # one value per point
+    widths, read_lines = [], l2._read_lines
+
+    def recorded(*args):
+        values = read_lines(*args)
+        widths.append(values.size // len(values))
+        return values
+
+    monkeypatch.setattr(l2, "_read_lines", recorded)
+    monkeypatch.setattr(l2, "NODE_BUDGET", 40)
+    (workdir / "v3.json").write_text(json.dumps({"voltages": [3], "rank": 1}))
+    (workdir / "loop3.json").write_text(
+        json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [3], "orders": [1, 8]})
+    )
+    grid = ["--grid", "disk:0.6:5:0.02"]
+    argv = ["l2", "torus", "--base", str(workdir / "loop.json"), "--voltages", str(workdir / "v3.json")]
+    assert run(argv + grid + ["--out", str(workdir / "values.csv")]) == 0
+    assert widths == [1]
+    widths.clear()
+    argv = ["tower", "run", "--spec", str(workdir / "loop3.json"), "--target", "torus:v3.json"]
+    assert run(argv + grid + ["--out", str(workdir / "r")]) == 0
+    doc = summary_of(capsys)
+    assert [lvl["route"] for lvl in doc["levels"]] == ["characters", "characters"]
+    assert widths == [1] and doc["line_solves"] == 1
+
+
 def test_tower_run_torus_target(workdir, capsys):
     # unroll one loop of the bouquet: levels are cycles with a loop at
     # every vertex, the limit is the matching Z-cover

@@ -708,6 +708,15 @@ def test_a_line_keeps_its_roots_within_the_node_budget(monkeypatch):
     assert np.max(np.abs(five[:4] - four)) < 1e-14
 
 
+def test_a_level_takes_its_characters_when_only_a_later_level_reads_its_line():
+    # the loop with voltage 3 at orders 7 and 8 has one symbol of degree bound 3:
+    # order 7 <= 2D + 1 comes first and reads its characters, order 8 the line
+    levels = [TowerLevel(n, LOOP, VoltageAssignment.free([(3,)]).reduced((n,))) for n in (7, 8)]
+    assert l2._level_symbol(levels[0]) == l2._level_symbol(levels[1])
+    us = np.array([0.1, 0.2j, -0.3])
+    assert [rho is None for _, rho in l2._level_log_sums(levels, 1, us)] == [True, False]
+
+
 def test_a_level_with_a_wrong_root_count_names_the_level_and_the_point(monkeypatch):
     # both roots of z P(z) = (z - 0.5)(z - 0.25) lie inside the circle, not D = 1 outside
     w = np.exp(2j * np.pi * np.arange(3) / 3)
