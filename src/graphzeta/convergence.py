@@ -86,7 +86,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class LevelReport:
     """A level's errors over the grid; `rho_max` is None unless its
-    log-sums were read from the roots of its line."""
+    log-sums were read from the roots of its lines."""
 
     index: int
     sup_error: float
@@ -125,7 +125,7 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     """Per-level sup of |normalized zeta - target| over the grid; the target
     is evaluated on all grid points in one call once every level is in
     NODE_BUDGET. Each level's log-sums come from `_level_log_sums`: from
-    the roots of its line (rank 1) or from its characters, block by block.
+    the roots of its lines or from its characters, block by block.
     Within the call (`_shared_lines`) a rank-1 `torus:` target and the levels
     that read its symbol's line share one root solve, which the target makes
     first; `line_solves` counts the solves."""

@@ -68,10 +68,11 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
     Every edge contributes both orientations, so loops add
     coefficient * (exp(i t.s) + exp(-i t.s)) to their diagonal entry and
     the symbol at t = 0 equals the base adjacency matrix (loops count 2).
-    On each axis the voltages are either kept or gauged to s + phi(x) - phi(y)
-    on (x, y), a unitary conjugation of d(t), with phi making the
-    breadth-first spanning forest carry 0: whichever has the smaller degree
-    bound (the sum over edges of |s|), the gauge on a tie.
+    On each axis the voltages are gauged to s + phi(x) - phi(y) on (x, y), a
+    unitary conjugation of d(t): from the given ones or the gauge in which
+    the breadth-first spanning forest carries 0, whichever has the smaller
+    degree bound (the sum over edges of |s|), the latter on a tie, lowered
+    by `_least_gauge`: no axis's bound exceeds that of either.
     """
     if volt.is_finite:
         raise InputError("torus symbols need a free abelian (rank k) voltage assignment")
@@ -83,14 +84,38 @@ def torus_symbol(base: MultiGraph, volt: VoltageAssignment) -> TorusSymbol:
         phi[y] = tuple(p + sign * c for p, c in zip(phi[x], volt.voltages[eidx]))
     gauged = [tuple(c + a - b for c, a, b in zip(s, phi[x], phi[y]))
               for (x, y), s in zip(base.edges, volt.voltages)]
-    axes = [g if sum(map(abs, g)) <= sum(map(abs, r)) else r
-            for r, g in zip(zip(*volt.voltages), zip(*gauged))]
+    axes = _least_gauge(base, [g if sum(map(abs, g)) <= sum(map(abs, r)) else r
+                               for r, g in zip(zip(*volt.voltages), zip(*gauged))])
     acc: Counter = Counter()
     for (x, y), sigma in zip(base.edges, zip(*axes)):
         acc[(x, y, sigma)] += 1
         acc[(y, x, tuple(-c for c in sigma))] += 1
     terms = tuple((x, y, freq, coeff) for (x, y, freq), coeff in sorted(acc.items()))
     return TorusSymbol(vertex_count=base.vertex_count, rank=volt.rank, terms=terms)
+
+
+def _least_gauge(base: MultiGraph, axes) -> list[tuple[int, ...]]:
+    """Each axis of voltages (one per edge) with vertex potentials moved one
+    at a time to the median, nearest 0, of the values that would zero the
+    vertex's incident non-loop voltages while that strictly lowers the sum of
+    |s|, that is while 0 is not a median, until no move does: a presentation
+    no such move lowers comes back unchanged."""
+    stars = [star for x, incident in enumerate(base.incidences)
+             if (star := [(e, 1 if base.edges[e][0] == x else -1) for e, y in incident if y != x])]
+    least = []
+    for axis in axes:
+        volts, moved = list(axis), True
+        while moved:
+            moved = False
+            for star in stars:
+                signed = sorted(sign * volts[e] for e, sign in star)  # a move m adds m to each
+                low, high = signed[(len(signed) - 1) // 2], signed[len(signed) // 2]
+                if low > 0 or high < 0:
+                    move, moved = -low if low > 0 else -high, True
+                    for e, sign in star:
+                        volts[e] += sign * move
+        least.append(tuple(volts))
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +186,14 @@ def _count_at_most(blocks, lambdas: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _level_symbol(level: TowerLevel) -> TorusSymbol:
+def _level_symbol(level: TowerLevel, built: dict | None = None) -> TorusSymbol:
     """The parent's torus symbol of a tower level over (Z/n)^k, its voltages
     lifted to (-n/2, n/2]: at the nodes 2 pi j / n any lift gives the n^k
     twisted matrices A_chi[x, y] = sum over parent edges x -> y of
     chi(sigma_e) (Stark and Terras), and this one the least degree bound.
     ResourceError for more than NODE_BUDGET eigenvalues (characters x parent
-    vertices)."""
+    vertices), checked for every level; a symbol in `built`, keyed by parent
+    and lift, is taken from there, and a new one entered."""
     volt = level.voltages
     n, v = volt.orders[0], level.parent.vertex_count
     if any(m != n for m in volt.orders):
@@ -178,8 +204,11 @@ def _level_symbol(level: TowerLevel) -> TorusSymbol:
             f"({n**volt.rank} characters of a {v}-vertex parent), "
             f"over the node budget of {NODE_BUDGET}"
         )
-    lifted = [[c - n if 2 * c > n else c for c in sigma] for sigma in volt.voltages]
-    return torus_symbol(level.parent, VoltageAssignment.free(lifted, volt.rank))
+    lifted = tuple(tuple(c - n if 2 * c > n else c for c in sigma) for sigma in volt.voltages)
+    built = {} if built is None else built
+    if (level.parent, lifted) not in built:
+        built[level.parent, lifted] = torus_symbol(level.parent, VoltageAssignment.free(lifted, volt.rank))
+    return built[level.parent, lifted]
 
 
 def _level_blocks(level: TowerLevel):
@@ -192,33 +221,45 @@ def _level_blocks(level: TowerLevel):
 def _level_log_sums(levels, q: int, us: np.ndarray):
     """Per tower level: its log-sum at the points `us`, that of
     `_level_blocks`, and the largest |rho| of its roots (None if read from
-    its characters). Every level is charged (`_level_symbol`) on the call.
+    its characters). Every level is charged (`_level_symbol`) on the call,
+    and each distinct lifted symbol built once.
 
-    A rank-1 level of order n is n * mean + sum log(1 - rho^n) over its
-    symbol's one line (`_line`), solved once per distinct symbol (all levels
-    above n = 2 max |s| share one). A level reads its line if a level before
-    it does, or if n > 2D + 1 and both the root solve, (2D)^2, and the values
-    kept, points x (2D + 1), fit NODE_BUDGET; else its n^k characters. Its
-    line enters the `_shared_lines` map on the call, for `l2_log_det` to solve.
+    A level of order n on each of its k axes is the sum of n * mean +
+    sum log(1 - rho^n) over the lines of its symbol (`_read_lines`), the
+    n-node grid of the other k - 1 axes. At rank 1 the one line is solved
+    once per distinct symbol (`_line`; all levels above n = 2 max |s| share
+    one) and enters the `_shared_lines` map on the call, for `l2_log_det` to
+    solve; at rank k >= 2 one line of each conjugate pair {j, -j mod n} is
+    read, at weight 2 (1 if j = -j), with rho over every line read. A level
+    reads its lines if a level before it does, or if n > 2D + 1 and both the
+    root solve, (2D)^2, and points x (2D + 1) fit NODE_BUDGET; else its n^k
+    characters.
     """
-    symbols = [_level_symbol(level) for level in levels]
+    built: dict = {}
+    symbols = [_level_symbol(level, built) for level in levels]
     solved, where, routes = _SOLVED_LINES.get({}), us.tobytes(), []
     for level, sym in zip(levels, symbols):
         degree, _ = _exact_axis(sym)
         width, key = 2 * degree + 1, (sym, q, where)
         cheaper = level.voltages.orders[0] > width and max(4 * degree**2, us.size * width) <= NODE_BUDGET
-        routes.append(key in solved or sym.rank == 1 and cheaper)
-        if routes[-1]:
+        routes.append(key in solved or cheaper)
+        if routes[-1] and sym.rank == 1:
             solved.setdefault(key, None)
 
     def read(level: TowerLevel, sym: TorusSymbol, line: bool):
-        n = level.voltages.orders[0]
+        n, what, rho = level.voltages.orders[0], f"of the level of index {level.index}", [0.0]
         if not line:
             return _log_sum(_node_eigenvalues(sym, n), q, us), None
-        roots = _line(solved, (sym, q, where), us, f"of the level of index {level.index}")
-        means, inside = roots[:, 0], roots[:, 1:]
-        logs = n * means + np.log1p(-(inside**n)).sum(axis=1)
-        return logs, float(np.abs(inside).max(initial=0.0))
+
+        def lift(means, rhos):
+            rho[0] = max(rho[0], float(np.abs(rhos).max(initial=0.0)))
+            return n * means + np.log1p(-(rhos**n)).sum(axis=1)
+
+        if sym.rank == 1:
+            roots = _line(solved, (sym, q, where), us, what)
+            return lift(roots[:, 0], roots[:, 1:]), rho[0]
+        fold = lambda means, rhos, weights: _weighed(lift(means, rhos), weights)
+        return _read_lines(sym, q, us, n, fold, what, _conjugate_fold), rho[0]
 
     return (read(*args) for args in zip(levels, symbols, routes))
 
@@ -324,6 +365,23 @@ def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, reduce, what: 
     return values
 
 
+def _conjugate_fold(first, shape) -> np.ndarray:
+    """Weights of the lines whose first nodes have coordinates `first` in a
+    grid of `shape`: one line of each conjugate pair {j, -j} (coordinatewise
+    mod the shape) at weight 2, a line that is its own conjugate at 1, the
+    other line of a pair at 0. A(-t) is the conjugate of A(t), with the same
+    eigenvalues, so the line at -j holds the node sums of the one at j."""
+    flat = np.ravel_multi_index(first, shape)
+    mirror = np.ravel_multi_index(tuple(-c % n for c, n in zip(first, shape)), shape)
+    return np.where(flat == mirror, 1, 2) * (flat <= mirror)
+
+
+def _weighed(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per point, the sum of a block's line values (rows of `weights.size`
+    lines, one row per point) times their weights."""
+    return (values.reshape(-1, weights.size) * weights).sum(axis=1)
+
+
 _SOLVED_LINES: ContextVar[dict] = ContextVar("solved_lines")
 
 
@@ -368,7 +426,7 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     degree, j = _exact_axis(sym)
     width = 2 * degree + 1
     what = f"along torus axis {j}"
-    mean_sum = lambda means, _, weights: (means.reshape(-1, weights.size) * weights).sum(axis=1)
+    mean_sum = lambda means, _, weights: _weighed(means, weights)
 
     def refine(points: np.ndarray) -> np.ndarray:
         values = np.full(points.shape, np.nan, dtype=complex)
@@ -385,11 +443,8 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
                     f"last change {changes[i]:.3g})"
                 )
 
-            def weigh(first, shape):  # lines {j, -j} as one; past m = 16, lines with an odd j_i only
-                flat = np.ravel_multi_index(first, shape)
-                mirror = np.ravel_multi_index(tuple(-c % n for c, n in zip(first, shape)), shape)
-                new = (m == 16) | (np.array(first) % 2).any(axis=0)
-                return np.where(flat == mirror, 1, 2) * (new & (flat <= mirror))
+            def weigh(first, shape):  # past m = 16, lines with an odd j_i only
+                return _conjugate_fold(first, shape) * ((m == 16) | (np.array(first) % 2).any(axis=0))
 
             totals[active] += (_read_lines(sym, q, points[active], m, mean_sum, what, weigh) if k > 1 else
                                _line(_SOLVED_LINES.get({}), (sym, q, points.tobytes()), points, what)[:, 0])

@@ -295,18 +295,23 @@ def test_chunked_log_sum_matches_one_block(monkeypatch):
 
 def test_lattice_level_is_the_limit_at_its_nodes():
     # a (Z/n)^k level's normalized log-determinant is the n-node trapezoid value of the
-    # limit (voltages in {0, 1}, which reduction mod n leaves as they are)
+    # limit (voltages in {0, 1}, which reduction mod n leaves as they are): to the bit
+    # for a level read from its characters (n <= 2D + 1 = 3), to rounding from its lines
     voltages = ((1, 0), (0, 1), (0, 0), (1, 1), (0, 0), (1, 0))
     tower = lattice_tower(K4, voltages, (1, 2, 4, 8))
     grid = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
     report = tower_convergence(tower, l2.L2Zeta(evaluate=lambda u: 0.0 * u), grid)
     sym, us = torus_symbol(K4, VoltageAssignment.free(voltages)), grid.array
+    assert [row.rho_max is None for row in report.levels] == [True, True, False, False]
     for level, row in zip(tower.levels, report.levels):
         n = level.voltages.orders[0]
         assert level.index == n**2
         log_dets = l2._grid_log_det(sym, 2, us, n)
-        values = (1.0 - us * us) ** (-K4.euler_characteristic) * np.exp(log_dets)
-        assert row.errors.tolist() == np.abs(values).tolist()
+        values = np.abs((1.0 - us * us) ** (-K4.euler_characteristic) * np.exp(log_dets))
+        if row.rho_max is None:
+            assert row.errors.tolist() == values.tolist()
+        else:
+            assert np.max(np.abs(row.errors - values) / values) < 1e-12
 
 
 def test_array_evaluation_matches_scalar_evaluation():
@@ -417,14 +422,15 @@ def test_laurent_route_is_invariant_under_presentation():
 
 
 def test_laurent_route_drops_roots_at_infinity(monkeypatch):
-    # in the tree gauge K4_SHIFTS has bound 2 (two edges carry -1, both at vertex 3)
-    # and degree 1, so the top coefficient is dropped and no 4 x 4 companion is solved
-    sym = torus_symbol(K4, VoltageAssignment.free(K4_SHIFTS))
+    # both loops of B2 carry 1, which no gauge moves: bound 2, but the symbol is
+    # 2 (z + 1/z) of degree 1, so the top and bottom coefficients are dropped and
+    # no 4 x 4 companion is solved
+    sym = torus_symbol(B2, VoltageAssignment.free(((1,), (1,))))
     assert degree_bounds(sym) == [2]
     sizes, eigvals = [], np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.shape[-1]) or eigvals(a))
-    us = np.array([0.1 + 0.1j, 0.47 + 0.02j, 0.0, -0.5 + 0.1j, 0.3])
-    assert np.max(np.abs(l2_log_det(sym, 2, us) - l2._grid_log_det(sym, 2, us, 512))) < 1e-12
+    us = np.array([0.1 + 0.1j, 0.3 + 0.05j, 0.0, -0.3 + 0.1j, 0.2])
+    assert np.max(np.abs(l2_log_det(sym, 3, us) - l2._grid_log_det(sym, 3, us, 512))) < 1e-12
     assert sizes and max(sizes) < 4
 
 
@@ -490,12 +496,13 @@ def test_symbol_keeps_the_presentation_of_least_degree_on_each_axis():
     k8 = complete_graph(8)
     one_shift = lambda g, e, s=(1,): [s if i == e else (0,) * len(s) for i in range(g.edge_count)]
     k4_tree = spanning_tree_edges(K4)[0]
-    # axis 0: one tree-edge shift, raw 1 against gauged 2; axis 1: K4_SHIFTS, raw 5 against gauged 2
+    # axis 0: one tree-edge shift, raw 1 against gauged 2; axis 1: K4_SHIFTS, raw 5 against
+    # gauged 2, which moving vertex 3 to the median of its incident voltages lowers to 1
     mixed = [(int(i == k4_tree), s) for i, (s,) in enumerate(K4_SHIFTS)]
     cases = [
         (k8, 6, one_shift(k8, spanning_tree_edges(k8)[0]), [1], [6]),
         (K4, 2, one_shift(K4, k4_tree), [1], [2]),
-        (K4, 2, mixed, [1, 2], [2, 2]),
+        (K4, 2, mixed, [1, 1], [2, 2]),
     ]
     rng = np.random.default_rng(17)
     for base, q, voltages, least, gauged_bounds in cases:
@@ -517,10 +524,34 @@ def test_symbol_keeps_the_presentation_of_least_degree_on_each_axis():
     assert torus_symbol(triangle, VoltageAssignment.free(voltages)) == symbol_of(triangle, gauged)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_the_least_gauge_raises_no_axis_and_keeps_the_cover(rank):
+    rng = np.random.default_rng(26 + rank)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (6, rank))
+    for base in (K4, PETERSEN, B2):
+        for _ in range(4):
+            voltages = [tuple(int(c) for c in rng.integers(-2, 3, rank)) for _ in base.edges]
+            sym = torus_symbol(base, VoltageAssignment.free(voltages, rank))
+            raw, forest = voltages, forest_gauged(base, voltages)
+            bounds = zip(degree_bounds(sym), degree_bounds(symbol_of(base, raw)), degree_bounds(symbol_of(base, forest)))
+            assert all(d <= min(r, f) for d, r, f in bounds)
+            assert np.max(np.abs(np.linalg.eigvalsh(sym.matrices(thetas))
+                                 - np.linalg.eigvalsh(symbol_of(base, raw).matrices(thetas)))) < 1e-12
+            assert equivariant_walk_counts(sym, 4) == equivariant_walk_counts(symbol_of(base, raw), 4)
+            # the axes as torus_symbol picks and lowers them: a least presentation is kept
+            picks = [f if sum(map(abs, f)) <= sum(map(abs, r)) else r for r, f in zip(zip(*raw), zip(*forest))]
+            least = l2._least_gauge(base, picks)
+            assert l2._least_gauge(base, least) == least
+            rows = list(zip(*least))
+            assert symbol_of(base, rows) == sym == torus_symbol(base, VoltageAssignment.free(rows, rank))
+
+
 # ---------------------------------------------------------------------------
 # level spectra from characters, against dense eigvalsh of the level graph
 
 K4_SHIFTS = tuple((s,) for s in (1, 0, 2, -1, 0, 1))
+# the 4-cycle 0 1 2 3 carries 2 on its edges (0, 1) and (2, 3): least degree bound 2
+K4_BOUND2 = tuple((s,) for s in (1, 0, 0, 0, 0, 1))
 K4_RANK2 = ((1, 0), (0, 1), (0, 0), (1, 1), (0, 0), (2, -1))
 PETERSEN_SHIFTS = tuple((s,) for s in (1, 0, -1, 2, 0, 0, 1, 1, -2, 0, 1, 0, 0, -1, 1))
 LEVEL_TOWERS = {
@@ -689,10 +720,10 @@ def test_a_wrong_root_count_in_a_shared_line_names_the_point(monkeypatch):
 
     monkeypatch.setattr(l2, "_line_roots", second_wrong)
     grid = GridSpec(q=2, radius=0.5, resolution=6, margin=0.05)
-    tower = lattice_tower(K4, K4_SHIFTS, (1, 64))
+    tower = lattice_tower(K4, K4_BOUND2, (1, 64))
     point = re.escape(f"u = {grid.array[1]}")
     with pytest.raises(NumericError, match=point + ".* does not have 2 roots outside"):
-        tower_convergence(tower, torus_l2(K4, VoltageAssignment.free(K4_SHIFTS)), grid)
+        tower_convergence(tower, torus_l2(K4, VoltageAssignment.free(K4_BOUND2)), grid)
 
 
 def test_a_line_keeps_its_roots_within_the_node_budget(monkeypatch):
@@ -731,7 +762,7 @@ def test_a_level_with_a_wrong_root_count_names_the_level_and_the_point(monkeypat
         return means, inside
 
     monkeypatch.setattr(l2, "_line_roots", second_wrong)
-    level = lattice_tower(K4, K4_SHIFTS, (1, 64)).levels[1]
+    level = lattice_tower(K4, K4_BOUND2, (1, 64)).levels[1]
     with pytest.raises(NumericError, match=r"u = \(0\.3\+0\.1j\).* level of index 64 does not have 2 roots"):
         list(l2._level_log_sums([level], 2, np.array([0.1, 0.3 + 0.1j])))
 
@@ -746,6 +777,75 @@ def test_a_rank1_level_of_two_to_the_twenty_reads_one_line():
     rho = report.levels[-1].rho_max
     assert 0 < rho < 1 and rho**(2**10) < 1e-300
     assert report.levels[1].errors.tolist() == report.levels[2].errors.tolist()
+
+
+def rank_levels(base, voltages, orders):
+    """The (Z/n)^k levels over `base` of the free voltages, one per order n."""
+    volt = VoltageAssignment.free(voltages)
+    return [TowerLevel(n**volt.rank, base, volt.reduced((n,) * volt.rank)) for n in orders]
+
+
+HIGHER_RANK_LEVELS = {  # odd and even orders n > 2D + 1, D = 1 on the exact axis
+    "B2 Z^2": (lambda: rank_levels(B2, VZ2.voltages, (4, 5, 8)), 3),
+    "K4 rank 2": (lambda: rank_levels(K4, ((0, 0),) * 3 + ((1, 0), (0, 1), (1, 1)), (4, 7, 12)), 2),
+    "K4 rank 3": (lambda: rank_levels(K4, K4_RANK3, (4, 5)), 2),
+    "K4 mod-7 homology": (lambda: homology_tower(K4, 7, 1).levels[1:], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGHER_RANK_LEVELS))
+def test_higher_rank_levels_from_their_lines_match_their_characters(name, monkeypatch):
+    # n^(k-1) lines of 2D + 1 nodes, folded: one of each conjugate pair {j, -j mod n}
+    # at weight 2, and at weight 1 those with every coordinate 0 or n/2 (n even)
+    make, q = HIGHER_RANK_LEVELS[name]
+    us = GridSpec(q=q, radius=0.9 * q**-0.5, resolution=6, margin=0.02).array
+    read, node_eigenvalues = [], l2._node_eigenvalues
+
+    def counting(sym, m, line=1, weigh=None):
+        for run, weights in node_eigenvalues(sym, m, line, weigh):
+            read.append((run.size // sym.vertex_count, weights))
+            yield run, weights
+
+    monkeypatch.setattr(l2, "_node_eigenvalues", counting)
+    for level in make():
+        k, n = level.voltages.rank, level.voltages.orders[0]
+        degree, _ = l2._exact_axis(l2._level_symbol(level))
+        assert k >= 2 and n > 2 * degree + 1
+        chars = l2._log_sum(l2._level_blocks(level), q, us)
+        read.clear()
+        (logs, rho_max), = l2._level_log_sums([level], q, us)
+        weights = np.concatenate([w for _, w in read])
+        selfs = 2 ** (k - 1) if n % 2 == 0 else 1
+        assert weights.sum() == n ** (k - 1) and (weights == 1).sum() == selfs
+        assert weights.size == (n ** (k - 1) + selfs) // 2
+        assert sum(nodes for nodes, _ in read) == weights.size * (2 * degree + 1) < n**k
+        assert 0 < rho_max < 1
+        assert np.max(np.abs(logs - chars) / np.abs(chars)) < 1e-12, n
+
+
+def test_a_higher_rank_level_reads_its_characters_unless_its_lines_are_cheaper(monkeypatch):
+    # B2's Z^2 symbol has D = 1 on each axis: order 3 = 2D + 1 reads its characters,
+    # to the bit; order 8 its lines while points x (2D + 1) fits the node budget
+    (three, eight), us = rank_levels(B2, VZ2.voltages, (3, 8)), np.linspace(-0.4, 0.4, 22) + 0.1j
+    (logs, rho_max), = l2._level_log_sums([three], 3, us)
+    assert rho_max is None and logs.tolist() == l2._log_sum(l2._level_blocks(three), 3, us).tolist()
+    monkeypatch.setattr(l2, "NODE_BUDGET", 64)  # the eigenvalue count of order 8
+    assert [rho is None for _, rho in l2._level_log_sums([eight], 3, us[:21])] == [False]
+    assert [rho is None for _, rho in l2._level_log_sums([eight], 3, us)] == [True]
+
+
+def test_a_higher_rank_level_with_a_wrong_root_count_names_the_level_and_the_point(monkeypatch):
+    line_roots = l2._line_roots
+
+    def last_wrong(sums, degree):  # the last line of the block, at its last point
+        means, inside = line_roots(sums, degree)
+        means[-1] = np.nan
+        return means, inside
+
+    monkeypatch.setattr(l2, "_line_roots", last_wrong)
+    level, = rank_levels(B2, VZ2.voltages, (8,))
+    with pytest.raises(NumericError, match=r"u = \(0\.3\+0\.1j\).* level of index 64 does not have 1 roots"):
+        list(l2._level_log_sums([level], 3, np.array([0.1, 0.3 + 0.1j])))
 
 
 def test_level_spectrum_needs_equal_orders():

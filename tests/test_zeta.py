@@ -116,6 +116,8 @@ def test_prime_search_matches_a_sieve():
     for d in range(2, 100):
         sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
     assert [is_prime(p) for p in range(-3, 10**4)] == [False] * 3 + sieve
+    # strong pseudoprimes to base 2, to bases 2 and 3, and to bases 2, 3 and 5
+    assert not any(map(is_prime, (2047, 3277, 4033, 4681, 8321, 1373653, 25326001)))
     # four primes below 2^26 lift x^2 - 1 with a bound of 2^100; the largest
     # primes below 2^26 are 2^26 - 5, - 27, - 45, - 87
     assert zeta._charpoly(np.array([[0, 1], [1, 0]]), 2**100) == [-1, 0, 1]
