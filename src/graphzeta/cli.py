@@ -285,6 +285,7 @@ def _cmd_tower_run(args) -> tuple[dict, int]:
                 "characters": math.prod(level.voltages.orders),
                 "route": "characters" if row.rho_max is None else "lines",
                 "rho_max": row.rho_max,
+                "degree_bound": row.degree_bound,
             }
             for row, level in zip(report.levels, tower.levels)
         ],

@@ -86,12 +86,14 @@ class GridSpec:
 @dataclass(frozen=True)
 class LevelReport:
     """A level's errors over the grid; `rho_max` is None unless its
-    log-sums were read from the roots of its lines."""
+    log-sums were read from the roots of its lines, and `degree_bound` is
+    its lifted symbol's D on the exact axis, the input of that route."""
 
     index: int
     sup_error: float
     argmax: complex
     errors: np.ndarray
+    degree_bound: int
     rho_max: float | None = None
 
 
@@ -122,13 +124,13 @@ class ConvergenceReport:
 
 
 def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> ConvergenceReport:
-    """Per-level sup of |normalized zeta - target| over the grid; the target
-    is evaluated on all grid points in one call once every level is in
-    NODE_BUDGET. Each level's log-sums come from `_level_log_sums`: from
-    the roots of its lines or from its characters, block by block.
-    Within the call (`_shared_lines`) a rank-1 `torus:` target and the levels
-    that read its symbol's line share one root solve, which the target makes
-    first; `line_solves` counts the solves."""
+    """Per-level sup of |normalized zeta - target| over the grid. Every
+    level's log-sums come first, from `_level_log_sums` (each group of levels
+    from the roots of the lines it shares, or each level from its
+    characters), and then the target on all grid points in one call.
+    Within the call (`_shared_lines`) a rank-1 `torus:` target reads the
+    means its levels entered for its symbol's line, so the two share one
+    root solve; `line_solves` counts the rank-1 solves."""
     points = grid.array
     chi_base = tower.base.euler_characteristic
     q = regular_q(tower.base)
@@ -138,7 +140,7 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     with _shared_lines() as solved:
         log_sums = _level_log_sums(tower.levels, q, points)
         target_values = np.broadcast_to(target.evaluate(points), points.shape)
-        for level, (logs, rho_max) in zip(tower.levels, log_sums):
+        for level, (logs, rho_max, degree) in zip(tower.levels, log_sums):
             values = (1.0 - points * points) ** (-chi_base) * np.exp(logs / level.index)
             errors = np.abs(values - target_values)
             worst = int(np.argmax(errors))
@@ -148,6 +150,7 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
                     sup_error=float(errors[worst]),
                     argmax=complex(points[worst]),
                     errors=errors,
+                    degree_bound=degree,
                     rho_max=rho_max,
                 )
             )

@@ -218,50 +218,50 @@ def _level_blocks(level: TowerLevel):
     return _node_eigenvalues(_level_symbol(level), level.voltages.orders[0])
 
 
-def _level_log_sums(levels, q: int, us: np.ndarray):
+def _level_log_sums(levels, q: int, us: np.ndarray) -> list[tuple[np.ndarray, float | None, int]]:
     """Per tower level: its log-sum at the points `us`, that of
-    `_level_blocks`, and the largest |rho| of its roots (None if read from
-    its characters). Every level is charged (`_level_symbol`) on the call,
-    and each distinct lifted symbol built once.
+    `_level_blocks`, the largest |rho| of its roots (None if read from its
+    characters) and its symbol's degree bound D on the exact axis. Every
+    level is charged (`_level_symbol`) first; each distinct lifted symbol is
+    built once.
 
-    A level of order n on each of its k axes is the sum of n * mean +
-    sum log(1 - rho^n) over the lines of its symbol (`_read_lines`), the
-    n-node grid of the other k - 1 axes. At rank 1 the one line is solved
-    once per distinct symbol (`_line`; all levels above n = 2 max |s| share
-    one) and enters the `_shared_lines` map on the call, for `l2_log_det` to
-    solve; at rank k >= 2 one line of each conjugate pair {j, -j mod n} is
-    read, at weight 2 (1 if j = -j), with rho over every line read. A level
-    reads its lines if a level before it does, or if n > 2D + 1 and both the
-    root solve, (2D)^2, and points x (2D + 1) fit NODE_BUDGET; else its n^k
-    characters.
+    The levels of one lifted symbol and one n-node grid off the exact axis
+    read the same lines (at rank 1 one line, whatever n; at rank k >= 2 one
+    of each conjugate pair {j, -j mod n} at weight 2, 1 if j = -j). Such a
+    group reads them in one `_read_lines` call when its largest n > 2D + 1
+    and the root solve (2D)^2 fits NODE_BUDGET: each level takes the sum of
+    n * mean + sum log(1 - rho^n) over them, rho over every line read, and
+    a rank-1 group enters its line's means in `_shared_lines`. Every other
+    level reads its n^k characters.
     """
     built: dict = {}
-    symbols = [_level_symbol(level, built) for level in levels]
-    solved, where, routes = _SOLVED_LINES.get({}), us.tobytes(), []
-    for level, sym in zip(levels, symbols):
+    groups: dict = {}
+    for i, level in enumerate(levels):
+        sym = _level_symbol(level, built)
+        groups.setdefault((sym, (level.voltages.orders[0],) * (sym.rank - 1)), []).append(i)
+    out: list = [None] * len(levels)
+    for (sym, _), members in groups.items():
+        orders = [levels[i].voltages.orders[0] for i in members]
         degree, _ = _exact_axis(sym)
-        width, key = 2 * degree + 1, (sym, q, where)
-        cheaper = level.voltages.orders[0] > width and max(4 * degree**2, us.size * width) <= NODE_BUDGET
-        routes.append(key in solved or cheaper)
-        if routes[-1] and sym.rank == 1:
-            solved.setdefault(key, None)
+        if max(orders) <= 2 * degree + 1 or 4 * degree**2 > NODE_BUDGET:
+            for i, n in zip(members, orders):
+                out[i] = _log_sum(_node_eigenvalues(sym, n), q, us), None, degree
+            continue
+        rho = [0.0]
 
-    def read(level: TowerLevel, sym: TorusSymbol, line: bool):
-        n, what, rho = level.voltages.orders[0], f"of the level of index {level.index}", [0.0]
-        if not line:
-            return _log_sum(_node_eigenvalues(sym, n), q, us), None
-
-        def lift(means, rhos):
+        def fold(means, rhos, weights):  # per point, each level's sum and the line means
             rho[0] = max(rho[0], float(np.abs(rhos).max(initial=0.0)))
-            return n * means + np.log1p(-(rhos**n)).sum(axis=1)
+            lifted = [n * means + np.log1p(-(rhos**n)).sum(axis=1) for n in orders]
+            return np.stack([_weighed(values, weights) for values in lifted + [means]], axis=1)
 
-        if sym.rank == 1:
-            roots = _line(solved, (sym, q, where), us, what)
-            return lift(roots[:, 0], roots[:, 1:]), rho[0]
-        fold = lambda means, rhos, weights: _weighed(lift(means, rhos), weights)
-        return _read_lines(sym, q, us, n, fold, what, _conjugate_fold), rho[0]
-
-    return (read(*args) for args in zip(levels, symbols, routes))
+        indices = ", ".join(str(levels[i].index) for i in members)
+        what = f"of the level{'s' * (len(members) > 1)} of index {indices}"
+        values = _read_lines(sym, q, us, orders[0], fold, what, _conjugate_fold)
+        if sym.rank == 1:  # the line's mean is the limit's log-determinant
+            _SOLVED_LINES.get({})[sym, q, us.tobytes()] = values[:, -1]
+        for i, column in zip(members, values.T):
+            out[i] = column, rho[0], degree
+    return out
 
 
 def level_cdf(level: TowerLevel) -> tuple[np.ndarray, np.ndarray]:
@@ -276,13 +276,6 @@ def level_cdf(level: TowerLevel) -> tuple[np.ndarray, np.ndarray]:
     firsts = np.concatenate(([True], jumps))
     counts = np.flatnonzero(np.concatenate((jumps, [True]))) + 1
     return eigs[firsts], counts / level.index
-
-
-def _grid_log_det(sym: TorusSymbol, q: int, us: np.ndarray, m: int) -> np.ndarray:
-    """Periodic trapezoid values of the log-determinant integral at m^k
-    nodes, one per point of the 1-d array `us`: the log-sum over the node
-    eigenvalues divided by the node count."""
-    return _log_sum(_node_eigenvalues(sym, m), q, us) / m**sym.rank
 
 
 def _line_roots(sums: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +335,7 @@ def _exact_axis(sym: TorusSymbol) -> tuple[int, int]:
     return degree, bounds.index(degree)
 
 
-def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, reduce, what: str, weigh=None):
+def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, reduce, what: str, weigh):
     """The symbol's lines on its exact axis j (`_exact_axis`), m nodes on each
     other axis, at the points of the 1-d array `us`: 2D + 1 nodes fix a
     line, and `_line_roots` folds it to its mean and its 2D values rho.
@@ -387,8 +380,9 @@ _SOLVED_LINES: ContextVar[dict] = ContextVar("solved_lines")
 
 @contextmanager
 def _shared_lines():
-    """Within the block, each rank-1 line is solved once per (symbol, q,
-    points) by `_line`; yields the map of the lines solved in it."""
+    """Within the block, the means (one per point) of each rank-1 line read
+    by `_level_log_sums` or `l2_log_det`, keyed by (symbol, q,
+    us.tobytes()), so that each such line is solved once; yields the map."""
     token = _SOLVED_LINES.set({})
     try:
         yield _SOLVED_LINES.get()
@@ -396,26 +390,16 @@ def _shared_lines():
         _SOLVED_LINES.reset(token)
 
 
-def _line(solved: dict, key: tuple, us: np.ndarray, what: str) -> np.ndarray:
-    """The line of a rank-1 symbol at the points `us`, key = (symbol, q,
-    us.tobytes()) in `solved` (`_shared_lines`), a row per point: solved by
-    `_read_lines` to its mean and its 2D values rho if its entry is None (a
-    tower level's, `_level_log_sums`), or to its mean alone if it has none."""
-    if solved.get(key) is None:
-        full = key in solved
-        solved[key] = _read_lines(*key[:2], us, 1, lambda means, rhos, _: np.column_stack(
-            (means, rhos) if full else (means,)), what)
-    return solved[key]
-
-
 def l2_log_det(sym: TorusSymbol, q: int, u):
     """Normalized trace of log(I - d(t) u + q u^2) over the torus, at a point
     (giving a complex) or an array of points (giving an array of its shape).
 
-    The mean of the line means of `_read_lines` (`_line` at rank 1), exact
-    on the axis j of least degree bound D; the other axes (none at rank 1)
-    take m = 16, 32, ... nodes each until two values agree within
-    QUADRATURE_TOL, converged points dropping out. Refinement m adds to a running total only its new
+    The mean of the line means of `_read_lines`, exact on the axis j of
+    least degree bound D. At rank 1 the one line's means come from the
+    `_shared_lines` map, where a tower run's levels may have entered them,
+    and enter it if absent. The other axes (none at rank 1) take m = 16,
+    32, ... nodes each until two values agree within QUADRATURE_TOL,
+    converged points dropping out. Refinement m adds to a running total only its new
     lines (an odd coordinate; all at m = 16), one of each conjugate pair
     {j, -j mod m} at weight 2 (1 if j = -j), but is charged max(2D + 1,
     (2D)^2) nodes (a root solve of degree 2D) for each of its m^(k-1) lines:
@@ -446,8 +430,12 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
             def weigh(first, shape):  # past m = 16, lines with an odd j_i only
                 return _conjugate_fold(first, shape) * ((m == 16) | (np.array(first) % 2).any(axis=0))
 
-            totals[active] += (_read_lines(sym, q, points[active], m, mean_sum, what, weigh) if k > 1 else
-                               _line(_SOLVED_LINES.get({}), (sym, q, points.tobytes()), points, what)[:, 0])
+            # a rank-1 line's means are read once per `_shared_lines` block
+            shared = _SOLVED_LINES.get({}) if k == 1 else {}
+            key = (sym, q, points.tobytes())
+            if key not in shared:
+                shared[key] = _read_lines(sym, q, points[active], m, mean_sum, what, weigh)
+            totals[active] += shared[key]
             refined = totals[active] / m ** (k - 1)
             changes[active] = np.abs(refined - values[active])
             values[active] = refined

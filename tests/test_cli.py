@@ -321,8 +321,10 @@ def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, m
     levels = doc["levels"]
     assert [lvl["route"] for lvl in levels] == ["characters", "lines"] and doc["line_solves"] == 1
     assert levels[0]["rho_max"] is None and 0 < levels[1]["rho_max"] < 1
+    assert [lvl["degree_bound"] for lvl in levels] == [0, 3]
     files = {p.name: p.read_bytes() for p in (workdir / "r").iterdir()}
-    assert not any(key in body for body in files.values() for key in (b"route", b"rho_max", b"line_solves"))
+    keys = (b"route", b"rho_max", b"line_solves", b"degree_bound")
+    assert not any(key in body for body in files.values() for key in keys)
     # its root solve is charged (2D)^2 = 36 nodes; past the budget, and within the
     # level's 8 eigenvalues, the level is read from its characters
     monkeypatch.setattr(l2, "NODE_BUDGET", 20)
@@ -335,10 +337,11 @@ def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, m
 
 
 def test_rank_one_reads_outside_the_levels_lines_keep_their_means_alone(workdir, capsys, monkeypatch):
-    # the loop with voltage 3: its root solve, (2D)^2 = 36 nodes, fits a budget of 40,
-    # the 2D + 1 = 7 values per grid point of a level's line do not; the l2 torus grid
-    # and the torus: target of a tower run whose levels take their characters keep
-    # one value per point
+    # the loop with voltage 3 at orders 1, 2, 4, 8: order 1 reads its characters,
+    # orders 2 and 4 (voltage -1, D = 1) one line and order 8 (D = 3) another, each
+    # line read once for its levels with one value per level and one mean per point;
+    # a torus: target of either symbol reads the means the levels entered, one of
+    # another symbol its own line, and the l2 torus grid one mean per point
     widths, read_lines = [], l2._read_lines
 
     def recorded(*args):
@@ -347,21 +350,23 @@ def test_rank_one_reads_outside_the_levels_lines_keep_their_means_alone(workdir,
         return values
 
     monkeypatch.setattr(l2, "_read_lines", recorded)
-    monkeypatch.setattr(l2, "NODE_BUDGET", 40)
-    (workdir / "v3.json").write_text(json.dumps({"voltages": [3], "rank": 1}))
+    for s in (1, 2, 3):
+        (workdir / f"v{s}.json").write_text(json.dumps({"voltages": [s], "rank": 1}))
     (workdir / "loop3.json").write_text(
-        json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [3], "orders": [1, 8]})
+        json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [3], "orders": [1, 2, 4, 8]})
     )
     grid = ["--grid", "disk:0.6:5:0.02"]
     argv = ["l2", "torus", "--base", str(workdir / "loop.json"), "--voltages", str(workdir / "v3.json")]
     assert run(argv + grid + ["--out", str(workdir / "values.csv")]) == 0
     assert widths == [1]
-    widths.clear()
-    argv = ["tower", "run", "--spec", str(workdir / "loop3.json"), "--target", "torus:v3.json"]
-    assert run(argv + grid + ["--out", str(workdir / "r")]) == 0
-    doc = summary_of(capsys)
-    assert [lvl["route"] for lvl in doc["levels"]] == ["characters", "characters"]
-    assert widths == [1] and doc["line_solves"] == 1
+    argv = ["tower", "run", "--spec", str(workdir / "loop3.json")] + grid + ["--out", str(workdir / "r")]
+    for target, read in (("torus:v1.json", [2, 3]), ("torus:v3.json", [2, 3]), ("torus:v2.json", [1, 2, 3])):
+        widths.clear()
+        assert run(argv + ["--target", target]) == 0
+        doc = summary_of(capsys)
+        assert [lvl["route"] for lvl in doc["levels"]] == ["characters", "lines", "lines", "lines"]
+        assert [lvl["degree_bound"] for lvl in doc["levels"]] == [0, 1, 1, 3]
+        assert sorted(widths) == read and doc["line_solves"] == len(read)
 
 
 def test_tower_run_torus_target(workdir, capsys):

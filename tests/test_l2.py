@@ -293,6 +293,13 @@ def test_chunked_log_sum_matches_one_block(monkeypatch):
         monkeypatch.undo()
 
 
+def node_trapezoid(sym, q, us, m):
+    """Periodic trapezoid values of the log-determinant integral at m^k
+    nodes, one per point of the 1-d array `us`: the log-sum over the node
+    eigenvalues divided by the node count."""
+    return l2._log_sum(l2._node_eigenvalues(sym, m), q, us) / m**sym.rank
+
+
 def test_lattice_level_is_the_limit_at_its_nodes():
     # a (Z/n)^k level's normalized log-determinant is the n-node trapezoid value of the
     # limit (voltages in {0, 1}, which reduction mod n leaves as they are): to the bit
@@ -306,7 +313,7 @@ def test_lattice_level_is_the_limit_at_its_nodes():
     for level, row in zip(tower.levels, report.levels):
         n = level.voltages.orders[0]
         assert level.index == n**2
-        log_dets = l2._grid_log_det(sym, 2, us, n)
+        log_dets = node_trapezoid(sym, 2, us, n)
         values = np.abs((1.0 - us * us) ** (-K4.euler_characteristic) * np.exp(log_dets))
         if row.rho_max is None:
             assert row.errors.tolist() == values.tolist()
@@ -354,7 +361,7 @@ def test_k4_rank3_near_the_slit_matches_the_node_trapezoid():
     # 128^3 nodes: the trapezoid has converged far below 1e-12 at this point
     sym = torus_symbol(K4, VoltageAssignment.free(K4_RANK3))
     u = np.array([0.5 + 0.01j])
-    assert abs(l2_log_det(sym, 2, u) - l2._grid_log_det(sym, 2, u, 128))[0] < 1e-12
+    assert abs(l2_log_det(sym, 2, u) - node_trapezoid(sym, 2, u, 128))[0] < 1e-12
 
 
 def test_rank3_limit_reads_lines_not_cubes(monkeypatch):
@@ -412,7 +419,7 @@ def test_laurent_route_is_invariant_under_presentation():
     # 32^3 nodes have converged at these points; every presentation's tree gauge
     # brings the degree bound down to 1
     us = np.array([0.2 + 0.1j, -0.3 + 0.2j, 0.1j, 0.4 - 0.1j])
-    oracle = l2._grid_log_det(torus_symbol(K4, VoltageAssignment.free(K4_RANK3)), 2, us, 32)
+    oracle = node_trapezoid(torus_symbol(K4, VoltageAssignment.free(K4_RANK3)), 2, us, 32)
     rng = np.random.default_rng(15)
     for _ in range(4):
         base, volt = presented(rng, K4, K4_RANK3)
@@ -430,7 +437,7 @@ def test_laurent_route_drops_roots_at_infinity(monkeypatch):
     sizes, eigvals = [], np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.shape[-1]) or eigvals(a))
     us = np.array([0.1 + 0.1j, 0.3 + 0.05j, 0.0, -0.3 + 0.1j, 0.2])
-    assert np.max(np.abs(l2_log_det(sym, 3, us) - l2._grid_log_det(sym, 3, us, 512))) < 1e-12
+    assert np.max(np.abs(l2_log_det(sym, 3, us) - node_trapezoid(sym, 3, us, 512))) < 1e-12
     assert sizes and max(sizes) < 4
 
 
@@ -442,7 +449,7 @@ def test_laurent_route_solves_companions_of_high_degree(monkeypatch):
     seven = l2_log_det(sym, 1, us)
     one = torus_symbol(LOOP, VoltageAssignment.free(((1,),)))
     assert np.max(np.abs(seven - l2_log_det(one, 1, us))) < 1e-12
-    assert np.max(np.abs(seven - l2._grid_log_det(one, 1, us, 1024))) < 1e-12
+    assert np.max(np.abs(seven - node_trapezoid(one, 1, us, 1024))) < 1e-12
     batches, eigvals = [], np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: batches.append(len(a)) or eigvals(a))
     monkeypatch.setattr(l2, "LOG_CHUNK", 2 * 14**2)  # two companion matrices at a time
@@ -462,7 +469,7 @@ def test_laurent_route_on_an_unused_axis():
     sym = torus_symbol(K4, VoltageAssignment.free(tuple((s, 0) for (s,) in K4_SHIFTS)))
     assert degree_bounds(sym)[1] == 0
     us = np.array([0.1 + 0.1j, -0.4 + 0.05j, 0.0, 0.3j])
-    assert np.max(np.abs(l2_log_det(sym, 2, us) - l2._grid_log_det(sym, 2, us, 256))) < 1e-12
+    assert np.max(np.abs(l2_log_det(sym, 2, us) - node_trapezoid(sym, 2, us, 256))) < 1e-12
 
 
 def test_laurent_route_on_a_disconnected_base():
@@ -471,7 +478,7 @@ def test_laurent_route_on_a_disconnected_base():
     volt = VoltageAssignment.free(K4_SHIFTS + tuple((s,) for s in (0, 3, -1, 1, 2, 0)))
     sym = torus_symbol(base, volt)
     us = np.array([0.1 + 0.1j, 0.45 + 0.02j, 0.0, -0.5 + 0.1j])
-    assert np.max(np.abs(l2_log_det(sym, 2, us) - l2._grid_log_det(sym, 2, us, 512))) < 1e-12
+    assert np.max(np.abs(l2_log_det(sym, 2, us) - node_trapezoid(sym, 2, us, 512))) < 1e-12
 
 
 def symbol_of(base, voltages):
@@ -641,7 +648,7 @@ def test_cyclic_levels_from_line_roots_match_their_characters(name):
         if n > 2 * max(abs(s) for (s,) in shifts):
             assert sym == free
         assert sym != free or n != 2 or name == "loop"
-        (_, solved), (logs, rho_max) = l2._level_log_sums([carrier, level], q, us)
+        (_, solved, _), (logs, rho_max, _) = l2._level_log_sums([carrier, level], q, us)
         assert solved is not None and rho_max == solved
         chars = l2._log_sum(l2._level_blocks(level), q, us)
         # relative to the sum of |log| over the eigenvalues: a loop level's log-sum,
@@ -726,26 +733,45 @@ def test_a_wrong_root_count_in_a_shared_line_names_the_point(monkeypatch):
         tower_convergence(tower, torus_l2(K4, VoltageAssignment.free(K4_BOUND2)), grid)
 
 
-def test_a_line_keeps_its_roots_within_the_node_budget(monkeypatch):
-    # the loop's order-8 level: 8 eigenvalues, a root solve of (2D)^2 = 4 and
-    # 2D + 1 = 3 values kept per point; 4 points fit a budget of 14, 5 do not
-    level = lattice_tower(LOOP, [(1,)], (1, 8)).levels[1]
-    us = np.array([0.1, 0.2j, -0.3, 0.1 - 0.4j, 0.5])
-    monkeypatch.setattr(l2, "NODE_BUDGET", 14)
-    (four, rho), = l2._level_log_sums([level], 1, us[:4])
-    assert rho is not None
-    (five, rho), = l2._level_log_sums([level], 1, us)
-    assert rho is None
-    assert np.max(np.abs(five[:4] - four)) < 1e-14
+def test_a_line_is_read_when_its_root_solve_fits_the_node_budget(monkeypatch):
+    # the loop with voltage 3 at order 8: 8 eigenvalues, a root solve of (2D)^2 = 36;
+    # it reads its line at a budget of 36 whatever the point count (40 points x
+    # 2D + 1 = 7 is 280), and its characters at 35
+    level = lattice_tower(LOOP, [(3,)], (1, 8)).levels[1]
+    us = np.linspace(-0.4, 0.4, 40) + 0.1j
+    monkeypatch.setattr(l2, "NODE_BUDGET", 36)
+    (lines, rho, degree), = l2._level_log_sums([level], 1, us)
+    assert rho is not None and degree == 3
+    monkeypatch.setattr(l2, "NODE_BUDGET", 35)
+    (chars, rho, _), = l2._level_log_sums([level], 1, us)
+    assert rho is None and chars.tolist() == l2._log_sum(l2._level_blocks(level), 1, us).tolist()
+    assert np.max(np.abs(lines - chars)) < 1e-12
 
 
-def test_a_level_takes_its_characters_when_only_a_later_level_reads_its_line():
+def test_levels_of_one_symbol_read_its_line_together(monkeypatch):
     # the loop with voltage 3 at orders 7 and 8 has one symbol of degree bound 3:
-    # order 7 <= 2D + 1 comes first and reads its characters, order 8 the line
+    # order 8 > 2D + 1, so both levels read the line, in one root solve, and each
+    # is within 1e-12 of its characters
+    calls = counted_line_roots(monkeypatch)
     levels = [TowerLevel(n, LOOP, VoltageAssignment.free([(3,)]).reduced((n,))) for n in (7, 8)]
     assert l2._level_symbol(levels[0]) == l2._level_symbol(levels[1])
     us = np.array([0.1, 0.2j, -0.3])
-    assert [rho is None for _, rho in l2._level_log_sums(levels, 1, us)] == [True, False]
+    read = l2._level_log_sums(levels, 1, us)
+    assert [rho is None for _, rho, _ in read] == [False, False] and calls == [3]
+    for level, (logs, _, _) in zip(levels, read):
+        assert np.max(np.abs(logs - l2._log_sum(l2._level_blocks(level), 1, us))) < 1e-12
+
+
+def test_a_repeated_order_gives_both_levels_the_same_errors(monkeypatch):
+    # orders (1, 8, 8), at rank 1 and rank 2: the two order-8 levels read the same
+    # lines, in one root solve
+    calls = counted_line_roots(monkeypatch)
+    for base, voltages, q in ((K4, K4_BOUND2, 2), (B2, VZ2.voltages, 3)):
+        calls.clear()
+        grid = GridSpec(q=q, radius=0.3, resolution=6, margin=0.05)
+        report = tower_convergence(lattice_tower(base, voltages, (1, 8, 8)), tree_l2_reference(), grid)
+        assert report.levels[1].rho_max is not None and len(calls) == 1
+        assert report.levels[1].errors.tolist() == report.levels[2].errors.tolist()
 
 
 def test_a_level_with_a_wrong_root_count_names_the_level_and_the_point(monkeypatch):
@@ -813,7 +839,7 @@ def test_higher_rank_levels_from_their_lines_match_their_characters(name, monkey
         assert k >= 2 and n > 2 * degree + 1
         chars = l2._log_sum(l2._level_blocks(level), q, us)
         read.clear()
-        (logs, rho_max), = l2._level_log_sums([level], q, us)
+        (logs, rho_max, _), = l2._level_log_sums([level], q, us)
         weights = np.concatenate([w for _, w in read])
         selfs = 2 ** (k - 1) if n % 2 == 0 else 1
         assert weights.sum() == n ** (k - 1) and (weights == 1).sum() == selfs
@@ -825,13 +851,15 @@ def test_higher_rank_levels_from_their_lines_match_their_characters(name, monkey
 
 def test_a_higher_rank_level_reads_its_characters_unless_its_lines_are_cheaper(monkeypatch):
     # B2's Z^2 symbol has D = 1 on each axis: order 3 = 2D + 1 reads its characters,
-    # to the bit; order 8 its lines while points x (2D + 1) fits the node budget
+    # to the bit; order 8 its lines at the budget of its own 64 eigenvalues, whatever
+    # the point count. At rank k >= 2, n > 2D + 1 puts the root solve (2D)^2 below
+    # n^k, so a level within its charge always fits it
     (three, eight), us = rank_levels(B2, VZ2.voltages, (3, 8)), np.linspace(-0.4, 0.4, 22) + 0.1j
-    (logs, rho_max), = l2._level_log_sums([three], 3, us)
+    (logs, rho_max, _), = l2._level_log_sums([three], 3, us)
     assert rho_max is None and logs.tolist() == l2._log_sum(l2._level_blocks(three), 3, us).tolist()
-    monkeypatch.setattr(l2, "NODE_BUDGET", 64)  # the eigenvalue count of order 8
-    assert [rho is None for _, rho in l2._level_log_sums([eight], 3, us[:21])] == [False]
-    assert [rho is None for _, rho in l2._level_log_sums([eight], 3, us)] == [True]
+    monkeypatch.setattr(l2, "NODE_BUDGET", 64)
+    assert [rho is None for _, rho, _ in l2._level_log_sums([eight], 3, us[:21])] == [False]
+    assert [rho is None for _, rho, _ in l2._level_log_sums([eight], 3, us)] == [False]
 
 
 def test_a_higher_rank_level_with_a_wrong_root_count_names_the_level_and_the_point(monkeypatch):
