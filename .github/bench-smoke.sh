@@ -3,8 +3,8 @@
 # seeds 3 and 5, whose Petersen towers the least-degree gauge moves the most
 # (their line degree bounds fall from 20 and 24 to 13 and 12), and `tower` at
 # seed 0 with `--trace 1`, whose traced passes evaluate a `torus:` target one
-# point at a time through `L2Zeta.__call__`, the one rank-1 `l2_log_det` read
-# outside a tower run's shared line means. Every output is checked against
+# point at a time through `L2Zeta.__call__`, outside a tower run, so the one
+# line reader keeps no line means for it. Every output is checked against
 # bench/reference.py; fails unless each run is correct with no failed
 # operation and its run record (the line before the result) lists no CSV with
 # numpy reprs such as np.float64(0.0), which the reference check reads past.

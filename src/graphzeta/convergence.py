@@ -128,9 +128,9 @@ def tower_convergence(tower: Tower, target: L2Zeta, grid: GridSpec) -> Convergen
     level's log-sums come first, from `_level_log_sums` (each group of levels
     from the roots of the lines it shares, or each level from its
     characters), and then the target on all grid points in one call.
-    Within the call (`_shared_lines`) a rank-1 `torus:` target reads the
-    means its levels entered for its symbol's line, so the two share one
-    root solve; `line_solves` counts the rank-1 solves."""
+    Within the call (`_shared_lines`) a `torus:` target reads no line its
+    levels read (at rank k >= 2, its m = 16 refinement against a level of
+    order 16); `line_solves` counts the distinct line reads."""
     points = grid.array
     chi_base = tower.base.euler_characteristic
     q = regular_q(tower.base)

@@ -180,13 +180,6 @@ def cycle_graph(n: int) -> MultiGraph:
     return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)), name=f"C{n}")
 
 
-def path_graph(n: int) -> MultiGraph:
-    n = json_int(n, "n")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    return MultiGraph(n, tuple((i, i + 1) for i in range(n - 1)), name=f"P{n}")
-
-
 def complete_graph(n: int) -> MultiGraph:
     n = json_int(n, "n")
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))

@@ -226,13 +226,10 @@ def _level_log_sums(levels, q: int, us: np.ndarray) -> list[tuple[np.ndarray, fl
     built once.
 
     The levels of one lifted symbol and one n-node grid off the exact axis
-    read the same lines (at rank 1 one line, whatever n; at rank k >= 2 one
-    of each conjugate pair {j, -j mod n} at weight 2, 1 if j = -j). Such a
-    group reads them in one `_read_lines` call when its largest n > 2D + 1
-    and the root solve (2D)^2 fits NODE_BUDGET: each level takes the sum of
-    n * mean + sum log(1 - rho^n) over them, rho over every line read, and
-    a rank-1 group enters its line's means in `_shared_lines`. Every other
-    level reads its n^k characters.
+    (at rank 1, every n) read the same lines. Such a group folds them for
+    all its orders in one `_read_lines` call when its largest n > 2D + 1
+    and a line's cost (`_line_cost`) fits NODE_BUDGET. Every other level
+    reads its n^k characters.
     """
     built: dict = {}
     groups: dict = {}
@@ -243,24 +240,15 @@ def _level_log_sums(levels, q: int, us: np.ndarray) -> list[tuple[np.ndarray, fl
     for (sym, _), members in groups.items():
         orders = [levels[i].voltages.orders[0] for i in members]
         degree, _ = _exact_axis(sym)
-        if max(orders) <= 2 * degree + 1 or 4 * degree**2 > NODE_BUDGET:
+        if max(orders) <= 2 * degree + 1 or _line_cost(degree) > NODE_BUDGET:
             for i, n in zip(members, orders):
                 out[i] = _log_sum(_node_eigenvalues(sym, n), q, us), None, degree
             continue
-        rho = [0.0]
-
-        def fold(means, rhos, weights):  # per point, each level's sum and the line means
-            rho[0] = max(rho[0], float(np.abs(rhos).max(initial=0.0)))
-            lifted = [n * means + np.log1p(-(rhos**n)).sum(axis=1) for n in orders]
-            return np.stack([_weighed(values, weights) for values in lifted + [means]], axis=1)
-
         indices = ", ".join(str(levels[i].index) for i in members)
         what = f"of the level{'s' * (len(members) > 1)} of index {indices}"
-        values = _read_lines(sym, q, us, orders[0], fold, what, _conjugate_fold)
-        if sym.rank == 1:  # the line's mean is the limit's log-determinant
-            _SOLVED_LINES.get({})[sym, q, us.tobytes()] = values[:, -1]
-        for i, column in zip(members, values.T):
-            out[i] = column, rho[0], degree
+        sums, _, rho = _read_lines(sym, q, us, orders[0], what, orders)
+        for i, column in zip(members, sums.T):
+            out[i] = column, rho, degree
     return out
 
 
@@ -335,27 +323,54 @@ def _exact_axis(sym: TorusSymbol) -> tuple[int, int]:
     return degree, bounds.index(degree)
 
 
-def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, reduce, what: str, weigh):
+def _line_cost(degree: int) -> int:
+    """Nodes charged for one line of degree bound D: its 2D + 1 node
+    eigensolves or its root solve of degree 2D, whichever is more."""
+    return max(2 * degree + 1, 4 * degree**2)
+
+
+def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, what: str, orders=(), new_only=False):
     """The symbol's lines on its exact axis j (`_exact_axis`), m nodes on each
-    other axis, at the points of the 1-d array `us`: 2D + 1 nodes fix a
-    line, and `_line_roots` folds it to its mean and its 2D values rho.
-    `reduce(means, rhos, weights)` maps a block of lines, read as `weigh`
-    has them read (`_node_eigenvalues`), to one value or row per point;
-    `_log_sum` adds the blocks. NumericError names `what` and a point where
-    a line's root count is not D.
+    other axis (one of each conjugate pair, `_conjugate_fold`; with
+    `new_only` only those with an odd coordinate, which a doubling of m
+    adds), at the points of the 1-d array `us`: 2D + 1 nodes fix a line, and
+    `_line_roots` folds it to its mean and its 2D values rho. Per point, each
+    order n's weighted sum of n * mean + sum log(1 - rho^n) (shape (points,
+    len(orders))) and that of the means; and the largest |rho| read. In a
+    `_shared_lines` block the mean sum is kept under (symbol, q, points, grid
+    off the exact axis, `new_only`), and a read of no orders whose key is
+    kept reads no line. NumericError names `what` and a point where a line's
+    root count is not D.
     """
     degree, j = _exact_axis(sym)
     width = 2 * degree + 1
+    kept = _SOLVED_LINES.get({})
+    key = (sym, q, us.tobytes(), (m,) * (sym.rank - 1), new_only)
+    if not orders and key in kept:
+        return np.zeros((us.size, 0), dtype=complex), kept[key], 0.0
+    rho = 0.0
+
+    def weigh(first, shape):
+        return _conjugate_fold(first, shape) * ((not new_only) | (np.array(first) % 2).any(axis=0))
+
+    def fold(sums, weights):  # per point, each order's sum and the line means, weighed
+        nonlocal rho
+        means, rhos = _line_roots(sums, degree)
+        rho = max(rho, float(np.abs(rhos).max(initial=0.0)))
+        values = np.stack([n * means + np.log1p(-(rhos**n)).sum(axis=1) for n in orders] + [means])
+        return (values.reshape(len(values), -1, weights.size) * weights).sum(axis=2).T
+
     last = tuple((x, y, f[:j] + f[j + 1 :] + f[j : j + 1], c) for x, y, f, c in sym.terms)
     lines = TorusSymbol(sym.vertex_count, sym.rank, last)
     blocks = _node_eigenvalues(lines, (m,) * (sym.rank - 1) + (width,), width, weigh)
     nodes = ((run.reshape(-1, sym.vertex_count), weights) for run, weights in blocks)
-    values = _log_sum(nodes, q, us, lambda s, weights: reduce(*_line_roots(s, degree), weights))
-    bad = np.isnan(values.reshape(us.size, -1)).any(axis=1)
+    values = _log_sum(nodes, q, us, fold)
+    bad = np.isnan(values).any(axis=1)
     if bad.any():
         raise NumericError(f"u = {us[bad][0]}: the determinant {what} does not have "
                            f"{degree} roots outside the unit circle")
-    return values
+    kept[key] = values[:, -1]
+    return values[:, :-1], values[:, -1], rho
 
 
 def _conjugate_fold(first, shape) -> np.ndarray:
@@ -369,20 +384,14 @@ def _conjugate_fold(first, shape) -> np.ndarray:
     return np.where(flat == mirror, 1, 2) * (flat <= mirror)
 
 
-def _weighed(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per point, the sum of a block's line values (rows of `weights.size`
-    lines, one row per point) times their weights."""
-    return (values.reshape(-1, weights.size) * weights).sum(axis=1)
-
-
 _SOLVED_LINES: ContextVar[dict] = ContextVar("solved_lines")
 
 
 @contextmanager
 def _shared_lines():
-    """Within the block, the means (one per point) of each rank-1 line read
-    by `_level_log_sums` or `l2_log_det`, keyed by (symbol, q,
-    us.tobytes()), so that each such line is solved once; yields the map."""
+    """Within the block, `_read_lines` keeps the mean sum of each line read,
+    one per point, so that a target reads no line a level or an earlier
+    call has read; yields the map, one entry per distinct read."""
     token = _SOLVED_LINES.set({})
     try:
         yield _SOLVED_LINES.get()
@@ -395,22 +404,17 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
     (giving a complex) or an array of points (giving an array of its shape).
 
     The mean of the line means of `_read_lines`, exact on the axis j of
-    least degree bound D. At rank 1 the one line's means come from the
-    `_shared_lines` map, where a tower run's levels may have entered them,
-    and enter it if absent. The other axes (none at rank 1) take m = 16,
-    32, ... nodes each until two values agree within QUADRATURE_TOL,
-    converged points dropping out. Refinement m adds to a running total only its new
-    lines (an odd coordinate; all at m = 16), one of each conjugate pair
-    {j, -j mod m} at weight 2 (1 if j = -j), but is charged max(2D + 1,
-    (2D)^2) nodes (a root solve of degree 2D) for each of its m^(k-1) lines:
+    least degree bound D; within a `_shared_lines` block a read that a tower
+    run's levels or an earlier call made is taken from there. The other axes
+    (none at rank 1) take m = 16, 32, ... nodes each until two values agree
+    within QUADRATURE_TOL, converged points dropping out. Refinement m adds
+    to a running total only its new lines (an odd coordinate; all at m =
+    16), but is charged `_line_cost` for each of its m^(k-1) lines:
     ResourceError names a point whose next refinement would pass NODE_BUDGET.
     Every point must be inside the region bounded by C, 1e-12 clear of it.
     """
     k = sym.rank
     degree, j = _exact_axis(sym)
-    width = 2 * degree + 1
-    what = f"along torus axis {j}"
-    mean_sum = lambda means, _, weights: _weighed(means, weights)
 
     def refine(points: np.ndarray) -> np.ndarray:
         values = np.full(points.shape, np.nan, dtype=complex)
@@ -419,23 +423,15 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
         active = np.arange(points.size)
         m = 16
         while active.size:
-            if max(width, 4 * degree**2) * m ** (k - 1) > NODE_BUDGET:
+            if _line_cost(degree) * m ** (k - 1) > NODE_BUDGET:
                 i = active[0]
                 raise ResourceError(
                     f"torus quadrature at u = {points[i]} needs more than {NODE_BUDGET} "
                     f"nodes (next refinement {m}^{k - 1} lines of degree bound {degree}, "
                     f"last change {changes[i]:.3g})"
                 )
-
-            def weigh(first, shape):  # past m = 16, lines with an odd j_i only
-                return _conjugate_fold(first, shape) * ((m == 16) | (np.array(first) % 2).any(axis=0))
-
-            # a rank-1 line's means are read once per `_shared_lines` block
-            shared = _SOLVED_LINES.get({}) if k == 1 else {}
-            key = (sym, q, points.tobytes())
-            if key not in shared:
-                shared[key] = _read_lines(sym, q, points[active], m, mean_sum, what, weigh)
-            totals[active] += shared[key]
+            _, means, _ = _read_lines(sym, q, points[active], m, f"along torus axis {j}", new_only=m > 16)
+            totals[active] += means
             refined = totals[active] / m ** (k - 1)
             changes[active] = np.abs(refined - values[active])
             values[active] = refined

@@ -1,6 +1,6 @@
 """Shared graph corpus for the test suite.
 
-Closed-form families (cycles, complete, bouquet, Petersen) plus seeded
+Closed-form families (cycles, complete, bouquet, Petersen), paths, and seeded
 configuration-model cubic multigraphs. The configuration model pairs
 stubs uniformly, so every sample is exactly 3-regular even when it picks
 up loops or doubled edges. `det_at` is the determinant oracle: Bareiss
@@ -16,6 +16,11 @@ import random
 import numpy as np
 
 from graphzeta import MultiGraph, bouquet_graph, complete_graph, cycle_graph, petersen_graph
+
+
+def path_graph(n: int) -> MultiGraph:
+    """The path on n vertices: an irregular tree, degree-1 ends."""
+    return MultiGraph(n, tuple((i, i + 1) for i in range(n - 1)), name=f"P{n}")
 
 
 def random_regular(n: int, degree: int = 3, seed: int = 0) -> MultiGraph:

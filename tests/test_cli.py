@@ -19,14 +19,13 @@ from graphzeta import (
     errors,
     graphs,
     l2,
-    path_graph,
     save_graph,
     zeta,
 )
 from graphzeta.cli import run
 from graphzeta.zeta import _det_poly
 
-from corpus import CUBIC48, K4, det_at, factorization_error, random_regular
+from corpus import CUBIC48, K4, det_at, factorization_error, path_graph, random_regular
 
 
 @pytest.fixture()
@@ -339,17 +338,11 @@ def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, m
 def test_rank_one_reads_outside_the_levels_lines_keep_their_means_alone(workdir, capsys, monkeypatch):
     # the loop with voltage 3 at orders 1, 2, 4, 8: order 1 reads its characters,
     # orders 2 and 4 (voltage -1, D = 1) one line and order 8 (D = 3) another, each
-    # line read once for its levels with one value per level and one mean per point;
-    # a torus: target of either symbol reads the means the levels entered, one of
-    # another symbol its own line, and the l2 torus grid one mean per point
-    widths, read_lines = [], l2._read_lines
-
-    def recorded(*args):
-        values = read_lines(*args)
-        widths.append(values.size // len(values))
-        return values
-
-    monkeypatch.setattr(l2, "_read_lines", recorded)
+    # line solved once for its levels; a torus: target of either symbol reads the
+    # means the levels kept, one of another symbol solves its own line, and the l2
+    # torus grid solves its one line
+    solves, line_roots = [], l2._line_roots
+    monkeypatch.setattr(l2, "_line_roots", lambda sums, degree: solves.append(degree) or line_roots(sums, degree))
     for s in (1, 2, 3):
         (workdir / f"v{s}.json").write_text(json.dumps({"voltages": [s], "rank": 1}))
     (workdir / "loop3.json").write_text(
@@ -358,15 +351,15 @@ def test_rank_one_reads_outside_the_levels_lines_keep_their_means_alone(workdir,
     grid = ["--grid", "disk:0.6:5:0.02"]
     argv = ["l2", "torus", "--base", str(workdir / "loop.json"), "--voltages", str(workdir / "v3.json")]
     assert run(argv + grid + ["--out", str(workdir / "values.csv")]) == 0
-    assert widths == [1]
+    assert solves == [3]
     argv = ["tower", "run", "--spec", str(workdir / "loop3.json")] + grid + ["--out", str(workdir / "r")]
-    for target, read in (("torus:v1.json", [2, 3]), ("torus:v3.json", [2, 3]), ("torus:v2.json", [1, 2, 3])):
-        widths.clear()
+    for target, solved in (("torus:v1.json", [1, 3]), ("torus:v3.json", [1, 3]), ("torus:v2.json", [1, 3, 2])):
+        solves.clear()
         assert run(argv + ["--target", target]) == 0
         doc = summary_of(capsys)
         assert [lvl["route"] for lvl in doc["levels"]] == ["characters", "lines", "lines", "lines"]
         assert [lvl["degree_bound"] for lvl in doc["levels"]] == [0, 1, 1, 3]
-        assert sorted(widths) == read and doc["line_solves"] == len(read)
+        assert solves == solved and doc["line_solves"] == len(solved)
 
 
 def test_tower_run_torus_target(workdir, capsys):

@@ -18,7 +18,6 @@ from graphzeta import (
     level_cdf,
     normalized_zeta,
     omega_contains,
-    path_graph,
     spectrum,
     torus_l2,
     tower_convergence,
@@ -26,7 +25,7 @@ from graphzeta import (
     write_convergence_report,
 )
 
-from corpus import B2, K4, LOOP, PETERSEN
+from corpus import B2, K4, LOOP, PETERSEN, path_graph
 
 
 def test_grid_spec_points():

@@ -21,14 +21,13 @@ from graphzeta import (
     homology_tower,
     lattice_tower,
     load_tower_spec,
-    path_graph,
     spanning_tree_edges,
     spectrum,
     validate_cover,
     voltage_from_json,
 )
 
-from corpus import B2, K4, LOOP
+from corpus import B2, K4, LOOP, path_graph
 
 
 def test_voltage_validation():

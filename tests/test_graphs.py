@@ -31,7 +31,6 @@ from graphzeta import (
     normalized_zeta,
     nth_root_det,
     omega_contains,
-    path_graph,
     petersen_graph,
     regularity,
     save_graph,
@@ -43,7 +42,7 @@ from graphzeta import (
 from graphzeta.region import check_q
 from graphzeta.zeta import closed_walk_counts
 
-from corpus import B2, K4, PETERSEN
+from corpus import B2, K4, PETERSEN, path_graph
 
 
 def test_validation_rejects_bad_input():
@@ -211,7 +210,6 @@ INTEGER_ENTRY_POINTS = {
     "GridSpec q": ("q", lambda x: GridSpec(x, 0.5, 3)),
     "GridSpec resolution": ("resolution", lambda x: GridSpec(2, 0.5, x)),
     "cycle_graph": ("n", cycle_graph, 0),
-    "path_graph": ("n", path_graph, 0),
     "complete_graph": ("n", complete_graph),
     "bouquet_graph": ("loops", bouquet_graph, -1),
     "closed_walk_counts": ("terms", lambda x: closed_walk_counts(K4, x), -1),

@@ -40,7 +40,6 @@ from graphzeta import (
     homology_tower,
     lattice_tower,
     level_cdf,
-    path_graph,
     spanning_tree_edges,
     symbol_spectral_cdf,
     torus_l2,
@@ -50,7 +49,7 @@ from graphzeta import (
     write_convergence_report,
 )
 
-from corpus import B2, K4, LOOP, PETERSEN, walk_counts_by_dict
+from corpus import B2, K4, LOOP, PETERSEN, path_graph, walk_counts_by_dict
 
 VZ = VoltageAssignment.free(((1,),), rank=1)
 VZ2 = VoltageAssignment.free(((1, 0), (0, 1)), rank=2)
@@ -715,6 +714,44 @@ def test_other_targets_and_grids_solve_their_own_lines(monkeypatch):
             report = tower_convergence(tower, L2Zeta(evaluate=evaluate), grid)
             assert report.line_solves == 2 and len(calls) == 2
             assert [r.errors.tolist() for r in report.levels] == [r.errors.tolist() for r in own.levels]
+
+
+def counted_line_reads(monkeypatch):
+    """The node grids, (m,) * (k - 1) + (2D + 1,), of the line reads that solve."""
+    reads, node_eigenvalues = [], l2._node_eigenvalues
+
+    def counting(sym, m, line=1, weigh=None):
+        if weigh is not None:
+            reads.append(m)
+        return node_eigenvalues(sym, m, line, weigh)
+
+    monkeypatch.setattr(l2, "_node_eigenvalues", counting)
+    return reads
+
+
+def test_a_rank_two_target_reads_its_first_refinement_from_a_level_of_order_16(monkeypatch):
+    # the (Z/16)^2 level of B2 and a torus: target of the same voltages read the same
+    # 16 x 3 line grid: the target solves only its later refinements' new lines, and
+    # its errors are those against the target evaluated on its own
+    reads = counted_line_reads(monkeypatch)
+    grid = GridSpec(q=3, radius=0.3, resolution=6, margin=0.05)
+    alone = torus_l2(B2, VZ2).evaluate(grid.array)
+    assert reads[0] == (16, 3) and len(reads) >= 2
+    reads.clear()
+    tower = lattice_tower(B2, VZ2.voltages, (1, 16))
+    report = tower_convergence(tower, torus_l2(B2, VZ2), grid)
+    assert report.levels[1].rho_max is not None
+    assert reads[0] == (16, 3) and reads.count((16, 3)) == 1 and len(reads) >= 2
+    assert report.line_solves == len(reads)
+    own = tower_convergence(tower, L2Zeta(evaluate=lambda u: alone), grid)
+    assert [r.errors.tolist() for r in report.levels] == [r.errors.tolist() for r in own.levels]
+
+
+def test_a_homology_tower_counts_its_rank_three_line_read():
+    # the (Z/7)^3 level of K4's mod-7 homology tower reads its lines (D = 1, 7 > 3)
+    grid = GridSpec(q=2, radius=0.5, resolution=8, margin=0.05)
+    report = tower_convergence(homology_tower(K4, 7, 1), tree_l2_reference(), grid)
+    assert report.levels[1].rho_max is not None and report.line_solves == 1
 
 
 def test_a_wrong_root_count_in_a_shared_line_names_the_point(monkeypatch):

@@ -26,7 +26,6 @@ from graphzeta import (
     functional_equation_sides,
     normalized_zeta,
     nth_root_det,
-    path_graph,
     spectrum,
     zeta_eval,
     zeta_log_coeffs,
@@ -48,6 +47,7 @@ from corpus import (
     bareiss_det,
     det_at,
     factorization_error,
+    path_graph,
     random_regular,
 )
 
