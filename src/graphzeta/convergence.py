@@ -22,7 +22,7 @@ from .covers import Tower
 from .errors import InputError, ResourceError
 from .graphs import NODE_BUDGET, MultiGraph, json_float, json_int, regular_q, write_rows, write_text
 from .l2 import L2Zeta, _count_at_most, _level_blocks, _level_log_sums, _shared_lines
-from .region import at_points, check_q, omega_contains, require_inside, set_c_polyline
+from .region import at_points, check_q, omega_contains, require_inside
 from .zeta import det_poly, zeta_eval
 
 
@@ -207,7 +207,7 @@ def deitmar_residual(base: MultiGraph, u) -> "float | np.ndarray":
 
 
 def write_convergence_report(report: ConvergenceReport, outdir: "str | Path") -> list[Path]:
-    """summary.json, one error-field CSV per level, and a polyline of C."""
+    """summary.json and one error-field CSV per level; returns their paths."""
     outdir = Path(outdir)
     summary = outdir / "summary.json"
     write_text(summary, json.dumps(report.summary_dict(), sort_keys=True, indent=2) + "\n")
@@ -217,8 +217,4 @@ def write_convergence_report(report: ConvergenceReport, outdir: "str | Path") ->
         path = outdir / f"errors_N{level.index}.csv"
         write_rows(path, ("re", "im", "abs_error"), (us.real, us.imag, level.errors))
         written.append(path)
-    c_path = outdir / "set_c.csv"
-    parts, points = zip(*set_c_polyline(report.grid.q))
-    points = np.asarray(points)
-    write_rows(c_path, ("part", "re", "im"), (parts, points.real, points.imag))
-    return written + [c_path]
+    return written

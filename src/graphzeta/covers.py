@@ -285,13 +285,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def spanning_tree_edges(g: MultiGraph) -> tuple[int, ...]:
-    """Edge indices of the breadth-first spanning tree grown from vertex 0."""
-    if not g.is_connected:
-        raise InputError("spanning tree requires a connected graph")
-    return tuple(sorted(eidx for eidx, _, _ in spanning_forest(g)))
-
-
 def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
     """Iterated mod-p homology covers.
 
@@ -325,7 +318,7 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
         if rank == 0:
             levels.append(TowerLevel(index, current, VoltageAssignment.trivial(current.edge_count)))
             continue
-        tree = set(spanning_tree_edges(current))
+        tree = {eidx for eidx, _, _ in spanning_forest(current)}
         generator = 0
         voltages = []
         for eidx in range(current.edge_count):

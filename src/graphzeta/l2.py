@@ -32,6 +32,7 @@ from .graphs import NODE_BUDGET, MultiGraph, json_int, regular_q, require_size, 
 from .region import at_points, check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
+LINE_TOL = 1e-13  # times (2D + 1)^2, the most a line's node sums may miss its roots' fold
 LOG_CHUNK = 2**18  # points x eigenvalues whose logarithms are held at once
 CDF_POINTS_PER_DIM = 4096
 
@@ -340,10 +341,13 @@ def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, what: str, ord
     `_shared_lines` block the mean sum is kept under (symbol, q, points, grid
     off the exact axis, `new_only`), and a read of no orders whose key is
     kept reads no line. NumericError names `what` and a point where a line's
-    root count is not D.
+    root count is not D, or where its residual |sum_s S_s - ((2D + 1) mean +
+    sum log(1 - rho^(2D+1)))|, an identity of exact roots over its own 2D + 1
+    nodes, passes LINE_TOL (2D + 1)^2.
     """
     degree, j = _exact_axis(sym)
     width = 2 * degree + 1
+    tol = LINE_TOL * width**2
     kept = _SOLVED_LINES.get({})
     key = (sym, q, us.tobytes(), (m,) * (sym.rank - 1), new_only)
     if not orders and key in kept:
@@ -353,11 +357,13 @@ def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, what: str, ord
     def weigh(first, shape):
         return _conjugate_fold(first, shape) * ((not new_only) | (np.array(first) % 2).any(axis=0))
 
-    def fold(sums, weights):  # per point, each order's sum and the line means, weighed
+    def fold(sums, weights):  # per point, each order's sum, the line means and the lines off, weighed
         nonlocal rho
         means, rhos = _line_roots(sums, degree)
         rho = max(rho, float(np.abs(rhos).max(initial=0.0)))
-        values = np.stack([n * means + np.log1p(-(rhos**n)).sum(axis=1) for n in orders] + [means])
+        *at, at_width = (n * means + np.log1p(-(rhos**n)).sum(axis=1) for n in [*orders, width])
+        off = np.abs(sums.reshape(-1, width).sum(axis=1) - at_width) > tol
+        values = np.stack(at + [means, off])
         return (values.reshape(len(values), -1, weights.size) * weights).sum(axis=2).T
 
     last = tuple((x, y, f[:j] + f[j + 1 :] + f[j : j + 1], c) for x, y, f, c in sym.terms)
@@ -369,8 +375,12 @@ def _read_lines(sym: TorusSymbol, q: int, us: np.ndarray, m: int, what: str, ord
     if bad.any():
         raise NumericError(f"u = {us[bad][0]}: the determinant {what} does not have "
                            f"{degree} roots outside the unit circle")
-    kept[key] = values[:, -1]
-    return values[:, :-1], values[:, -1], rho
+    off = values[:, -1].real > 0
+    if off.any():
+        raise NumericError(f"u = {us[off][0]}: a line of the determinant {what} misses the "
+                           f"sum of its {width} node logarithms by more than {tol:.3g}")
+    kept[key] = values[:, -2]
+    return values[:, :-2], values[:, -2], rho
 
 
 def _conjugate_fold(first, shape) -> np.ndarray:

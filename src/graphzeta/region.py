@@ -17,7 +17,6 @@ from .errors import DomainError, InputError
 from .graphs import json_float, json_int
 
 _CUT_MARGIN = 1e-12  # points this close to C, hence to a branch cut, take no logs
-_POLYLINE_POINTS = 256
 
 
 def check_q(q: int) -> int:
@@ -83,15 +82,3 @@ def require_inside(q: int, u) -> None:
             f"u = {complex(us[~inside][0])} is outside the open region bounded by C "
             f"(or within {_CUT_MARGIN} of it)"
         )
-
-
-def set_c_polyline(q: int) -> list[tuple[str, complex]]:
-    """Discretized polyline of C for plotting: circle and the two slits."""
-    q = check_q(q)
-    n = _POLYLINE_POINTS
-    radius = q ** -0.5
-    phi = 2.0 * np.pi * np.arange(n + 1) / n
-    parts = [("circle", radius * np.cos(phi), radius * np.sin(phi))]
-    for part, a, b in (("slit_pos", 1.0 / q, 1.0), ("slit_neg", -1.0, -1.0 / q)):
-        parts.append((part, a + (b - a) * np.arange(n) / (n - 1), np.zeros(n)))
-    return [(part, complex(x, y)) for part, xs, ys in parts for x, y in zip(xs.tolist(), ys.tolist())]

@@ -33,6 +33,7 @@ from .region import at_points, distance_to_C
 
 ORDER_CAP = 512  # largest matrix order the determinant kernel takes
 WALK_CAP = 2048  # most oriented edges the closed-walk counter takes
+LOG_TERMS_CAP = 1023  # most closed-form log coefficients, the series oracle's bound
 _PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
@@ -342,8 +343,6 @@ def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:
             f"closed walks of length {terms} on {oriented} oriented edges of degree up to "
             f"{d_max} may number 2^53 or more: exact float64 counts reach only {bound} terms"
         )
-    if oriented == 0:
-        return [0] * terms
     t = _transfer_matrix(g).astype(np.float64)
     counts = []
     power = t
@@ -366,14 +365,18 @@ def zeta_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
     """The same coefficients from the closed form (1-u^2)^(-chi) det(...):
     c_m = (s_m + 2 chi [m even]) / m, with s_m the power sums of det_poly's
     coefficients a_j (a_0 = 1) by Newton's identities, in integers:
-    s_m = m a_m - sum_(j=1..m-1) a_j s_(m-j)."""
+    s_m = m a_m - sum_(j=1..min(m-1, deg)) a_j s_(m-j). ResourceError,
+    before any work, for more than LOG_TERMS_CAP terms."""
     terms = json_int(terms, "terms")
     if terms < 1:
         raise InputError("terms must be >= 1")
+    if terms > LOG_TERMS_CAP:
+        raise ResourceError(f"closed-form log series take at most {LOG_TERMS_CAP} terms, got {terms}")
     a = det_poly(g).coefficients
+    degree = len(a) - 1
     a += (0,) * (terms + 1 - len(a))
     s = [0]
     for m in range(1, terms + 1):
-        s.append(m * a[m] - sum(a[j] * s[m - j] for j in range(1, m)))
+        s.append(m * a[m] - sum(a[j] * s[m - j] for j in range(1, min(m, degree + 1))))
     chi = g.euler_characteristic
     return tuple(Fraction(s[m] + 2 * chi * (m % 2 == 0), m) for m in range(1, terms + 1))

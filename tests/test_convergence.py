@@ -212,10 +212,10 @@ def test_write_convergence_report(tmp_path):
     grid = GridSpec(q=1, radius=0.4, resolution=5)
     report = tower_convergence(tower, tree_l2_reference(), grid)
     paths = write_convergence_report(report, tmp_path)
+    # exactly the summary and one error field per level, the paths returned
     names = {p.name for p in paths}
-    assert "summary.json" in names
-    assert "set_c.csv" in names
-    assert {f"errors_N{i}.csv" for i in (1, 2, 4)} <= names
+    assert names == {"summary.json"} | {f"errors_N{i}.csv" for i in (1, 2, 4)}
+    assert {p.name for p in tmp_path.iterdir()} == names
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["target"] == "constant 1 (regular tree cover)"
     assert [lvl["index"] for lvl in doc["levels"]] == [1, 2, 4]

@@ -21,7 +21,6 @@ from graphzeta import (
     homology_tower,
     lattice_tower,
     load_tower_spec,
-    spanning_tree_edges,
     spectrum,
     validate_cover,
     voltage_from_json,
@@ -179,16 +178,12 @@ def test_homology_tower_needs_a_connected_base():
 
 
 def test_spanning_tree():
-    tree = spanning_tree_edges(K4)
+    tree = list(graphs.spanning_forest(K4))
     assert len(tree) == 3
-    # tree edges touch every vertex
-    touched = set()
-    for k in tree:
-        x, y = K4.edges[k]
-        touched.update((x, y))
-    assert touched == {0, 1, 2, 3}
-    with pytest.raises(InputError):
-        spanning_tree_edges(cycle_graph(3).__class__(4, ((0, 1), (2, 3))))
+    # each tree edge joins a reached vertex to a new one, and every vertex is reached
+    for k, x, y in tree:
+        assert K4.edges[k] in ((x, y), (y, x))
+    assert {0} | {y for _, _, y in tree} == {0, 1, 2, 3}
 
 
 def test_tower_invariants_enforced():

@@ -40,7 +40,6 @@ from graphzeta import (
     homology_tower,
     lattice_tower,
     level_cdf,
-    spanning_tree_edges,
     symbol_spectral_cdf,
     torus_l2,
     torus_symbol,
@@ -501,12 +500,12 @@ def forest_gauged(base, voltages):
 def test_symbol_keeps_the_presentation_of_least_degree_on_each_axis():
     k8 = complete_graph(8)
     one_shift = lambda g, e, s=(1,): [s if i == e else (0,) * len(s) for i in range(g.edge_count)]
-    k4_tree = spanning_tree_edges(K4)[0]
+    k4_tree = min(e for e, _, _ in graphs.spanning_forest(K4))
     # axis 0: one tree-edge shift, raw 1 against gauged 2; axis 1: K4_SHIFTS, raw 5 against
     # gauged 2, which moving vertex 3 to the median of its incident voltages lowers to 1
     mixed = [(int(i == k4_tree), s) for i, (s,) in enumerate(K4_SHIFTS)]
     cases = [
-        (k8, 6, one_shift(k8, spanning_tree_edges(k8)[0]), [1], [6]),
+        (k8, 6, one_shift(k8, min(e for e, _, _ in graphs.spanning_forest(k8))), [1], [6]),
         (K4, 2, one_shift(K4, k4_tree), [1], [2]),
         (K4, 2, mixed, [1, 1], [2, 2]),
     ]

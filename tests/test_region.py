@@ -18,7 +18,6 @@ from graphzeta import (
     normalized_zeta,
     nth_root_det,
     omega_contains,
-    set_c_polyline,
     slit_distance,
     torus_symbol,
     zeta_eval,
@@ -78,15 +77,6 @@ def test_bad_q():
         omega_contains(0, 0.1)
     with pytest.raises(InputError):
         distance_to_C(-1, 0.1)
-
-
-def test_set_c_polyline():
-    pts = set_c_polyline(2)
-    parts = {p for p, _ in pts}
-    assert parts == {"circle", "slit_pos", "slit_neg"}
-    # every sampled point lies on C
-    values = np.array([z for _, z in pts])
-    assert np.max(distance_to_C(2, values)) < 1e-12
 
 
 @given(

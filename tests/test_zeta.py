@@ -215,6 +215,21 @@ def test_closed_walk_counts_stay_exact_or_refuse():
         closed_walk_counts(looped, 32)
 
 
+def test_closed_form_log_series_is_bounded_and_unchanged(monkeypatch):
+    # Newton's identities over every earlier power sum, the sum before the degree bound
+    a = det_poly(PETERSEN).coefficients + (0,) * 200
+    s = [0]
+    for m in range(1, 201):
+        s.append(m * a[m] - sum(a[j] * s[m - j] for j in range(1, m)))
+    chi = PETERSEN.euler_characteristic
+    expected = tuple(Fraction(s[m] + 2 * chi * (m % 2 == 0), m) for m in range(1, 201))
+    assert zeta_log_coeffs(PETERSEN, 200) == expected
+    # past the bound, refused before det_poly is read
+    monkeypatch.setattr(zeta, "det_poly", lambda g: pytest.fail("det_poly read past the bound"))
+    with pytest.raises(ResourceError, match="at most 1023 terms, got 1024"):
+        zeta_log_coeffs(K4, 1024)
+
+
 def test_transfer_operator_shape():
     t = _transfer_matrix(K4)
     assert t.shape == (12, 12) and t.dtype == bool
