@@ -9,9 +9,10 @@ of the classical Euler-product convention, and it is a polynomial:
 where A is the adjacency matrix (loops count 2 on the diagonal), Q is the
 diagonal matrix of degree - 1, and chi is the Euler characteristic. The
 determinant polynomial has exact integer coefficients; this module computes
-them as a characteristic polynomial modulo primes, evaluates the zeta
-function, locates its zeros for regular graphs, and provides analytic N-th
-roots of the determinant inside the region bounded by the set C.
+them as a characteristic polynomial modulo primes, checks them against the
+Euler product det(I - u T) by the same kernel, evaluates the zeta function,
+locates its zeros for regular graphs, and provides analytic N-th roots of
+the determinant inside the region bounded by the set C.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from .polynomials import IntPolynomial
 from .region import at_points, distance_to_C
 
 ORDER_CAP = 512  # largest matrix order the determinant kernel takes
-WALK_CAP = 2048  # most oriented edges the closed-walk counter takes
-LOG_TERMS_CAP = 1023  # most closed-form log coefficients, the series oracle's bound
+LOG_TERMS_CAP = 1023  # most log-series coefficients, the series oracle's bound
 _PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
@@ -120,16 +121,20 @@ def _charpoly(mat: np.ndarray, bound: int) -> list[int]:
     return [c - modulus if 2 * c > modulus else c for c in lifted]
 
 
+def _minor_sum_bound(mat: np.ndarray) -> int:
+    """prod_i (1 + ceil(||mat_i||_2)): each coefficient of det(x I - mat) sums
+    principal minors, and Hadamard's inequality bounds that sum by it."""
+    # 1 + ceil(sqrt(s)) = isqrt(s - 1) + 2 for s >= 1
+    return math.prod(math.isqrt(s - 1) + 2 if s else 1 for s in (mat * mat).sum(axis=1).tolist())
+
+
 def _regular_det_poly(g: MultiGraph, q: int) -> IntPolynomial:
     """u^v chi_A((1 + q u^2) / u) = sum_r a_r (1 + q u^2)^r u^(v - r), with
-    chi_A = sum_r a_r x^r; each a_r sums principal minors of A, so Hadamard's
-    inequality gives |a_r| <= prod_i (1 + ||A_i||_2)."""
+    chi_A = sum_r a_r x^r, under the bound _minor_sum_bound(A)."""
     v, a = g.vertex_count, g.adjacency.astype(np.int64)
-    # 1 + ceil(sqrt(s)) = isqrt(s - 1) + 2 for s >= 1
-    bound = math.prod(math.isqrt(s - 1) + 2 if s else 1 for s in (a * a).sum(axis=1).tolist())
     coeffs = [0] * (2 * v + 1)
     binom = [1]  # binom[k] = C(r, k) q^k, the coefficient of u^(2k) in (1 + q u^2)^r
-    for r, a_r in enumerate(_charpoly(a, bound)):
+    for r, a_r in enumerate(_charpoly(a, _minor_sum_bound(a))):
         for k, b in enumerate(binom):
             coeffs[v - r + 2 * k] += a_r * b
         binom = [1] + [x + q * y for x, y in zip(binom[1:], binom)] + [q * binom[-1]]
@@ -300,7 +305,7 @@ def functional_equation_mismatch(g: MultiGraph) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Euler-product log coefficients via the oriented-edge transfer operator
+# the Euler product: det(I - u T) on the oriented-edge transfer matrix T
 
 
 def _transfer_matrix(g: MultiGraph) -> np.ndarray:
@@ -319,64 +324,62 @@ def _transfer_matrix(g: MultiGraph) -> np.ndarray:
     return t
 
 
-def closed_walk_counts(g: MultiGraph, terms: int) -> list[int]:
-    """N_m = trace(T^m) for m = 1..terms, exactly.
-
-    Every entry and partial sum of T^m is at most 2E (d_max - 1)^m, so the
-    float64 products are exact while max(1, 2E) max(2, d_max - 1)^terms < 2^53,
-    never past 52 terms. InputError for terms < 0; ResourceError, before any
-    work, past that bound or past WALK_CAP oriented edges.
-    """
-    terms, oriented = json_int(terms, "terms"), 2 * g.edge_count
-    if terms < 0:
-        raise InputError(f"terms must be >= 0, got {terms}")
-    if oriented > WALK_CAP:
-        raise ResourceError(
-            f"closed walk counts take at most {WALK_CAP} oriented edges, got {oriented}"
-        )
-    d_max = max(g.degree_sequence, default=0)
-    bound = 0  # the most terms that stay exact
-    while max(1, oriented) * max(2, d_max - 1) ** (bound + 1) < 2**53:
-        bound += 1
-    if terms > bound:
-        raise ResourceError(
-            f"closed walks of length {terms} on {oriented} oriented edges of degree up to "
-            f"{d_max} may number 2^53 or more: exact float64 counts reach only {bound} terms"
-        )
-    t = _transfer_matrix(g).astype(np.float64)
-    counts = []
-    power = t
-    for m in range(terms):
-        if m:
-            power = power @ t
-        counts.append(int(np.trace(power)))
-    return counts
+def hashimoto_det_poly(g: MultiGraph) -> IntPolynomial:
+    """det(I - u T), the Euler product's side of Z(g, u): the reversed
+    characteristic polynomial of the transfer matrix T, by the kernel of
+    det_poly. ResourceError, before T exists, for more than ORDER_CAP = 512
+    oriented edges."""
+    order = 2 * g.edge_count
+    if order > ORDER_CAP:
+        raise ResourceError(f"exact determinant route takes matrices of order at most "
+                            f"{ORDER_CAP}; {g.edge_count} edges need {order}")
+    t = _transfer_matrix(g).astype(np.int64)
+    return IntPolynomial(tuple(_charpoly(t, _minor_sum_bound(t))[::-1]))
 
 
-def euler_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
-    """Exact Taylor coefficients of log Z from the Euler product: c_m = -N_m / m."""
+def euler_product_mismatch(g: MultiGraph) -> int | None:
+    """The lowest power of u where det(I - u T) and (1 - u^2)^(|E| - |V|)
+    det_poly(g) differ (the Ihara-Bass identity), or None when every
+    coefficient agrees. The factor goes to whichever side keeps both integral."""
+    edge_side, vertex_side = hashimoto_det_poly(g).to_list(), det_poly(g).to_list()
+    chi = g.euler_characteristic
+    for _ in range(chi):
+        edge_side = [x - y for x, y in zip(edge_side + [0, 0], [0, 0] + edge_side)]
+    for _ in range(-chi):
+        vertex_side = [x - y for x, y in zip(vertex_side + [0, 0], [0, 0] + vertex_side)]
+    pairs = enumerate(zip_longest(edge_side, vertex_side, fillvalue=0))
+    return next((j for j, (x, y) in pairs if x != y), None)
+
+
+def _log_series(terms: int, poly) -> list[int]:
+    """s_1..s_terms with log P(u) = sum_m s_m u^m / m for the integer
+    polynomial P = poly(), P(0) = 1, by Newton's identities in integers:
+    s_m = m a_m - sum_(j=1..min(m-1, deg)) a_j s_(m-j). InputError for
+    terms < 1 and ResourceError past LOG_TERMS_CAP, both before poly() runs."""
     terms = json_int(terms, "terms")
     if terms < 1:
-        raise InputError("terms must be >= 1")
-    return tuple(Fraction(-n_m, m) for m, n_m in enumerate(closed_walk_counts(g, terms), 1))
-
-
-def zeta_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
-    """The same coefficients from the closed form (1-u^2)^(-chi) det(...):
-    c_m = (s_m + 2 chi [m even]) / m, with s_m the power sums of det_poly's
-    coefficients a_j (a_0 = 1) by Newton's identities, in integers:
-    s_m = m a_m - sum_(j=1..min(m-1, deg)) a_j s_(m-j). ResourceError,
-    before any work, for more than LOG_TERMS_CAP terms."""
-    terms = json_int(terms, "terms")
-    if terms < 1:
-        raise InputError("terms must be >= 1")
+        raise InputError(f"terms must be an integer >= 1, got {terms}")
     if terms > LOG_TERMS_CAP:
-        raise ResourceError(f"closed-form log series take at most {LOG_TERMS_CAP} terms, got {terms}")
-    a = det_poly(g).coefficients
+        raise ResourceError(f"log series take at most {LOG_TERMS_CAP} terms, got {terms}")
+    a = poly().coefficients
     degree = len(a) - 1
     a += (0,) * (terms + 1 - len(a))
     s = [0]
     for m in range(1, terms + 1):
         s.append(m * a[m] - sum(a[j] * s[m - j] for j in range(1, min(m, degree + 1))))
-    chi = g.euler_characteristic
-    return tuple(Fraction(s[m] + 2 * chi * (m % 2 == 0), m) for m in range(1, terms + 1))
+    return s[1:]
+
+
+def euler_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
+    """Exact Taylor coefficients of log Z from the Euler product, c_m = -N_m / m
+    with N_m = trace(T^m), the closed non-backtracking walks of length m: the
+    log series of det(I - u T)."""
+    series = _log_series(terms, lambda: hashimoto_det_poly(g))
+    return tuple(Fraction(s, m) for m, s in enumerate(series, 1))
+
+
+def zeta_log_coeffs(g: MultiGraph, terms: int) -> tuple[Fraction, ...]:
+    """The same coefficients from the closed form (1-u^2)^(-chi) det(...):
+    c_m = (s_m + 2 chi [m even]) / m, with s_m / m those of log det_poly."""
+    chi, series = g.euler_characteristic, _log_series(terms, lambda: det_poly(g))
+    return tuple(Fraction(s + 2 * chi * (m % 2 == 0), m) for m, s in enumerate(series, 1))

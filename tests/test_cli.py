@@ -620,10 +620,14 @@ def test_exit_codes(workdir, capsys, monkeypatch):
     assert run(["l2", "cdf", "--spec", str(workdir / "capped.json"), "--out", str(workdir / "tb")]) == 1
     assert "a homology tower spec takes no 'size_cap'" in capsys.readouterr().err
     assert not (workdir / "tb").exists()
-    # closed walks that float64 cannot count exactly: 20 * 3^31 >= 2^53 for K5
+    # the Euler product is checked on every coefficient, whatever --terms says,
+    # up to ORDER_CAP = 512 oriented edges
     save_graph(complete_graph(5), workdir / "k5.json")
-    assert run(["zeta", "euler-check", "--graph", str(workdir / "k5.json"), "--terms", "31"]) == 2
-    assert "length 31 on 20 oriented edges of degree up to 4" in capsys.readouterr().err
+    assert run(["zeta", "euler-check", "--graph", str(workdir / "k5.json"), "--terms", "31"]) == 0
+    assert summary_of(capsys)["match"] is True
+    save_graph(cycle_graph(257), workdir / "c257.json")
+    assert run(["zeta", "euler-check", "--graph", str(workdir / "c257.json")]) == 2
+    assert "order at most 512; 257 edges need 514" in capsys.readouterr().err
     # a voltage that is not an integer: input error, not a traceback or a truncation
     for bad in ("a", 1.5):
         (workdir / "bad_v.json").write_text(json.dumps({"voltages": [[bad]], "orders": [2]}))
@@ -771,17 +775,53 @@ def refused_quickly(argv, code, capsys) -> str:
 
 
 def test_euler_check_terms_are_bounded_before_any_work(workdir, capsys):
-    # max(1, 2E) max(2, d_max - 1)^terms < 2^53 for every graph: C3 (d_max 2) and a
-    # graph with no edges are bounded too, and no graph passes 52 terms
+    # --terms is accepted and ignored, so no value of it is work: C3, K4 and a
+    # graph with no edges are checked whole; the order of T is what is bounded
     save_graph(cycle_graph(3), workdir / "c3.json")
     save_graph(path_graph(1), workdir / "dot.json")
-    for name, oriented, bound in (("c3.json", 6, 50), ("k4.json", 12, 49), ("dot.json", 0, 52)):
-        argv = ["zeta", "euler-check", "--graph", str(workdir / name), "--terms"]
-        err = refused_quickly([*argv, "1000000000000"], 2, capsys)
-        assert f"length 1000000000000 on {oriented} oriented edges" in err
-        assert f"exact float64 counts reach only {bound} terms" in err
-        assert run([*argv, str(bound)]) == 0
-        assert summary_of(capsys)["match"] is True
+    for name in ("c3.json", "k4.json", "dot.json"):
+        argv = ["zeta", "euler-check", "--graph", str(workdir / name), "--terms", "1000000000000"]
+        assert run(argv) == 0
+        doc = summary_of(capsys)
+        assert doc["match"] is True and "terms" not in doc
+    save_graph(cycle_graph(257), workdir / "c257.json")
+    err = refused_quickly(["zeta", "euler-check", "--graph", str(workdir / "c257.json")], 2, capsys)
+    assert "257 edges need 514" in err
+
+
+def _mutated_charpoly(monkeypatch, order, index):
+    """zeta._charpoly with coefficient `index` of x^index raised by 1 on
+    matrices of the given order, and the det_poly memo emptied around it."""
+    charpoly = zeta._charpoly
+
+    def mutated(mat, bound):
+        coeffs = charpoly(mat, bound)
+        if mat.shape[0] == order:
+            coeffs[index] += 1
+        return coeffs
+
+    monkeypatch.setattr(zeta, "_charpoly", mutated)
+    _det_poly.cache_clear()
+
+
+def test_euler_check_catches_a_wrong_det_poly(workdir, capsys, monkeypatch):
+    # det(A) + 1 on a 64-vertex cubic graph moves det_poly's u^64 coefficient: the
+    # functional equation holds for it by construction, the Euler product does not
+    save_graph(random_regular(64, 3, 1), workdir / "cubic64.json")
+    graph = ["--graph", str(workdir / "cubic64.json")]
+    _mutated_charpoly(monkeypatch, 64, 0)
+    try:
+        assert run(["zeta", "euler-check", *graph, "--terms", "12"]) == 2
+        doc = summary_of(capsys)
+        assert doc["match"] is False and doc["first_mismatch"] == 64
+        assert run(["zeta", "functional-check", *graph]) == 0
+        assert summary_of(capsys)["pass"] is True
+        # one coefficient of chi_A + 1 on K4
+        _mutated_charpoly(monkeypatch, 4, 1)
+        assert run(["zeta", "euler-check", "--graph", str(workdir / "k4.json")]) == 2
+        assert summary_of(capsys)["match"] is False
+    finally:
+        _det_poly.cache_clear()
 
 
 def test_homology_depth_is_bounded(workdir, capsys):

@@ -40,7 +40,6 @@ from graphzeta import (
     zeta_log_coeffs,
 )
 from graphzeta.region import check_q
-from graphzeta.zeta import closed_walk_counts
 
 from corpus import B2, K4, PETERSEN, path_graph
 
@@ -212,13 +211,12 @@ INTEGER_ENTRY_POINTS = {
     "cycle_graph": ("n", cycle_graph, 0),
     "complete_graph": ("n", complete_graph),
     "bouquet_graph": ("loops", bouquet_graph, -1),
-    "closed_walk_counts": ("terms", lambda x: closed_walk_counts(K4, x), -1),
     "euler_log_coeffs": ("terms", lambda x: euler_log_coeffs(K4, x), 0),
     "zeta_log_coeffs": ("terms", lambda x: zeta_log_coeffs(K4, x), 0),
     "nth_root_det": ("n", lambda x: nth_root_det(K4, x, 0.1), 0),
     "normalized_zeta": ("n", lambda x: normalized_zeta(derived_graph(K4, _K4_3), x, -2, 0.1)),
-    "equivariant_walk_counts": ("length", lambda x: equivariant_walk_counts(_B2_SYMBOL, x)),
-    "l2_series_oracle terms": ("terms", lambda x: l2_series_oracle(_B2_SYMBOL, 3, 0.01, x)),
+    "equivariant_walk_counts": ("length", lambda x: equivariant_walk_counts(_B2_SYMBOL, x), -1),
+    "l2_series_oracle terms": ("terms", lambda x: l2_series_oracle(_B2_SYMBOL, 3, 0.01, x), 0),
     "l2_series_oracle q": ("q", lambda x: l2_series_oracle(_B2_SYMBOL, x, 0.01, 3)),
 }
 
@@ -237,7 +235,7 @@ def test_every_integer_argument_follows_one_rule(name):
             call(bad)
         assert f"{what} must be an integer, got {bad!r}" in str(info.value)
     for low in below:
-        with pytest.raises(InputError, match=f"{what} must be >= "):
+        with pytest.raises(InputError, match=f"{what} must be (an integer )?>= "):
             call(low)
 
 

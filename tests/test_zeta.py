@@ -33,7 +33,7 @@ from graphzeta import (
 )
 from graphzeta import l2, zeta
 from graphzeta.covers import is_prime
-from graphzeta.zeta import _det_poly, _linearized_det_poly, _transfer_matrix, closed_walk_counts
+from graphzeta.zeta import _det_poly, _linearized_det_poly, _transfer_matrix, euler_product_mismatch
 
 from corpus import (
     B2,
@@ -50,6 +50,11 @@ from corpus import (
     path_graph,
     random_regular,
 )
+
+
+# irregular graphs with loops: one with a double edge, one with degrees 4, 2, 4
+LOOPS_AND_DOUBLE_EDGE = MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)])
+LOOPED = MultiGraph(3, ((0, 0), (0, 1), (1, 2), (2, 2), (0, 2)))
 
 
 def convolve(a, b):
@@ -135,8 +140,7 @@ def test_bass_identity_checks_det_poly():
     # Bass: det(I - t T) = (1 - t^2)^(-chi) det(I - A t + Q t^2), with T the
     # oriented-edge transfer operator; the power goes to whichever side keeps
     # both sides integral
-    loops_and_double_edge = MultiGraph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)])
-    for g in REGULAR_CORPUS + [loops_and_double_edge, path_graph(4)]:
+    for g in REGULAR_CORPUS + [LOOPS_AND_DOUBLE_EDGE, path_graph(4)]:
         t_mat, chi, p = _transfer_matrix(g).astype(int).tolist(), g.euler_characteristic, det_poly(g)
         for t in (-2, -1, 2, 3):
             edge_det = bareiss_det(
@@ -186,33 +190,37 @@ def brute_force_closed_nb_walks(g, length):
 
 
 def test_transfer_operator_traces_match_brute_force():
+    # c_m = -N_m / m, N_m the closed non-backtracking walks of length m
     for g in [K4, CYCLES[3], bouquet_graph(2), cycle_graph(2)]:
-        counts = closed_walk_counts(g, 4)
+        coeffs = euler_log_coeffs(g, 4)
         for m in range(1, 5):
-            assert counts[m - 1] == brute_force_closed_nb_walks(g, m), (g.name, m)
+            assert -m * coeffs[m - 1] == brute_force_closed_nb_walks(g, m), (g.name, m)
 
 
 def test_k4_triangle_count():
     # 4 triangles, 2 orientations, 3 starting edges each
-    assert closed_walk_counts(K4, 3)[2] == 24
-    assert euler_log_coeffs(K4, 3)[2] == Fraction(-8)
+    assert -3 * euler_log_coeffs(K4, 3)[2] == 24 == brute_force_closed_nb_walks(K4, 3)
 
 
-def test_closed_walk_counts_stay_exact_or_refuse():
-    # 20 * 3^30 < 2^53 <= 20 * 3^31 for K5: the last exact length, then a refusal
-    k5 = complete_graph(5)
-    assert euler_log_coeffs(k5, 30) == zeta_log_coeffs(k5, 30)
-    with pytest.raises(ResourceError, match="length 31 on 20 oriented edges"):
-        closed_walk_counts(k5, 31)
-    with pytest.raises(ResourceError, match="at most 2048 oriented edges, got 2050"):
-        closed_walk_counts(cycle_graph(1025), 2)
-    assert closed_walk_counts(path_graph(1), 3) == [0, 0, 0]
-    # an irregular graph with loops (degrees 4, 2, 4): 10 * 3^31 < 2^53 <= 10 * 3^32,
-    # and at its last exact length the Euler product and the closed form agree
-    looped = MultiGraph(3, ((0, 0), (0, 1), (1, 2), (2, 2), (0, 2)))
-    assert euler_log_coeffs(looped, 31) == zeta_log_coeffs(looped, 31)
-    with pytest.raises(ResourceError, match="reach only 31 terms"):
-        closed_walk_counts(looped, 32)
+def test_euler_product_reads_every_term_or_refuses(monkeypatch):
+    # past the 52 terms that float64 walk counts reached: K5 and an irregular
+    # graph with loops agree with the closed form at 200 terms
+    for g in (complete_graph(5), LOOPED):
+        assert euler_log_coeffs(g, 200) == zeta_log_coeffs(g, 200), g.name
+    # 514 oriented edges are over ORDER_CAP = 512: refused before T exists
+    monkeypatch.setattr(zeta, "_transfer_matrix", lambda g: pytest.fail("T built past the cap"))
+    with pytest.raises(ResourceError, match="order at most 512; 257 edges need 514"):
+        euler_log_coeffs(cycle_graph(257), 2)
+
+
+def test_euler_product_matches_det_poly_on_every_coefficient():
+    # Ihara-Bass on whole polynomials: det(I - u T) = (1 - u^2)^(|E| - |V|) det_poly,
+    # for a 0 x 0 T (one vertex, no edges), loops, double edges and 144 oriented edges
+    extra = [path_graph(1), path_graph(4), LOOPS_AND_DOUBLE_EDGE, LOOPED, complete_graph(5),
+             bouquet_graph(3), cycle_graph(1), CUBIC48]
+    for g in REGULAR_CORPUS + extra:
+        assert euler_product_mismatch(g) is None, g.name
+    assert zeta.hashimoto_det_poly(path_graph(1)).coefficients == (1,)
 
 
 def test_closed_form_log_series_is_bounded_and_unchanged(monkeypatch):
