@@ -266,7 +266,7 @@ def lattice_tower(
 def is_prime(p: int) -> bool:
     """Miller-Rabin to the bases 2, 3, 5 and 7: exact below 3,215,031,751,
     the least composite that passes all four, and so for every p that
-    `homology_tower` (p <= NODE_BUDGET) and `zeta._charpoly` (below 2^26) test."""
+    `homology_tower` (p <= NODE_BUDGET) and `zeta._charpoly` (below 2^21) test."""
     if p < 11:
         return p in (2, 3, 5, 7)
     odd, halvings = p - 1, 0

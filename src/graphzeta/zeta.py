@@ -33,9 +33,15 @@ from .l2 import _log_sum
 from .polynomials import IntPolynomial
 from .region import at_points, distance_to_C
 
-ORDER_CAP = 512  # largest matrix order the determinant kernel takes
+# largest matrix order the determinant kernel takes, the float64 exactness
+# limit of its sums: ORDER_CAP (2^21)^2 <= 2^51 < 2^53
+ORDER_CAP = 512
 LOG_TERMS_CAP = 1023  # most log-series coefficients, the series oracle's bound
-_PRIMES: list[int] = []  # primes below 2^26, descending, found as calls need them
+# primes in (2^20, 2^21), descending, found as calls need them; their 73586
+# lift bounds of 1.5e6 bits, which an order-512 matrix passes only with entries
+# near 2^2900
+_PRIMES: list[int] = []
+_POWER_BUDGET = 2**18  # float64 entries of baby powers held at once, summed over primes
 _GROUP_TOL = 1e-8  # zeros this close, and eigenvalues this close relative to the bound, merge
 
 
@@ -62,44 +68,79 @@ class ZeroReport:
 # determinant polynomial
 
 
-def _hessenberg_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
+def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x - p floor(x / p), in place, for float64 integers 0 <= x < 2^51 and
+    primes p in (2^20, 2^21) broadcast against x: exact (see _power_sums)."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _power_sums(mat: np.ndarray, primes: np.ndarray, s: int) -> np.ndarray:
+    """tr(mat^k) modulo each prime for k = 1..n, one lane per prime, by s
+    baby powers mat^1..mat^s and giant powers G^j, G = mat^s (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973): tr(mat^(sj + i)) = tr(mat^i G^j).
+    The babies take s - 1 matrix products and each giant power past G one,
+    about 2 sqrt(n) in all.
+
+    Exactness: every matrix is a float64 array of integers in [0, p), p <
+    2^21. An entry of a product, and a row of a trace, sum n <= ORDER_CAP
+    = 512 products below p^2 < 2^42, so every partial sum is an integer
+    below 2^51 < 2^53 in whatever order BLAS or einsum adds the terms, and
+    is exact. _reduce then divides x < n p^2 by p to a quotient below n p
+    < 2^30, rounded by less than 2^-23; an exact integer quotient stays
+    exact, any other lies at least 1 / p > 2^-21 from an integer, so the
+    floor is the true one and x - p floor(x / p) is the exact residue.
+    """
+    n, p = mat.shape[0], primes.astype(np.float64)[:, None, None]
+    # babies[:, i - 1] = (mat^i)^T, so that its row c pairs with row c of G^j in a trace
+    babies = np.empty((len(primes), s, n, n))
+    babies[:, 0] = (mat.T[None] % primes[:, None, None]).astype(np.float64)
+    for i in range(1, s):
+        _reduce(np.matmul(babies[:, i - 1], babies[:, 0], out=babies[:, i]), p)
+    sums = np.empty((len(primes), n))
+    sums[:, :s] = np.trace(babies, axis1=2, axis2=3)  # n terms below p each
+    giant = np.ascontiguousarray(babies[:, s - 1].swapaxes(1, 2))
+    power = giant
+    for j in range(1, (n - 1) // s + 1):
+        if j > 1:
+            power = _reduce(power @ giant, p)
+        count = min(s, n - s * j)
+        # tr(mat^i G^j) = sum_c sum_r mat^i[r, c] G^j[c, r], one row sum per c
+        rows = np.einsum("licr,lcr->lic", babies[:, :count], power)
+        sums[:, s * j : s * j + count] = _reduce(rows, p).sum(axis=2)
+    return _reduce(sums, p[:, :, 0]).astype(np.int64)
+
+
+def _power_sum_charpoly(mat: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """det(x I - mat) modulo each prime, one lane per prime, ascending powers of x.
 
-    A similarity transform to upper Hessenberg form h, then the recurrence
-    of Cohen, "A Course in Computational Algebraic Number Theory", Algorithm
-    2.2.9. Every value that is multiplied is first reduced into [0, p) with
-    p < 2^26, so a product is below 2^52, and an einsum adds at most
-    n <= ORDER_CAP = 512 of them, below 2^61: no int64 product or sum can
-    overflow.
+    The power sums t_k = tr(mat^k) by _power_sums, s = ceil(sqrt(n)), for as
+    many primes at once as keep the baby powers within _POWER_BUDGET (one
+    prime at least), then Newton's identities for det(x I - mat) = sum_k
+    c_k x^(n - k): k c_k = -(t_k + c_1 t_(k-1) + ... + c_(k-1) t_1), where k
+    <= n < p is invertible. They run in int64 on residues: at most n
+    products below p^2 < 2^42, a sum below 2^51.
     """
     n = mat.shape[0]
-    lanes = np.arange(len(primes))
-    p1, p2 = primes[:, None], primes[:, None, None]
-    h = mat[None, :, :] % p2
-    for j in range(n - 2):
-        # pivot: the first row below the subdiagonal with a nonzero entry in column j
-        piv = j + 1 + np.argmax(h[:, j + 1 :, j] != 0, axis=1)
-        if np.any(piv != j + 1):
-            h[lanes, j + 1], h[lanes, piv] = h[lanes, piv], h[lanes, j + 1]
-            h[lanes, :, j + 1], h[lanes, :, piv] = h[lanes, :, piv], h[lanes, :, j + 1]
-        pivots = zip(h[:, j + 1, j].tolist(), primes.tolist())
-        inv = np.array([pow(x, -1, p) if x else 0 for x, p in pivots], dtype=np.int64)
-        # rows i > j + 1 lose mult_i times row j + 1; column j + 1 gains mult_i times column i
-        mult = h[:, j + 2 :, j] * inv[:, None] % p1
-        block = h[:, j + 2 :, j:]
-        block -= mult[:, :, None] * h[:, None, j + 1, j:]
-        block %= p2
-        h[:, :, j + 1] = (h[:, :, j + 1] + np.einsum("pij,pj->pi", h[:, :, j + 2 :], mult)) % p1
-    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    scale = np.ones((len(primes), n), dtype=np.int64)
-    for m in range(1, n + 1):
-        # p_m = x p_{m-1} - sum_{k < m} h[k, m-1] scale_k p_k, scale_k = prod_{k < r < m} h[r, r-1]
-        scale[:, : m - 1] = scale[:, : m - 1] * h[:, m - 1, m - 2, None] % p1
-        w = scale[:, :m] * h[:, :m, m - 1] % p1
-        polys[:, m, 1:] = polys[:, m - 1, :-1]
-        polys[:, m, :m] = (polys[:, m, :m] - np.einsum("pk,pkc->pc", w, polys[:, :m, :m])) % p1
-    return polys[:, n]
+    if n == 0:
+        return np.ones((len(primes), 1), dtype=np.int64)
+    s = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    chunk = max(1, _POWER_BUDGET // (s * n * n))
+    t = np.concatenate(
+        [_power_sums(mat, primes[i : i + chunk], s) for i in range(0, len(primes), chunk)]
+    )
+    inv = np.array([[pow(k, -1, p) for k in range(1, n + 1)] for p in primes.tolist()],
+                   dtype=np.int64)
+    c = np.zeros((len(primes), n + 1), dtype=np.int64)
+    c[:, 0] = 1
+    for k in range(1, n + 1):
+        # c_0 t_k + c_1 t_(k-1) + ... + c_(k-1) t_1
+        acc = np.einsum("lj,lj->l", c[:, :k], t[:, k - 1 :: -1]) % primes
+        c[:, k] = (primes - acc) * inv[:, k - 1] % primes
+    return c[:, ::-1]
 
 
 def _charpoly(mat: np.ndarray, bound: int) -> list[int]:
@@ -109,13 +150,13 @@ def _charpoly(mat: np.ndarray, bound: int) -> list[int]:
     primes, modulus = [], 1
     while modulus <= 2 * bound:
         if len(primes) == len(_PRIMES):
-            p = _PRIMES[-1] - 2 if _PRIMES else 2**26 - 1
+            p = _PRIMES[-1] - 2 if _PRIMES else 2**21 - 1
             while not is_prime(p):
                 p -= 2
             _PRIMES.append(p)
         primes.append(_PRIMES[len(primes)])
         modulus *= primes[-1]
-    residues = _hessenberg_charpoly(mat, np.asarray(primes, dtype=np.int64))
+    residues = _power_sum_charpoly(mat, np.asarray(primes, dtype=np.int64))
     weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
     lifted = [sum(int(r) * w for r, w in zip(res, weights)) % modulus for res in residues.T]
     return [c - modulus if 2 * c > modulus else c for c in lifted]

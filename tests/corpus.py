@@ -4,7 +4,8 @@ Closed-form families (cycles, complete, bouquet, Petersen), paths, and seeded
 configuration-model cubic multigraphs. The configuration model pairs
 stubs uniformly, so every sample is exactly 3-regular even when it picks
 up loops or doubled edges. `det_at` is the determinant oracle: Bareiss
-elimination on the integer matrix I - A t + Q t^2. `factorization_error`
+elimination on the integer matrix I - A t + Q t^2. `hessenberg_charpoly` is
+the determinant kernel's reference modulo one prime. `factorization_error`
 is the floating-point oracle for regular graphs: the product of
 1 - lam u + q u^2 over the adjacency eigenvalues lam. `walk_counts_by_dict`
 is the walk-count oracle for torus symbols: one dictionary of states per
@@ -80,6 +81,41 @@ def bareiss_det(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def hessenberg_charpoly(mat: np.ndarray, p: int) -> np.ndarray:
+    """det(x I - mat) modulo the prime p < 2^26, ascending powers of x: the
+    determinant kernel's reference.
+
+    A similarity transform to upper Hessenberg form h, then the recurrence
+    of Cohen, "A Course in Computational Algebraic Number Theory", Algorithm
+    2.2.9. Every value that is multiplied is first reduced into [0, p), so a
+    product is below 2^52, and a dot adds at most 512 of them, below 2^61:
+    no int64 product or sum can overflow.
+    """
+    n = len(mat)
+    h = np.asarray(mat, dtype=np.int64) % p
+    for j in range(n - 2):
+        nonzero = np.flatnonzero(h[j + 1 :, j])
+        if not len(nonzero):
+            continue
+        piv = j + 1 + nonzero[0]
+        h[[j + 1, piv]] = h[[piv, j + 1]]
+        h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        # rows i > j + 1 lose mult_i times row j + 1; column j + 1 gains mult_i times column i
+        mult = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
+        h[j + 2 :, j:] = (h[j + 2 :, j:] - mult[:, None] * h[j + 1, j:]) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ mult) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    scale = np.ones(n, dtype=np.int64)
+    for m in range(1, n + 1):
+        # p_m = x p_{m-1} - sum_{k < m} h[k, m-1] scale_k p_k, scale_k = prod_{k < r < m} h[r, r-1]
+        scale[: m - 1] = scale[: m - 1] * h[m - 1, m - 2] % p
+        w = scale[:m] * h[:m, m - 1] % p
+        polys[m, 1:] = polys[m - 1, :-1]
+        polys[m, :m] = (polys[m, :m] - w @ polys[:m, :m]) % p
+    return polys[n]
 
 
 def det_at(g: MultiGraph, t: int) -> int:

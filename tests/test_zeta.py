@@ -5,6 +5,7 @@ library takes: convolution of factored forms, brute-force walk
 enumeration over oriented edge tuples, and closed forms for cycles.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,7 @@ from corpus import (
     bareiss_det,
     det_at,
     factorization_error,
+    hessenberg_charpoly,
     path_graph,
     random_regular,
 )
@@ -123,10 +125,41 @@ def test_prime_search_matches_a_sieve():
     assert [is_prime(p) for p in range(-3, 10**4)] == [False] * 3 + sieve
     # strong pseudoprimes to base 2, to bases 2 and 3, and to bases 2, 3 and 5
     assert not any(map(is_prime, (2047, 3277, 4033, 4681, 8321, 1373653, 25326001)))
-    # four primes below 2^26 lift x^2 - 1 with a bound of 2^100; the largest
-    # primes below 2^26 are 2^26 - 5, - 27, - 45, - 87
+    # five primes below 2^21 lift x^2 - 1 with a bound of 2^100; the largest
+    # primes below 2^21 are 2^21 - 9, - 19, - 21, - 55, - 61
     assert zeta._charpoly(np.array([[0, 1], [1, 0]]), 2**100) == [-1, 0, 1]
-    assert zeta._PRIMES[:4] == [2**26 - d for d in (5, 27, 45, 87)]
+    assert zeta._PRIMES[:5] == [2**21 - d for d in (9, 19, 21, 55, 61)]
+    assert math.prod(zeta._PRIMES[:4]) <= 2**101 < math.prod(zeta._PRIMES[:5])
+    # the kernel's float64 sums are exact: n <= ORDER_CAP products below p^2
+    assert all(2**20 < p < 2**21 for p in zeta._PRIMES)
+    assert zeta.ORDER_CAP * (2**21) ** 2 <= 2**51
+
+
+def test_power_sum_kernel_matches_hessenberg_reference():
+    # the five largest primes below 2^21 and the smallest above 2^20: at order
+    # 70 (s = 9) the baby powers of five primes fill the power budget, so the
+    # sixth is a chunk of its own, and at 128 (s = 12) each prime is one
+    assert [zeta._POWER_BUDGET // (s * n * n) for s, n in ((9, 70), (12, 128))] == [5, 1]
+    primes = [2**21 - d for d in (9, 19, 21, 55, 61)]
+    primes.append(next(p for p in range(2**20 + 1, 2**21, 2) if is_prime(p)))
+    rng = np.random.default_rng(33)
+    signed = [rng.integers(-4, 5, size=(n, n)) for n in range(71)]  # every step split
+    a = random_regular(40, 3, 5).adjacency.astype(np.int64)
+    g = MultiGraph(30, random_regular(30, 3, 2).edges + ((0, 0), (0, 1), (5, 9)))
+    qdiag = np.diag(np.asarray(g.degree_sequence) - 1)
+    lin = np.block([[g.adjacency, -qdiag], [np.eye(30, dtype=np.int64), np.zeros_like(qdiag)]])
+    shapes = [a, lin, _transfer_matrix(PETERSEN), _transfer_matrix(LOOPS_AND_DOUBLE_EDGE)]
+    for mat in signed + shapes + [rng.integers(-9, 10, size=(128, 128))]:
+        residues = zeta._power_sum_charpoly(mat.astype(np.int64), np.array(primes, dtype=np.int64))
+        for res, p in zip(residues, primes):
+            assert res.tolist() == hessenberg_charpoly(mat, p).tolist()
+    # the lifted polynomial against Bareiss at two integers
+    for mat in [signed[24]] + shapes:
+        mat = mat.astype(np.int64)
+        poly = zeta._charpoly(mat, zeta._minor_sum_bound(mat))
+        for x in (2, -3):
+            shifted = (x * np.eye(len(mat), dtype=np.int64) - mat).tolist()
+            assert sum(c * x**k for k, c in enumerate(poly)) == bareiss_det(shifted)
 
 
 def test_det_poly_beyond_float_precision_matches_bareiss():
