@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covers import Tower
-from .errors import InputError, ResourceError
-from .graphs import NODE_BUDGET, MultiGraph, json_float, json_int, regular_q, write_rows, write_text
+from .errors import InputError
+from .graphs import MultiGraph, json_float, json_int, regular_q, require_nodes, write_rows, write_text
 from .l2 import L2Zeta, _count_at_most, _level_blocks, _level_log_sums, _shared_lines
 from .region import at_points, check_q, omega_contains, require_inside
 from .zeta import det_poly, zeta_eval
@@ -44,19 +44,14 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", check_q(self.q))
-        object.__setattr__(self, "resolution", json_int(self.resolution, "resolution"))
+        object.__setattr__(self, "resolution", json_int(self.resolution, "resolution", 1))
         object.__setattr__(self, "radius", json_float(self.radius, "radius"))
         if not 0.0 < self.radius < self.q ** -0.5:
             raise InputError(
                 f"grid radius must lie in (0, q^(-1/2)) = (0, {self.q ** -0.5:.6g})"
             )
-        if self.resolution < 1:
-            raise InputError("resolution must be >= 1")
-        if self.resolution**2 > NODE_BUDGET:
-            raise ResourceError(
-                f"a grid of resolution {self.resolution} has {self.resolution**2} lattice "
-                f"points, over the node budget of {NODE_BUDGET}"
-            )
+        require_nodes(self.resolution**2, f"a grid of resolution {self.resolution} has "
+                      f"{self.resolution**2} lattice points")
         margin = 0.05 * self.q ** -0.5 if self.margin is None else json_float(self.margin, "margin")
         object.__setattr__(self, "margin", margin)
         if not self.points:  # omega_contains checks the margin

@@ -17,8 +17,9 @@ from itertools import product as iter_product
 from pathlib import Path
 from typing import Sequence
 
+from . import graphs
 from .errors import InputError, NumericError, ResourceError
-from .graphs import (NODE_BUDGET, MultiGraph, json_int, load_graph, read_json, require_size,
+from .graphs import (MultiGraph, json_int, load_graph, read_json, require_nodes, require_size,
                      spanning_forest)
 
 
@@ -34,9 +35,10 @@ def _entries(value, what: str) -> tuple:
     raise InputError(f"{what} must be a list, got {value!r}")
 
 
-def _json_ints(value, what: str) -> list[int]:
-    """The integers of a list (orders, a voltage row); else InputError naming `what`."""
-    return [json_int(c, f"an entry of {what}") for c in _entries(value, what)]
+def _json_ints(value, what: str, least: int | None = None) -> list[int]:
+    """The integers of a list (orders, a voltage row), each at least `least`
+    where one is given; else InputError naming `what`."""
+    return [json_int(c, f"an entry of {what}", least) for c in _entries(value, what)]
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,7 @@ class VoltageAssignment:
     rank: int
 
     def __post_init__(self) -> None:
-        rank = json_int(self.rank, "rank")
-        if rank < 1:
-            raise InputError("voltage rank must be >= 1")
+        rank = json_int(self.rank, "rank", 1)
         rows = (_entries(row, "a voltage") for row in _entries(self.voltages, "voltages"))
         voltages = tuple(tuple(json_int(c, "an entry of voltages") for c in row) for row in rows)
         for sigma in voltages:
@@ -65,11 +65,9 @@ class VoltageAssignment:
                 raise InputError(f"voltage {sigma!r} does not have rank {rank}")
         orders = self.orders
         if orders is not None:
-            orders = tuple(_json_ints(orders, "orders"))
+            orders = tuple(_json_ints(orders, "orders", 1))
             if len(orders) != rank:
                 raise InputError("orders and rank disagree")
-            if any(n < 1 for n in orders):
-                raise InputError("cyclic orders must be >= 1")
             voltages = tuple(tuple(c % n for c, n in zip(sigma, orders)) for sigma in voltages)
         object.__setattr__(self, "voltages", voltages)
         object.__setattr__(self, "orders", orders)
@@ -86,9 +84,7 @@ class VoltageAssignment:
     @classmethod
     def trivial(cls, edge_count: int) -> "VoltageAssignment":
         """The order-1 assignment: the cover it derives is the graph itself."""
-        edge_count = json_int(edge_count, "edge_count")
-        if edge_count < 0:
-            raise InputError(f"edge_count must be >= 0, got {edge_count}")
+        edge_count = json_int(edge_count, "edge_count", 0)
         return cls(((0,),) * edge_count, (1,), 1)
 
     @classmethod
@@ -191,7 +187,7 @@ class TowerLevel:
     voltages: VoltageAssignment
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", json_int(self.index, "index"))
+        object.__setattr__(self, "index", json_int(self.index, "index", 1))
 
     @cached_property
     def graph(self) -> MultiGraph:
@@ -266,7 +262,7 @@ def lattice_tower(
 def is_prime(p: int) -> bool:
     """Miller-Rabin to the bases 2, 3, 5 and 7: exact below 3,215,031,751,
     the least composite that passes all four, and so for every p that
-    `homology_tower` (p <= NODE_BUDGET) and `zeta._charpoly` (below 2^21) test."""
+    `homology_tower` (p <= graphs.NODE_BUDGET) and `zeta._charpoly` (below 2^21) test."""
     if p < 11:
         return p in (2, 3, 5, 7)
     odd, halvings = p - 1, 0
@@ -297,17 +293,14 @@ def homology_tower(base: MultiGraph, p: int, depth: int) -> Tower:
     ResourceError before p is tested for primality, and so does a depth over
     log2(NODE_BUDGET) = 22: each step multiplies the index by p or repeats it.
     """
-    p, depth = json_int(p, "p"), json_int(depth, "depth")
-    if p > NODE_BUDGET:
-        raise ResourceError(f"p = {p} is over the node budget of {NODE_BUDGET}: "
-                            "a homology level above the base has index at least p")
-    if depth > NODE_BUDGET.bit_length() - 1:
-        raise ResourceError(f"depth {depth} is over {NODE_BUDGET.bit_length() - 1} = log2 of the node "
-                            f"budget {NODE_BUDGET}: deeper levels are repeats or over the budget")
+    p, depth = json_int(p, "p"), json_int(depth, "depth", 0)
+    require_nodes(p, f"p = {p} is the least index of a homology level above the base")
+    budget = graphs.NODE_BUDGET
+    if depth > budget.bit_length() - 1:
+        raise ResourceError(f"depth {depth} is over {budget.bit_length() - 1} = log2 of the node "
+                            f"budget {budget}: deeper levels are repeats or over the budget")
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
-    if depth < 0:
-        raise InputError("depth must be >= 0")
     if not base.is_connected:
         raise InputError("homology towers need a connected base")
     levels = [TowerLevel(1, base, VoltageAssignment.trivial(base.edge_count))]

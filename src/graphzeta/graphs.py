@@ -27,6 +27,7 @@ from .errors import InputError, NumericError, ResourceError, UnsupportedError
 
 SIZE_CAP = 10_000  # most vertices of a graph that is derived or densely diagonalized
 NODE_BUDGET = 2**22  # most nodes of a quadrature, most eigenvalues of a level spectrum
+LOG_TERMS_CAP = 1023  # most terms of a log series, the bound on its exact sums
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,7 @@ class MultiGraph:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        vertices = json_int(self.vertex_count, "vertex_count")
-        if vertices < 1:
-            raise InputError("vertex_count must be a positive integer")
+        vertices = json_int(self.vertex_count, "vertex_count", 1)
         try:
             pairs = [(x, y) for x, y in self.edges]
         except (TypeError, ValueError) as exc:  # edges, or an edge, that is not a pair
@@ -150,6 +149,22 @@ def require_size(vertices: int, what: str) -> None:
         raise ResourceError(f"{what} needs {vertices} vertices, over the cap of {SIZE_CAP}")
 
 
+def require_nodes(count: int, what: str) -> None:
+    """ResourceError past NODE_BUDGET nodes; `what` names the work and its
+    count of them, as the message reads before the budget."""
+    if count > NODE_BUDGET:
+        raise ResourceError(f"{what}, over the node budget of {NODE_BUDGET}")
+
+
+def check_terms(terms: int) -> int:
+    """The length of a log series as an int (`json_int`, at least 1);
+    ResourceError past LOG_TERMS_CAP."""
+    terms = json_int(terms, "terms", 1)
+    if terms > LOG_TERMS_CAP:
+        raise ResourceError(f"a log series takes at most {LOG_TERMS_CAP} terms, got {terms} terms")
+    return terms
+
+
 @lru_cache(maxsize=16)
 def spectrum(g: MultiGraph) -> np.ndarray:
     """Eigenvalues of the adjacency matrix via the dense symmetric solver,
@@ -174,23 +189,19 @@ def spectrum(g: MultiGraph) -> np.ndarray:
 
 def cycle_graph(n: int) -> MultiGraph:
     """The n-cycle; n=1 is a single loop, n=2 a doubled edge."""
-    n = json_int(n, "n")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = json_int(n, "n", 1)
     return MultiGraph(n, tuple((i, (i + 1) % n) for i in range(n)), name=f"C{n}")
 
 
 def complete_graph(n: int) -> MultiGraph:
-    n = json_int(n, "n")
+    n = json_int(n, "n", 1)
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     return MultiGraph(n, edges, name=f"K{n}")
 
 
 def bouquet_graph(loops: int) -> MultiGraph:
     """One vertex carrying the given number of loops."""
-    loops = json_int(loops, "loops")
-    if loops < 0:
-        raise InputError(f"loops must be >= 0, got {loops}")
+    loops = json_int(loops, "loops", 0)
     return MultiGraph(1, tuple((0, 0) for _ in range(loops)), name=f"B{loops}")
 
 
@@ -212,15 +223,18 @@ def graph_to_json(g: MultiGraph) -> dict:
     return doc
 
 
-def json_int(value, what: str) -> int:
+def json_int(value, what: str, least: int | None = None) -> int:
     """`value` as an int: an int, a numpy integer or an integral float (as a
-    JSON number may be written); a bool or any other value is an InputError
-    naming `what`. The one integer check of the package's API and files."""
-    if type(value) is int:
-        return value
-    if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InputError(f"{what} must be an integer, got {value!r}")
+    JSON number may be written); a bool or any other value, or an int below
+    `least` where one is given, is an InputError naming `what`. The one
+    integer check of the package's API and files."""
+    if type(value) is not int:
+        if not (isinstance(value, np.integer) or isinstance(value, float) and value.is_integer()):
+            raise InputError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value}")
+    return value
 
 
 def json_float(value, what: str) -> float:

@@ -26,9 +26,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import graphs
 from .covers import TowerLevel, VoltageAssignment
-from .errors import DomainError, InputError, NumericError, ResourceError
-from .graphs import NODE_BUDGET, MultiGraph, json_int, regular_q, require_size, spanning_forest
+from .errors import DomainError, InputError, NumericError
+from .graphs import (MultiGraph, check_terms, json_int, regular_q, require_nodes, require_size,
+                     spanning_forest)
 from .region import at_points, check_q, require_inside
 
 QUADRATURE_TOL = 1e-10
@@ -199,12 +201,8 @@ def _level_symbol(level: TowerLevel, built: dict | None = None) -> TorusSymbol:
     n, v = volt.orders[0], level.parent.vertex_count
     if any(m != n for m in volt.orders):
         raise InputError(f"level spectra need equal cyclic orders, got {volt.orders}")
-    if n**volt.rank * v > NODE_BUDGET:
-        raise ResourceError(
-            f"the level of index {level.index} has {n**volt.rank * v} eigenvalues "
-            f"({n**volt.rank} characters of a {v}-vertex parent), "
-            f"over the node budget of {NODE_BUDGET}"
-        )
+    require_nodes(n**volt.rank * v, f"the level of index {level.index} has {n**volt.rank * v} "
+                  f"eigenvalues ({n**volt.rank} characters of a {v}-vertex parent)")
     lifted = tuple(tuple(c - n if 2 * c > n else c for c in sigma) for sigma in volt.voltages)
     built = {} if built is None else built
     if (level.parent, lifted) not in built:
@@ -241,7 +239,7 @@ def _level_log_sums(levels, q: int, us: np.ndarray) -> list[tuple[np.ndarray, fl
     for (sym, _), members in groups.items():
         orders = [levels[i].voltages.orders[0] for i in members]
         degree, _ = _exact_axis(sym)
-        if max(orders) <= 2 * degree + 1 or _line_cost(degree) > NODE_BUDGET:
+        if max(orders) <= 2 * degree + 1 or _line_cost(degree) > graphs.NODE_BUDGET:
             for i, n in zip(members, orders):
                 out[i] = _log_sum(_node_eigenvalues(sym, n), q, us), None, degree
             continue
@@ -433,13 +431,10 @@ def l2_log_det(sym: TorusSymbol, q: int, u):
         active = np.arange(points.size)
         m = 16
         while active.size:
-            if _line_cost(degree) * m ** (k - 1) > NODE_BUDGET:
-                i = active[0]
-                raise ResourceError(
-                    f"torus quadrature at u = {points[i]} needs more than {NODE_BUDGET} "
-                    f"nodes (next refinement {m}^{k - 1} lines of degree bound {degree}, "
-                    f"last change {changes[i]:.3g})"
-                )
+            cost, i = _line_cost(degree) * m ** (k - 1), active[0]
+            require_nodes(cost, f"torus quadrature at u = {points[i]} needs {cost} nodes (next "
+                          f"refinement {m}^{k - 1} lines of degree bound {degree}, "
+                          f"last change {changes[i]:.3g})")
             _, means, _ = _read_lines(sym, q, points[active], m, f"along torus axis {j}", new_only=m > 16)
             totals[active] += means
             refined = totals[active] / m ** (k - 1)
@@ -476,9 +471,7 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     Python ints from there, and `_exact_dot` takes each sum exactly.
     ResourceError, before any array, when h v^2 (box size) passes NODE_BUDGET.
     """
-    length = json_int(length, "length")
-    if length < 0:
-        raise InputError(f"length must be an integer >= 0, got {length}")
+    length = json_int(length, "length", 0)
     v, weights = sym.vertex_count, Counter()
     for x, y, f, c in sym.terms:
         weights[(x, y, tuple(f))] += c
@@ -488,11 +481,7 @@ def equivariant_walk_counts(sym: TorusSymbol, length: int) -> list[int]:
     steps = [(min(0, *a), max(0, *a)) for a in zip(*(f for _, _, f in weights))]
     box = tuple(half * (hi - lo) + 1 for lo, hi in steps)
     charge = half * v * v * math.prod(box)
-    if charge > NODE_BUDGET:
-        raise ResourceError(
-            f"walks of length {length} need {charge} state entries, "
-            f"over the node budget of {NODE_BUDGET}"
-        )
+    require_nodes(charge, f"walks of length {length} need {charge} state entries")
     delta = max((sum(abs(c) for x, _, _, c in sym.terms if x == s) for s in range(v)), default=0)
     dtype = np.int64 if delta**half < 2**62 else object
     origin = tuple(-half * lo for lo, _ in steps)
@@ -528,9 +517,10 @@ def _exact_dot(a: np.ndarray, b: np.ndarray, bound: int) -> int:
     whose sum of |a b| is at most `bound`. Object arrays sum in Python ints,
     int64 ones in one plain dot while `bound` < 2^63. Past that each int64
     entry splits into 20-bit limbs, the top one signed (x >> 60, in [-8, 8)):
-    with at most 2^22 entries (NODE_BUDGET bounds v (box size) in
-    `equivariant_walk_counts`) each sum of limb products stays below 2^62,
-    and the 4 x 4 limb sums are shifted back together in Python ints."""
+    with at most 2^22 entries (`equivariant_walk_counts` charges v (box
+    size) to `graphs.require_nodes`, whose NODE_BUDGET is 2^22) each sum of
+    limb products stays below 2^62, and the 4 x 4 limb sums are shifted back
+    together in Python ints."""
     if a.dtype == object or bound < 2**63:
         return int(np.dot(a.ravel(), b.ravel()))
     shifts = np.arange(0, 80, 20)[:, None]
@@ -564,13 +554,10 @@ def l2_series_oracle(sym: TorusSymbol, q: int, u, terms: int = 40):
     to a float, are summed by Horner at t = 2 (q + 1) u. Every eigenvalue of
     the symbol gives |alpha|, |beta| <= q, so |c_n| <= 2 v q^n / n: no b_n
     passes 2 v 2^-n, and the terms past u^terms add less than 2 v 2^-terms /
-    terms. ResourceError for 1024 terms or more, the bound on the exact sums.
+    terms. `graphs.check_terms` refuses terms < 1 and more than
+    LOG_TERMS_CAP (1023), the bound on the exact sums.
     """
-    q, terms = check_q(q), json_int(terms, "terms")
-    if terms < 1:
-        raise InputError(f"terms must be an integer >= 1, got {terms}")
-    if terms >= 1024:
-        raise ResourceError(f"a series of {terms} terms is over the bound of 1023 on its exact sums")
+    q, terms = check_q(q), check_terms(terms)
     limit = 1.0 / (2.0 * (q + 1.0))
     scale = 2 * (q + 1)
 
@@ -626,7 +613,7 @@ def symbol_spectral_cdf(sym: TorusSymbol, lambdas: np.ndarray) -> np.ndarray:
     CDF_POINTS_PER_DIM with m^k <= NODE_BUDGET.
     """
     m = CDF_POINTS_PER_DIM
-    while m > 1 and m**sym.rank > NODE_BUDGET:
+    while m > 1 and m**sym.rank > graphs.NODE_BUDGET:
         m //= 2
     counts = _count_at_most(_node_eigenvalues(sym, m), np.asarray(lambdas, dtype=float))
     return counts / m**sym.rank

@@ -20,11 +20,8 @@ _CUT_MARGIN = 1e-12  # points this close to C, hence to a branch cut, take no lo
 
 
 def check_q(q: int) -> int:
-    """q as an int (`json_int`); InputError unless it is at least 1."""
-    q = json_int(q, "q")
-    if q < 1:
-        raise InputError("q must be an integer >= 1")
-    return q
+    """q as an int (`json_int`, at least 1)."""
+    return json_int(q, "q", 1)
 
 
 def at_points(u, f, one=complex):

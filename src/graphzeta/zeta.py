@@ -28,7 +28,7 @@ import numpy as np
 
 from .covers import is_prime
 from .errors import DomainError, InputError, ResourceError
-from .graphs import MultiGraph, json_int, regular_q, regularity, spectrum
+from .graphs import MultiGraph, check_terms, json_int, regular_q, regularity, spectrum
 from .l2 import _log_sum
 from .polynomials import IntPolynomial
 from .region import at_points, distance_to_C
@@ -36,7 +36,6 @@ from .region import at_points, distance_to_C
 # largest matrix order the determinant kernel takes, the float64 exactness
 # limit of its sums: ORDER_CAP (2^21)^2 <= 2^51 < 2^53
 ORDER_CAP = 512
-LOG_TERMS_CAP = 1023  # most log-series coefficients, the series oracle's bound
 # primes in (2^20, 2^21), descending, found as calls need them; their 73586
 # lift bounds of 1.5e6 bits, which an order-512 matrix passes only with entries
 # near 2^2900
@@ -210,10 +209,15 @@ def det_poly(g: MultiGraph, exact: bool = False) -> IntPolynomial:
 def _det_poly(g: MultiGraph) -> IntPolynomial:
     info = regularity(g)
     order = g.vertex_count if info.is_regular else 2 * g.vertex_count
+    _require_order(order, f"{g.vertex_count} vertices")
+    return _regular_det_poly(g, info.q) if info.is_regular else _linearized_det_poly(g)
+
+
+def _require_order(order: int, what: str) -> None:
+    """ResourceError past ORDER_CAP, naming what needs a matrix of that order."""
     if order > ORDER_CAP:
         raise ResourceError(f"exact determinant route takes matrices of order at most "
-                            f"{ORDER_CAP}; {g.vertex_count} vertices need {order}")
-    return _regular_det_poly(g, info.q) if info.is_regular else _linearized_det_poly(g)
+                            f"{ORDER_CAP}; {what} need {order}")
 
 
 def zeta_eval(g: MultiGraph, u):
@@ -290,16 +294,14 @@ def nth_root_det(g: MultiGraph, n: int, u):
     eigenvalue lam in [-(q+1), q+1]. Accepts a scalar or an array of
     points; points on or within 1e-12 of C are rejected.
     """
-    n = json_int(n, "n")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = json_int(n, "n", 1)
     q = regular_q(g)
     return at_points(u, lambda us: np.exp(_log_sum([(spectrum(g), None)], q, us) / n))
 
 
 def normalized_zeta(g: MultiGraph, n: int, chi_base: int, u):
     """Z(B_i, u)^(1/N_i) = (1 - u^2)^(-chi_base) * det^(1/N_i) for a level of a tower."""
-    n = json_int(n, "n")
+    n = json_int(n, "n", 1)
     if g.euler_characteristic != n * chi_base:
         raise InputError(
             f"chi({g.name or 'level'}) = {g.euler_characteristic} != {n} * {chi_base}"
@@ -370,10 +372,7 @@ def hashimoto_det_poly(g: MultiGraph) -> IntPolynomial:
     characteristic polynomial of the transfer matrix T, by the kernel of
     det_poly. ResourceError, before T exists, for more than ORDER_CAP = 512
     oriented edges."""
-    order = 2 * g.edge_count
-    if order > ORDER_CAP:
-        raise ResourceError(f"exact determinant route takes matrices of order at most "
-                            f"{ORDER_CAP}; {g.edge_count} edges need {order}")
+    _require_order(2 * g.edge_count, f"{g.edge_count} edges")
     t = _transfer_matrix(g).astype(np.int64)
     return IntPolynomial(tuple(_charpoly(t, _minor_sum_bound(t))[::-1]))
 
@@ -395,13 +394,9 @@ def euler_product_mismatch(g: MultiGraph) -> int | None:
 def _log_series(terms: int, poly) -> list[int]:
     """s_1..s_terms with log P(u) = sum_m s_m u^m / m for the integer
     polynomial P = poly(), P(0) = 1, by Newton's identities in integers:
-    s_m = m a_m - sum_(j=1..min(m-1, deg)) a_j s_(m-j). InputError for
-    terms < 1 and ResourceError past LOG_TERMS_CAP, both before poly() runs."""
-    terms = json_int(terms, "terms")
-    if terms < 1:
-        raise InputError(f"terms must be an integer >= 1, got {terms}")
-    if terms > LOG_TERMS_CAP:
-        raise ResourceError(f"log series take at most {LOG_TERMS_CAP} terms, got {terms}")
+    s_m = m a_m - sum_(j=1..min(m-1, deg)) a_j s_(m-j). `graphs.check_terms`
+    refuses the length before poly() runs."""
+    terms = check_terms(terms)
     a = poly().coefficients
     degree = len(a) - 1
     a += (0,) * (terms + 1 - len(a))

@@ -318,7 +318,7 @@ def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, m
         json.dumps({"base": "loop.json", "kind": "cyclic", "voltages": [3], "orders": [1, 8]})
     )
     argv = ["tower", "run", "--spec", str(workdir / "loop3.json"), "--target", "constant:1",
-            "--grid", "disk:0.6:5:0.02", "--out", str(workdir / "r")]
+            "--grid", "disk:0.6:4:0.02", "--out", str(workdir / "r")]
     assert run(argv) == 0
     doc = summary_of(capsys)
     levels = doc["levels"]
@@ -329,8 +329,9 @@ def test_tower_run_reports_each_level_route_outside_its_files(workdir, capsys, m
     keys = (b"route", b"rho_max", b"line_solves", b"degree_bound")
     assert not any(key in body for body in files.values() for key in keys)
     # its root solve is charged (2D)^2 = 36 nodes; past the budget, and within the
-    # level's 8 eigenvalues, the level is read from its characters
-    monkeypatch.setattr(l2, "NODE_BUDGET", 20)
+    # level's 8 eigenvalues and the grid's 4^2 lattice points, the level is read
+    # from its characters
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 20)
     assert run(argv) == 0
     doc = summary_of(capsys)
     budgeted = doc["levels"]
@@ -671,7 +672,7 @@ def test_exit_codes(workdir, capsys, monkeypatch):
         ["l2", "cdf", *spec_bad, "--out", str(workdir / "bt")],
     ):
         assert run(argv) == 1
-        assert capsys.readouterr().err == "error: cyclic orders must be >= 1\n"
+        assert capsys.readouterr().err == "error: an entry of orders must be an integer >= 1, got 0\n"
     # a constant target is a finite complex number, read as --eval reads one
     run_bt = ["tower", "run", "--spec", str(workdir / "tower.json"), "--grid", "disk:0.3:3:0.02",
               "--out", str(workdir / "bt")]
@@ -740,7 +741,7 @@ def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
         assert ("the level of index 4096 has 4198400 eigenvalues (4096 characters of a "
                 "1025-vertex parent), over the node budget of 4194304") in err
     # the top level of B2 mod-2 depth 2 has index 128: 2^5 characters of a 4-vertex parent
-    monkeypatch.setattr(l2, "NODE_BUDGET", 16)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 16)
     spec = ["--spec", str(workdir / "tower_h.json")]
     for argv in (["tower", "run", *spec, *run_args], ["l2", "cdf", *spec, "--out", str(workdir / "c")]):
         assert run(argv) == 2
@@ -749,7 +750,8 @@ def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
                 "over the node budget of 16") in err
     assert not (workdir / "r").exists()
     assert not (workdir / "c").exists()
-    # a homology prime over the budget is refused before it is tested for primality
+    # a homology prime over the default budget is refused before it is tested for primality
+    monkeypatch.undo()
     (workdir / "mersenne.json").write_text(
         json.dumps({"base": "k4.json", "kind": "homology", "p": 2**61 - 1, "depth": 1})
     )
@@ -759,7 +761,8 @@ def test_level_over_the_node_budget_exits_2(workdir, capsys, monkeypatch):
         start = time.perf_counter()
         assert run(argv) == 2
         assert time.perf_counter() - start < 1.0
-        assert "p = 2305843009213693951 is over the node budget of 4194304" in capsys.readouterr().err
+        assert ("p = 2305843009213693951 is the least index of a homology level above the base, "
+                "over the node budget of 4194304") in capsys.readouterr().err
     assert not (workdir / "r").exists()
     assert not (workdir / "c").exists()
 

@@ -12,6 +12,7 @@ from graphzeta import (
     cdf_convergence,
     convergence,
     deitmar_residual,
+    graphs,
     homology_tower,
     l2,
     lattice_tower,
@@ -59,7 +60,7 @@ def test_grid_resolution_is_bounded_by_the_node_budget(monkeypatch):
     # resolution^2 lattice points at most: 2048^2 = 2^22
     with pytest.raises(ResourceError, match="resolution 2049 has 4198401 lattice points"):
         GridSpec(q=2, radius=0.5, resolution=2049)
-    monkeypatch.setattr(convergence, "NODE_BUDGET", 24)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 24)
     assert len(GridSpec(q=2, radius=0.5, resolution=4).points) > 0
     with pytest.raises(ResourceError, match="over the node budget of 24"):
         GridSpec(q=2, radius=0.5, resolution=5)

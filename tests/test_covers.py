@@ -41,7 +41,7 @@ def test_voltage_validation():
     assert not f.is_finite and f.rank == 2
     assert f.reduced((1, 3)) == VoltageAssignment(((0, 0), (0, 1)), (1, 3), 2)
     # orders are checked before anything is reduced modulo them
-    with pytest.raises(InputError, match="cyclic orders must be >= 1"):
+    with pytest.raises(InputError, match="an entry of orders must be an integer >= 1, got 0"):
         VoltageAssignment.cyclic((1,), 0)
     with pytest.raises(InputError, match="orders and rank disagree"):
         f.reduced((2,))
@@ -121,7 +121,7 @@ def test_cyclic_tower_structure():
         lattice_tower(LOOP, [(1,)], (2, 4))
     with pytest.raises(InputError, match=r"divisibility chain \(2 !\| 3\)"):
         lattice_tower(LOOP, [(1,)], (1, 2, 3))
-    with pytest.raises(InputError, match="cyclic orders must be >= 1"):
+    with pytest.raises(InputError, match="an entry of orders must be an integer >= 1, got 0"):
         lattice_tower(LOOP, [(1,)], (1, 2, 0))  # 2 | 0, but no group has order 0
     with pytest.raises(InputError, match="one per parent edge"):
         lattice_tower(LOOP, [(1,), (0,)], (1, 2))
@@ -162,7 +162,8 @@ def test_homology_parent_over_the_vertex_cap(monkeypatch):
     with pytest.raises(InputError):
         homology_tower(B2, 4, 1)  # 4 is not prime
     # a prime past the node budget is refused before the primality test would run
-    with pytest.raises(ResourceError, match="p = 2305843009213693951 is over the node budget"):
+    with pytest.raises(ResourceError, match="p = 2305843009213693951 is the least index of a homology "
+                       "level above the base, over the node budget of 4194304"):
         homology_tower(B2, 2**61 - 1, 0)
     # past depth 22 = log2(NODE_BUDGET) a step repeats its level (rank 0) or passes the budget
     with pytest.raises(ResourceError, match="depth 23 is over 22 = log2 of the node budget 4194304"):
@@ -206,6 +207,16 @@ def test_tower_invariants_enforced():
     for rule, levels in broken.items():
         with pytest.raises(InputError, match=rule):
             Tower(base=LOOP, levels=(lvl[0], *levels), provenance="manual")
+
+
+def test_a_tower_level_of_index_below_1_is_an_input_error():
+    # a level of index 0 under one of index 2 would divide by 0 in the chain check
+    top = TowerLevel(2, LOOP, VoltageAssignment.cyclic((1,), 2))
+    for index in (0, -2):
+        with pytest.raises(InputError, match=f"^index must be an integer >= 1, got {index}$"):
+            Tower(base=LOOP, levels=(TowerLevel(1, LOOP, VoltageAssignment.trivial(1)),
+                                     TowerLevel(index, LOOP, VoltageAssignment.trivial(1)), top),
+                  provenance="manual")
 
 
 def test_tower_indices_are_ints():

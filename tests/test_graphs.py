@@ -183,41 +183,42 @@ _B2_Z2 = VoltageAssignment.free(((1, 0), (0, 1)))
 _B2_SYMBOL = torus_symbol(B2, _B2_Z2)
 _K4_3 = VoltageAssignment.cyclic((1, 0, 0, 0, 0, 0), 3)
 
-# every entry point that takes an integer, as (argument as it reads in the error, call)
+# every entry point that takes an integer, as (argument as it reads in the
+# error, call), and its least value where it has one
 INTEGER_ENTRY_POINTS = {
-    "MultiGraph vertex_count": ("vertex_count", lambda x: MultiGraph(x, ((0, 1),))),
+    "MultiGraph vertex_count": ("vertex_count", lambda x: MultiGraph(x, ((0, 1),)), 1),
     "MultiGraph edges": ("an edge end", lambda x: MultiGraph(4, ((0, x),))),
     "VoltageAssignment voltages": ("an entry of voltages", lambda x: VoltageAssignment(((x,),), (5,), 1)),
-    "VoltageAssignment orders": ("an entry of orders", lambda x: VoltageAssignment(((1,),), (x,), 1)),
-    "VoltageAssignment rank": ("rank", lambda x: VoltageAssignment(((1, 2, 3),), None, x), 0),
-    "VoltageAssignment.cyclic": ("an entry of orders", lambda x: VoltageAssignment.cyclic((1,), x)),
-    "VoltageAssignment.product": ("an entry of orders", lambda x: VoltageAssignment.product([[1]], [x])),
-    "VoltageAssignment.free": ("rank", lambda x: VoltageAssignment.free([[1, 2, 3]], x), 0),
-    "VoltageAssignment.reduced": ("an entry of orders", lambda x: _B2_Z2.reduced((2, x))),
-    "VoltageAssignment.trivial": ("edge_count", VoltageAssignment.trivial, -3),
-    "TowerLevel index": ("index", lambda x: TowerLevel(x, K4, VoltageAssignment.trivial(6))),
-    "lattice_tower orders": ("an entry of orders", lambda x: lattice_tower(cycle_graph(1), [(1,)], [1, x])),
+    "VoltageAssignment orders": ("an entry of orders", lambda x: VoltageAssignment(((1,),), (x,), 1), 1),
+    "VoltageAssignment rank": ("rank", lambda x: VoltageAssignment(((1, 2, 3),), None, x), 1),
+    "VoltageAssignment.cyclic": ("an entry of orders", lambda x: VoltageAssignment.cyclic((1,), x), 1),
+    "VoltageAssignment.product": ("an entry of orders", lambda x: VoltageAssignment.product([[1]], [x]), 1),
+    "VoltageAssignment.free": ("rank", lambda x: VoltageAssignment.free([[1, 2, 3]], x), 1),
+    "VoltageAssignment.reduced": ("an entry of orders", lambda x: _B2_Z2.reduced((2, x)), 1),
+    "VoltageAssignment.trivial": ("edge_count", VoltageAssignment.trivial, 0),
+    "TowerLevel index": ("index", lambda x: TowerLevel(x, K4, VoltageAssignment.trivial(6)), 1),
+    "lattice_tower orders": ("an entry of orders", lambda x: lattice_tower(cycle_graph(1), [(1,)], [1, x]), 1),
     "lattice_tower voltages": ("an entry of voltages", lambda x: lattice_tower(K4, [(x,)] * 6, [1, 2])),
     "homology_tower p": ("p", lambda x: homology_tower(K4, x, 1)),
-    "homology_tower depth": ("depth", lambda x: homology_tower(cycle_graph(3), 2, x), -1),
+    "homology_tower depth": ("depth", lambda x: homology_tower(cycle_graph(3), 2, x), 0),
     "IntPolynomial": ("an entry of coefficients", lambda x: IntPolynomial((1, x))),
     "validate_cover": (
         "an entry of projection",
         lambda x: validate_cover(cycle_graph(8), cycle_graph(4), (0, 1, 2, x, 0, 1, 2, 3)),
     ),
-    "check_q": ("q", check_q),
-    "GridSpec q": ("q", lambda x: GridSpec(x, 0.5, 3)),
-    "GridSpec resolution": ("resolution", lambda x: GridSpec(2, 0.5, x)),
-    "cycle_graph": ("n", cycle_graph, 0),
-    "complete_graph": ("n", complete_graph),
-    "bouquet_graph": ("loops", bouquet_graph, -1),
-    "euler_log_coeffs": ("terms", lambda x: euler_log_coeffs(K4, x), 0),
-    "zeta_log_coeffs": ("terms", lambda x: zeta_log_coeffs(K4, x), 0),
-    "nth_root_det": ("n", lambda x: nth_root_det(K4, x, 0.1), 0),
-    "normalized_zeta": ("n", lambda x: normalized_zeta(derived_graph(K4, _K4_3), x, -2, 0.1)),
-    "equivariant_walk_counts": ("length", lambda x: equivariant_walk_counts(_B2_SYMBOL, x), -1),
-    "l2_series_oracle terms": ("terms", lambda x: l2_series_oracle(_B2_SYMBOL, 3, 0.01, x), 0),
-    "l2_series_oracle q": ("q", lambda x: l2_series_oracle(_B2_SYMBOL, x, 0.01, 3)),
+    "check_q": ("q", check_q, 1),
+    "GridSpec q": ("q", lambda x: GridSpec(x, 0.5, 3), 1),
+    "GridSpec resolution": ("resolution", lambda x: GridSpec(2, 0.5, x), 1),
+    "cycle_graph": ("n", cycle_graph, 1),
+    "complete_graph": ("n", complete_graph, 1),
+    "bouquet_graph": ("loops", bouquet_graph, 0),
+    "euler_log_coeffs": ("terms", lambda x: euler_log_coeffs(K4, x), 1),
+    "zeta_log_coeffs": ("terms", lambda x: zeta_log_coeffs(K4, x), 1),
+    "nth_root_det": ("n", lambda x: nth_root_det(K4, x, 0.1), 1),
+    "normalized_zeta": ("n", lambda x: normalized_zeta(derived_graph(K4, _K4_3), x, -2, 0.1), 1),
+    "equivariant_walk_counts": ("length", lambda x: equivariant_walk_counts(_B2_SYMBOL, x), 0),
+    "l2_series_oracle terms": ("terms", lambda x: l2_series_oracle(_B2_SYMBOL, 3, 0.01, x), 1),
+    "l2_series_oracle q": ("q", lambda x: l2_series_oracle(_B2_SYMBOL, x, 0.01, 3), 1),
 }
 
 
@@ -225,8 +226,9 @@ INTEGER_ENTRY_POINTS = {
 def test_every_integer_argument_follows_one_rule(name):
     """json_int everywhere: a numpy integer or an integral float is the int,
     and a fraction, a bool or a string is an InputError naming the argument,
-    as is an integer below its least value where the row gives one."""
-    what, call, *below = INTEGER_ENTRY_POINTS[name]
+    as is an integer below its least value where the row gives one, in one
+    message that names the least value and the integer."""
+    what, call, *least = INTEGER_ENTRY_POINTS[name]
     expected = call(3)
     for same in (np.int64(3), 3.0):
         assert call(same) == expected
@@ -234,9 +236,11 @@ def test_every_integer_argument_follows_one_rule(name):
         with pytest.raises(InputError) as info:
             call(bad)
         assert f"{what} must be an integer, got {bad!r}" in str(info.value)
-    for low in below:
-        with pytest.raises(InputError, match=f"{what} must be (an integer )?>= "):
-            call(low)
+    for bound in least:
+        for low in (bound - 1, np.int64(bound - 1), float(bound - 1)):
+            with pytest.raises(InputError) as info:
+                call(low)
+            assert str(info.value) == f"{what} must be an integer >= {bound}, got {bound - 1}"
 
 
 REAL_ENTRY_POINTS = {

@@ -28,10 +28,12 @@ from graphzeta import (
     TowerLevel,
     bouquet_graph,
     complete_graph,
+    convergence,
     covers,
     cycle_graph,
     derived_graph,
     equivariant_walk_counts,
+    euler_log_coeffs,
     graphs,
     l2,
     l2_log_det,
@@ -46,6 +48,8 @@ from graphzeta import (
     tower_convergence,
     tree_l2_reference,
     write_convergence_report,
+    zeta,
+    zeta_log_coeffs,
 )
 
 from corpus import B2, K4, LOOP, PETERSEN, path_graph, walk_counts_by_dict
@@ -231,7 +235,7 @@ def test_symbol_cdf_nodes_fit_the_node_budget(monkeypatch):
 def test_rank3_symbol_cdf_against_a_dense_cover(monkeypatch):
     # with room for 4^3 nodes the CDF counts the eigenvalues of the (Z/4)^3 cover of K4
     volt = VoltageAssignment.free(((0, 0, 0),) * 3 + ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    monkeypatch.setattr(l2, "NODE_BUDGET", 100)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 100)
     lambdas = np.linspace(-3.3, 3.3, 23) + 0.0123
     got = symbol_spectral_cdf(torus_symbol(K4, volt), lambdas)
     eigs = np.linalg.eigvalsh(derived_graph(K4, volt.reduced((4, 4, 4))).adjacency)
@@ -252,7 +256,7 @@ def test_quadrature_node_budget_raises(monkeypatch):
         return node_eigenvalues(s, m, line, weigh)
 
     monkeypatch.setattr(l2, "_node_eigenvalues", counting)
-    monkeypatch.setattr(l2, "NODE_BUDGET", 4 * 32)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 4 * 32)
     with pytest.raises(ResourceError, match=r"u = \(0\.4\+0\.01j\).*64\^1 lines"):
         l2_log_det(sym, 3, np.array([0.01, 0.4 + 0.01j]))
     assert read == [(16, 3), (32, 3)]
@@ -775,10 +779,10 @@ def test_a_line_is_read_when_its_root_solve_fits_the_node_budget(monkeypatch):
     # 2D + 1 = 7 is 280), and its characters at 35
     level = lattice_tower(LOOP, [(3,)], (1, 8)).levels[1]
     us = np.linspace(-0.4, 0.4, 40) + 0.1j
-    monkeypatch.setattr(l2, "NODE_BUDGET", 36)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 36)
     (lines, rho, degree), = l2._level_log_sums([level], 1, us)
     assert rho is not None and degree == 3
-    monkeypatch.setattr(l2, "NODE_BUDGET", 35)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 35)
     (chars, rho, _), = l2._level_log_sums([level], 1, us)
     assert rho is None and chars.tolist() == l2._log_sum(l2._level_blocks(level), 1, us).tolist()
     assert np.max(np.abs(lines - chars)) < 1e-12
@@ -893,7 +897,7 @@ def test_a_higher_rank_level_reads_its_characters_unless_its_lines_are_cheaper(m
     (three, eight), us = rank_levels(B2, VZ2.voltages, (3, 8)), np.linspace(-0.4, 0.4, 22) + 0.1j
     (logs, rho_max, _), = l2._level_log_sums([three], 3, us)
     assert rho_max is None and logs.tolist() == l2._log_sum(l2._level_blocks(three), 3, us).tolist()
-    monkeypatch.setattr(l2, "NODE_BUDGET", 64)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 64)
     assert [rho is None for _, rho, _ in l2._level_log_sums([eight], 3, us[:21])] == [False]
     assert [rho is None for _, rho, _ in l2._level_log_sums([eight], 3, us)] == [False]
 
@@ -978,9 +982,9 @@ def test_walk_counts_are_charged_against_the_node_budget(monkeypatch):
     counts = equivariant_walk_counts(sym, 160)
     assert counts[160] == math.comb(160, 80) ** 2 and counts[159] == 0
     # 60 terms charge 30 steps x 61 x 61 entries = 111,630
-    monkeypatch.setattr(l2, "NODE_BUDGET", 111_630)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 111_630)
     assert len(equivariant_walk_counts(sym, 60)) == 61
-    monkeypatch.setattr(l2, "NODE_BUDGET", 111_629)
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 111_629)
     with pytest.raises(ResourceError, match=r"length 60 need 111630 state entries"):
         equivariant_walk_counts(sym, 60)
     monkeypatch.undo()
@@ -998,6 +1002,35 @@ def test_series_oracle_refuses_more_terms_than_its_bounds():
     # B2's walks of length 512 charge 256 x 513^2 box entries, past NODE_BUDGET
     with pytest.raises(ResourceError, match="walks of length 512 need"):
         l2_series_oracle(torus_symbol(B2, VZ2), 3, 0.01, 512)
+
+
+def test_one_node_budget_bounds_every_charge(monkeypatch):
+    # graphs binds the budget alone; each refusal below is charged 9 to 64 nodes
+    assert not any(hasattr(module, "NODE_BUDGET") for module in (l2, covers, convergence))
+    refusals = {
+        "a grid of resolution 3 has 9 lattice points": lambda: GridSpec(2, 0.5, 3),
+        "the level of index 9 has 9 eigenvalues": lambda: level_cdf(lattice_tower(LOOP, [(1,)], (1, 9)).levels[1]),
+        "walks of length 4 need 10 state entries": lambda: equivariant_walk_counts(torus_symbol(LOOP, VZ), 4),
+        "torus quadrature at u = (0.1+0j) needs 64 nodes": lambda: l2_log_det(torus_symbol(B2, VZ2), 3, 0.1),
+        "p = 11 is the least index": lambda: homology_tower(B2, 11, 1),
+    }
+    for call in refusals.values():
+        call()
+    monkeypatch.setattr(graphs, "NODE_BUDGET", 8)
+    for text, call in refusals.items():
+        with pytest.raises(ResourceError, match=re.escape(text) + ".*, over the node budget of 8$"):
+            call()
+
+
+def test_one_cap_bounds_both_log_series(monkeypatch):
+    assert not hasattr(zeta, "LOG_TERMS_CAP")
+    oracle = lambda terms: l2_series_oracle(torus_symbol(cycle_graph(1), VZ), 1, 0.01, terms)
+    series = (oracle, lambda terms: zeta_log_coeffs(K4, terms), lambda terms: euler_log_coeffs(K4, terms))
+    monkeypatch.setattr(graphs, "LOG_TERMS_CAP", 5)
+    for call in series:
+        call(5)
+        with pytest.raises(ResourceError, match="^a log series takes at most 5 terms, got 6 terms$"):
+            call(6)
 
 
 def test_series_coefficients_are_the_binomial_expansion():
